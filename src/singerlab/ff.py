@@ -404,9 +404,8 @@ class FieldElem:
     value: int
 
     def _check(self, other: "FieldElem") -> None:
-        # cross-field arithmetic is a contract violation; cheap debug guard
-        assert isinstance(other, FieldElem) and self.field == other.field, \
-            "elements belong to different fields"
+        if not isinstance(other, FieldElem) or self.field != other.field:
+            raise ValueError("elements belong to different fields")
 
     def __add__(self, other):
         self._check(other)

@@ -1,26 +1,27 @@
 """Subgroup generation by exhaustive closure, and the theorem-level drivers.
 
 group_closure realizes every "subgroup generated by" computation as a
-breadth-first closure over left-multiplication by the generators, with
-value-hashed matrix sets and a hard element cap.  The three verification
-drivers sweep a full desk-scale instance and report violations; they are
-pure per pair, so reports are deterministic.
+breadth-first closure over left-multiplication by the generators.  Each
+generator acts as a permutation of the q^n vectors of F_q^n, so a group
+element is the tuple of its column-vector indices and a product is a table
+lookup per column, for prime and extension fields alike.  The walk stops
+at the hard element cap, or as soon as it has seen more than half of
+GL_n(F_q), which by Lagrange is then the whole group.  The three
+verification drivers sweep a full desk-scale instance and report
+violations; they are pure per pair, so reports are deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
+from collections import deque
 from typing import Sequence
-
-try:
-    import numpy as np
-except ImportError:  # the packed-key fast path is optional
-    np = None
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import Matrix, enumerate_gl, enumerate_subspaces, fixed_space, mul_entries, stabilizes
+from .matrix import Matrix, enumerate_gl, enumerate_subspaces, fixed_space, stabilizes
 from .poly import companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
@@ -48,7 +49,9 @@ class ClosureResult:
     """Result of a subgroup closure: exact order unless the cap was hit.
 
     The element set is produced lazily: closures driven only for their
-    order (the generation sweeps) never materialize it.
+    order (the generation sweeps) never materialize it.  A walk stopped
+    early by Lagrange is completed up to the group order first, so the
+    set is never partial.
     """
 
     __slots__ = ("order", "generators", "hit_cap", "field", "n",
@@ -87,57 +90,15 @@ class ClosureResult:
         return m.field == self.field and m.n == self.n and m.entries in self.entry_set
 
 
-def _closure_python(gen_entries, n, field, cap):
-    ident = tuple(Matrix.identity(field, n).entries)
-    seen = {ident}
-    frontier = [ident]
-    hit_cap = False
-    while frontier and not hit_cap:
-        nxt = []
-        for a in frontier:
-            for ge in gen_entries:
-                b = mul_entries(ge, a, n, field)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-            if len(seen) > cap:
-                hit_cap = True
-                break
-        frontier = nxt
-    return len(seen), (lambda: seen), hit_cap
-
-
-def _closure_numpy(gen_entries, n, p, cap):
-    # prime fields with q^(n^2) inside int64; one packed key per matrix
-    gens = [np.array(ge, dtype=np.int64).reshape(n, n) for ge in gen_entries]
-    weights = p ** np.arange(n * n, dtype=np.int64)
-    frontier = np.eye(n, dtype=np.int64)[None, :, :]
-    seen_keys = frontier.reshape(1, -1) @ weights
-    hit_cap = False
-    while len(frontier) and not hit_cap:
-        candidates = np.concatenate(
-            [np.einsum("ij,mjk->mik", g, frontier) % p for g in gens])
-        keys = candidates.reshape(len(candidates), -1) @ weights
-        uniq, idx = np.unique(keys, return_index=True)
-        fresh = ~np.isin(uniq, seen_keys)
-        frontier = candidates[idx[fresh]]
-        seen_keys = np.concatenate([seen_keys, uniq[fresh]])
-        if len(seen_keys) > cap:
-            hit_cap = True
-
-    def entries():
-        digits = (seen_keys[:, None] // weights[None, :]) % p
-        return (tuple(int(v) for v in row) for row in digits)
-
-    return len(seen_keys), entries, hit_cap
-
-
 def group_closure(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
     """BFS closure of the generated subgroup, starting from the identity,
     over left-multiplication by the generators.
 
-    When the element count exceeds the cap, the result carries
-    hit_cap=True and its order is only a lower bound.
+    Once more than |GL_n(F_q)|/2 elements are seen the subgroup is the
+    whole group (Lagrange): the walk stops there and reports the exact
+    order |GL_n(F_q)|, so such a walk never hits the cap.  Otherwise, when
+    the element count exceeds the cap, the result carries hit_cap=True and
+    its order is only a lower bound.
     """
     gens = list(gens)
     if not gens:
@@ -148,16 +109,38 @@ def group_closure(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> Clo
             raise ValueError("generators live in different groups")
         if g.det() == 0:
             raise ZeroDivisionError("generators must be invertible")
-    gen_entries = [g.entries for g in gens]
-    if np is not None and field.k == 1 and field.q ** (n * n) < 2**62:
-        order, factory, hit_cap = _closure_numpy(gen_entries, n, field.p, cap)
-    else:
-        order, factory, hit_cap = _closure_python(gen_entries, n, field, cap)
-    if hit_cap:
-        factory = None
-    else:
-        assert gl_order(n, field.q) % order == 0  # Lagrange
-    return ClosureResult(order, tuple(gens), hit_cap, field, n, factory)
+    full = gl_order(n, field.q)
+    vectors = list(itertools.product(range(field.q), repeat=n))
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = [tuple(index[g.apply(v)] for v in vectors) for g in gens]
+    ident = tuple(index[tuple(int(i == j) for i in range(n))] for j in range(n))
+    seen = {ident}
+    queue = deque(seen)
+
+    def walk(limit):
+        while queue and len(seen) <= limit:
+            a = queue.popleft()
+            for perm in perms:
+                b = tuple(map(perm.__getitem__, a))
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+
+    def entries():
+        walk(full - 1)  # completes a walk cut short by the Lagrange stop
+        for a in seen:
+            yield tuple(x for row in zip(*map(vectors.__getitem__, a)) for x in row)
+
+    walk(min(cap, full // 2))
+    order, hit_cap = len(seen), False
+    if order > full // 2:
+        order = full
+    elif order > cap:
+        hit_cap = True
+    elif full % order:
+        raise AssertionError("closure order does not divide |GL_n(F_q)|")
+    return ClosureResult(order, tuple(gens), hit_cap, field, n,
+                         None if hit_cap else entries)
 
 
 def generates_full(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> bool:
@@ -179,7 +162,8 @@ def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
             break
     members = {h.entries for h in enumerate_gl(c.n, c.field)
                if h @ c @ h.inverse() in powers}
-    assert gl_order(c.n, c.field.q) % len(members) == 0
+    if gl_order(c.n, c.field.q) % len(members):
+        raise AssertionError("normalizer order does not divide |GL_n(F_q)|")
     return ClosureResult(len(members), (c,), False, c.field, c.n, lambda: members)
 
 

@@ -117,7 +117,8 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field and self.n == other.n, "incompatible matrices"
+        if self.field != other.field or self.n != other.n:
+            raise ValueError("incompatible matrices")
         return Matrix(self.field, self.n, mul_entries(self.entries, other.entries, self.n, self.field))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:

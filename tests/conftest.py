@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import singerlab
 from singerlab import make_field
 
 
@@ -52,3 +57,13 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def run_python(code: str, *options: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's singerlab."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(singerlab.__file__)),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *options, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)

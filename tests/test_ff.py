@@ -3,7 +3,7 @@ import pytest
 from singerlab import (element_order, factorize, frobenius, is_prime,
                        is_primitive_element, make_field)
 
-from conftest import trial_phi
+from conftest import run_python, trial_phi
 
 
 def test_make_field_prime(f3):
@@ -156,8 +156,24 @@ def test_is_primitive_examples(f5, f9):
 
 
 def test_cross_field_mixing_is_detected(f3, f5):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         f3.elem(1) + f5.elem(1)
+
+
+def test_cross_field_contracts_survive_optimize():
+    # python -O strips assert statements; these guards must raise regardless
+    result = run_python("""
+from singerlab import Matrix, make_field
+f3, f5 = make_field(3), make_field(5)
+for op in (lambda: f3.elem(2) + f5.elem(4),
+           lambda: Matrix.identity(f3, 2) @ Matrix.identity(f5, 2)):
+    try:
+        op()
+    except ValueError:
+        continue
+    raise SystemExit("cross-field operation was not rejected")
+""", "-O")
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_is_prime():

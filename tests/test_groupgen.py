@@ -1,15 +1,19 @@
+import itertools
 import random
 
 import pytest
 
 from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
-                       companion, enumerate_gl, find_primitive_poly,
-                       generates_full, gl_order, group_closure, make_field,
-                       normalizer_of_cyclic, normalizer_reflection,
-                       verify_gill, verify_main1, verify_main2)
-from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, _closure_numpy,
-                                _closure_python, conjugacy_classes,
+                       companion, enumerate_gl, enumerate_reflections,
+                       find_primitive_poly, generates_full, gl_order,
+                       group_closure, make_field, normalizer_of_cyclic,
+                       normalizer_reflection, verify_gill, verify_main1,
+                       verify_main2)
+from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
                                 singer_class_representatives)
+from singerlab.matrix import mul_entries
+
+from conftest import run_python
 
 
 def test_gl_order_examples():
@@ -48,9 +52,10 @@ def test_group_closure_generator_order_invariance(f3):
 def test_group_closure_cap(f5):
     t1 = Matrix.from_text(f5, "2,2;2,0")
     t2 = Matrix.from_text(f5, "0,2;4,3")
-    result = group_closure([t1, t2], cap=50)
-    assert result.hit_cap and result.order > 50
-    assert result.elements is None
+    for cap in (50, 200):  # below |GL_2(F_5)|/2 = 240
+        result = group_closure([t1, t2], cap=cap)
+        assert result.hit_cap and result.order > cap
+        assert result.elements is None
     with pytest.raises(BudgetExceededError):
         generates_full([t1, t2], cap=50)
 
@@ -64,33 +69,98 @@ def test_group_closure_rejects(f3, f5):
         group_closure([Matrix.identity(f3, 2), Matrix.identity(f5, 2)])
 
 
-def test_closure_works_without_numpy(monkeypatch, f3):
-    import singerlab.groupgen as gg
+def test_closure_lagrange_stop(f2, f5):
+    # a walk past |G|/2 ends early with the exact order and a complete set
+    t1 = Matrix.from_text(f5, "2,2;2,0")
+    t2 = Matrix.from_text(f5, "0,2;4,3")
+    for cap in (241, 300, 479):
+        result = group_closure([t1, t2], cap=cap)
+        assert result.order == 480 and not result.hit_cap
+        assert len(result.elements) == 480
+    ident = Matrix.identity(f2, 1)
+    trivial = group_closure([ident])
+    assert trivial.order == 1 and not trivial.hit_cap
+    assert trivial.elements == {ident} and generates_full([ident])
+    # GL_2(F_2) has order 6; a Singer cycle closes at exactly |G|/2
+    c = companion(find_primitive_poly(2, f2))
+    assert group_closure([c]).order == 3 and not generates_full([c])
+    whole = group_closure([c, enumerate_reflections(2, f2)[0]])
+    assert whole.order == 6 and whole.elements == set(enumerate_gl(2, f2))
 
-    monkeypatch.setattr(gg, "np", None)
-    c = companion(find_primitive_poly(2, f3))
-    t = normalizer_reflection(c)
-    assert gg.group_closure([c, t]).order == 16
-    assert not gg.generates_full([c, t])
+
+def _matrix_product_bfs(gens):
+    """Reference closure: BFS over flat matrix products."""
+    n, field = gens[0].n, gens[0].field
+    ident = Matrix.identity(field, n).entries
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = mul_entries(g.entries, a, n, field)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
 
 
-def test_closure_paths_agree(f3, f4):
-    # the packed numpy walk and the dict-based walk must see the same group
-    c3 = companion(find_primitive_poly(2, f3))
-    t3 = normalizer_reflection(c3)
-    for gens in ([c3], [c3, t3]):
-        ge = [g.entries for g in gens]
-        o_py, f_py, _ = _closure_python(ge, 2, f3, 10**6)
-        o_np, f_np, _ = _closure_numpy(ge, 2, 3, 10**6)
-        assert o_py == o_np and set(f_py()) == set(f_np())
-    # extension fields use the python path end to end
-    c4 = companion(find_primitive_poly(2, f4))
-    assert group_closure([c4]).order == 15
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
+def test_closure_matches_matrix_product_bfs(n, p, k):
+    field = make_field(p, k)
+    q = field.q
+    c = companion(find_primitive_poly(n, field))
+    cyclic = group_closure([c])
+    norm = normalizer_of_cyclic(c)
+    h = min((m for m in norm.elements if m not in cyclic), key=lambda m: m.entries)
+    t = min((t for t in enumerate_reflections(n, field) if t not in norm),
+            key=lambda m: m.entries)
+    # cyclic, the non-abelian normalizer of <c>, and the whole group
+    for gens, size in (([c], q**n - 1), ([c, h], n * (q**n - 1)),
+                       ([c, t], gl_order(n, q))):
+        expected = _matrix_product_bfs(gens)
+        assert len(expected) == size
+        closure = group_closure(gens)
+        assert closure.order == size and closure.entry_set == expected
+
+
+def _sympy_order(combinatorics, gens):
+    n, field = gens[0].n, gens[0].field
+    vectors = list(itertools.product(range(field.q), repeat=n))
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = [combinatorics.Permutation([index[g.apply(v)] for v in vectors])
+             for g in gens]
+    return combinatorics.PermutationGroup(perms).order()
+
+
+@pytest.mark.parametrize("n,p,k,sample", [(2, 2, 2, None), (3, 3, 1, 12), (2, 3, 2, 12)])
+def test_closure_orders_match_sympy(n, p, k, sample):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    field = make_field(p, k)
+    pairs = [(c, t) for c in singer_class_representatives(n, field)
+             for t in enumerate_reflections(n, field)]
+    if sample is not None:
+        pairs = random.Random(2407).sample(pairs, sample)
+    for c, t in pairs:
+        assert group_closure([c, t]).order == _sympy_order(combinatorics, [c, t])
+
+
+def test_closures_need_no_numpy():
+    result = run_python("""
+import sys
+import singerlab.cli
+from singerlab import (companion, enumerate_reflections, find_primitive_poly,
+                       generates_full, make_field)
+for field in (make_field(3), make_field(2, 2)):
+    c = companion(find_primitive_poly(2, field))
+    generates_full([c, enumerate_reflections(2, field)[0]])
+if "numpy" in sys.modules:
+    raise SystemExit("numpy was imported")
+""")
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_generates_full_examples(f3):
-    from singerlab import enumerate_reflections
-
     c = companion(Poly.from_text(f3, "2,1,1"))
     t = normalizer_reflection(c)
     powers = {c**j for j in range(1, 9)}
@@ -109,7 +179,6 @@ def test_normalizer_examples(f2, f3, f5):
     c5 = companion(find_primitive_poly(2, f5))
     assert normalizer_of_cyclic(c5).order == 48 == 2 * (5**2 - 1)
     # no reflection normalizes a Singer cycle for n = 3
-    from singerlab import enumerate_reflections
     c2 = companion(find_primitive_poly(3, f2))
     norm2 = normalizer_of_cyclic(c2)
     assert not any(t in norm2 for t in enumerate_reflections(3, f2))
