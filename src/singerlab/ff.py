@@ -3,9 +3,12 @@
 A field element is encoded as an integer in [0, q): the encoding is the
 coefficient vector of the residue polynomial, little-endian base p, so
 value = sum(c_i * p**i).  0 and 1 encode the additive and multiplicative
-identities.  Prime fields use direct modular arithmetic; extension fields
-with q <= 4096 precompute generator-power (exp/log) tables, larger ones
-reduce polynomials on the fly.
+identities.  Prime fields use direct modular arithmetic.  An extension
+field is F_p[x] modulo a monic irreducible, chosen and checked with the
+poly module over the prime field; fields with q <= 4096 precompute
+generator-power (exp/log) tables, and larger ones multiply as poly.Poly
+products reduced modulo the modulus.  poly builds on this module, so it
+is imported inside the functions that use it.
 
 Serialization: an element is its integer encoding; a field is the triple
 {p, k, modulus coefficients little-endian} (modulus is the polynomial x
@@ -15,7 +18,6 @@ when k = 1).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -105,88 +107,6 @@ def _multiplicative_order(pow_fn, identity, bound: int) -> int:
     return order
 
 
-# --- polynomials over F_p as little-endian int lists (internal helpers) ---
-# Self-contained so that modulus validation does not depend on the poly
-# module, which itself builds on FieldSpec.
-
-
-def _pnorm(c: list[int], p: int) -> list[int]:
-    c = [v % p for v in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnorm(out, p)
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) >= len(m):
-        coef = a[-1] * inv_lead % p
-        if coef:
-            shift = len(a) - len(m)
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - coef * mi) % p
-        a.pop()
-    return _pnorm(a, p)
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [v * inv % p for v in a]
-    return a
-
-
-def _ppowmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
-def _p_is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial over the prime field F_p."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    if _ppowmod(x, p**n, f, p) != _pmod(x, f, p):
-        return False
-    for r, _ in factorize(n):
-        power = _ppowmod(x, p ** (n // r), f, p)
-        padded = list(power) + [0] * (2 - len(power))
-        diff = _pnorm([c - (1 if i == 1 else 0) for i, c in enumerate(padded)], p)
-        if _pgcd(diff, f, p) != [1]:
-            return False
-    return True
-
-
-def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # lexicographically least by coefficient tuple (c_0, ..., c_{k-1})
-    for tail in itertools.product(range(p), repeat=k):
-        f = list(tail) + [1]
-        if _p_is_irreducible(f, p):
-            return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
 class FieldSpec:
     """The finite field F_q, q = p^k, with table-backed exact arithmetic.
 
@@ -196,26 +116,38 @@ class FieldSpec:
     FieldElem carrying its field tag.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_exp", "_log", "_add", "_neg", "_key")
+    __slots__ = ("p", "k", "q", "modulus", "_modulus_poly", "_exp", "_log", "_add",
+                 "_neg", "_key")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        self._modulus_poly = None
         if k == 1:
             if modulus is None:
                 modulus = (0, 1)
             if tuple(modulus) != (0, 1):
                 raise ValueError("prime fields use the identity polynomial x as modulus")
         else:
+            from .poly import Poly, enumerate_monic, is_irreducible  # deferred: poly builds on ff
+
+            prime = make_field(p)
             if modulus is None:
-                modulus = _least_irreducible(p, k)
-            modulus = tuple(v % p for v in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {k}")
-            if not _p_is_irreducible(list(modulus), p):
-                raise ValueError("modulus is reducible over the prime field")
+                # x divides every candidate with c_0 = 0, so skipping those
+                # leaves the lex-least irreducible by (c_0, ..., c_{k-1}) unchanged
+                self._modulus_poly = next(
+                    f for f in enumerate_monic(k, prime, nonzero_constant=True)
+                    if is_irreducible(f))
+            else:
+                modulus = tuple(v % p for v in modulus)
+                if len(modulus) != k + 1 or modulus[-1] != 1:
+                    raise ValueError(f"modulus must be monic of degree {k}")
+                self._modulus_poly = Poly(prime, modulus)
+                if not is_irreducible(self._modulus_poly):
+                    raise ValueError("modulus is reducible over the prime field")
+            modulus = self._modulus_poly.coeffs
         self.p = p
         self.k = k
         self.q = p**k
@@ -255,18 +187,14 @@ class FieldSpec:
         ]
 
     def _build_mul_tables(self):
-        q, p = self.q, self.p
-        m = list(self.modulus)
+        # built with the untabled mul, which serves until _exp is set
+        q = self.q
         for g in range(self.p, q):
             powers = [1]
-            acc = [1]
-            gp = list(self.decode(g))
-            while True:
-                acc = _pmod(_pmul(acc, gp, p), m, p)
-                v = self.encode(acc + [0] * (self.k - len(acc)))
-                if v == 1:
-                    break
+            v = g
+            while v != 1:
                 powers.append(v)
+                v = self.mul(v, g)
             if len(powers) == q - 1:
                 break
         else:
@@ -303,9 +231,11 @@ class FieldSpec:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        prod = _pmod(_pmul(list(self.decode(a)), list(self.decode(b)), self.p),
-                     list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.k - len(prod)))
+        from .poly import Poly  # deferred: poly builds on ff
+
+        m = self._modulus_poly
+        prod = Poly(m.field, self.decode(a)) * Poly(m.field, self.decode(b)) % m
+        return self.encode(prod.coeffs)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -21,7 +21,8 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import Matrix, enumerate_gl, enumerate_subspaces, fixed_space, stabilizes
+from .matrix import (Matrix, enumerate_gl, enumerate_subspaces, fixed_space, gl_order,
+                     stabilizes)
 from .poly import companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
@@ -29,20 +30,11 @@ from .reflect import (FactorizationList, det_subgroup,
 from .singer import is_irreducible_element, is_singer, normalizing_reflections
 
 DEFAULT_CLOSURE_CAP = 20_000_000
+SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
 
 STRONG = "strong"
 WEAK_ONLY = "weak_only"
 NOT_WEAK = "not_weak"
-
-
-def gl_order(n: int, q: int) -> int:
-    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    order = 1
-    for i in range(n):
-        order *= q**n - q**i
-    return order
 
 
 class ClosureResult:
@@ -183,8 +175,7 @@ class _GenerationCache:
         return verdict
 
 
-def classify_qc(g: Matrix, cache: _GenerationCache | None = None,
-                budget: int = 10**8) -> str:
+def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
     """Quasi-Coxeter classification over all minimal factorizations of g.
 
     strong: every factorization generates GL_n(F_q); weak_only: some but
@@ -196,7 +187,7 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None,
     any_gen = False
     all_gen = True
     seen_any = False
-    for fl in enumerate_minimal_factorizations(g, budget=budget):
+    for fl in enumerate_minimal_factorizations(g):
         seen_any = True
         if fl.factors:
             verdict = cache.generates(fl.factors)
@@ -206,7 +197,8 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None,
         all_gen = all_gen and verdict
         if any_gen and not all_gen:
             return WEAK_ONLY
-    assert seen_any, "every invertible element admits a minimal factorization"
+    if not seen_any:
+        raise AssertionError("every invertible element admits a minimal factorization")
     if all_gen:
         return STRONG
     return WEAK_ONLY if any_gen else NOT_WEAK
@@ -257,8 +249,7 @@ def _witness_for_non_singer(g: Matrix, cache: _GenerationCache) -> tuple[str, Fa
 
 
 def verify_main1(n: int, field: FieldSpec, classes: bool = False,
-                 cap: int = DEFAULT_CLOSURE_CAP, seed: int = 0,
-                 spot_checks: int = 3) -> dict:
+                 cap: int = DEFAULT_CLOSURE_CAP, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
     Every non-Singer element must also yield an explicit non-generating
@@ -298,7 +289,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False,
     reps = [g for g, _ in todo]
     all_elements = reps if not classes else list(enumerate_gl(n, field))
     spot_results = []
-    for _ in range(min(spot_checks, len(reps))):
+    for _ in range(min(SPOT_CHECKS, len(reps))):
         g = rng.choice(reps)
         h = rng.choice(all_elements)
         conj = h @ g @ h.inverse()

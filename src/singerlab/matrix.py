@@ -375,16 +375,22 @@ def char_poly(a: Matrix) -> Poly:
     return polys[n]
 
 
+def gl_order(n: int, q: int) -> int:
+    """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    order = 1
+    for i in range(n):
+        order *= q**n - q**i
+    return order
+
+
 def matrix_order(a: Matrix) -> int:
     """Least m >= 1 with A^m = I, via the factored order of GL_n(F_q)."""
     if a.det() == 0:
         raise ZeroDivisionError("singular matrices have no multiplicative order")
-    q, n = a.field.q, a.n
-    bound = 1
-    for i in range(n):
-        bound *= q**n - q**i
     ident = Matrix.identity(a.field, a.n)
-    return _multiplicative_order(lambda e: a**e, ident, bound)
+    return _multiplicative_order(lambda e: a**e, ident, gl_order(a.n, a.field.q))
 
 
 def enumerate_subspaces(n: int, field: FieldSpec, dim: int | None = None) -> Iterator[Subspace]:

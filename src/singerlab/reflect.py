@@ -20,9 +20,7 @@ from typing import Iterator
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import Matrix, Subspace, fixed_space, mul_entries
-
-ENUMERATION_BUDGET = 10**8
+from .matrix import ENUMERATION_BUDGET, Matrix, Subspace, fixed_space, mul_entries
 
 
 def reflection_length(g: Matrix) -> int:
@@ -92,7 +90,8 @@ def enumerate_reflections(n: int, field: FieldSpec) -> tuple[Matrix, ...]:
                 continue
             out.append(reflection_from_params(field, phi, w))
     expected = (q**n - 1) // (q - 1) * (q ** (n - 1) * (q - 1) - 1)
-    assert len(out) == len(set(out)) == expected
+    if not len(out) == len(set(out)) == expected:
+        raise AssertionError("reflection enumeration missed or repeated a reflection")
     return tuple(out)
 
 
@@ -233,14 +232,18 @@ def stabilizing_factorization(g: Matrix, w: Subspace) -> FactorizationList:
     # the residual fixes W pointwise; by the fixed-space additivity this
     # makes the two factorization stages sum to the minimum total length
     res_fix = fixed_space(residual)
-    assert all(res_fix.contains(row) for row in w.basis)
-    assert res_fix.dim == fixed_space(g).dim + len(head)
+    if not all(res_fix.contains(row) for row in w.basis):
+        raise AssertionError("residual does not fix the subspace pointwise")
+    if res_fix.dim != fixed_space(g).dim + len(head):
+        raise AssertionError("fixed-space dimensions of the two stages do not add up")
 
     tail = minimal_factorization(residual).factors
     factors = tuple(head) + tail
     result = FactorizationList(factors, g)
-    assert len(result) == reflection_length(g)
-    assert all(stabilizes(t, w) for t in factors)
+    if len(result) != reflection_length(g):
+        raise AssertionError("stabilizing factorization is not minimal")
+    if not all(stabilizes(t, w) for t in factors):
+        raise AssertionError("a factor does not stabilize the subspace")
     return result
 
 

@@ -265,16 +265,22 @@ def normalizer_reflection(c: Matrix) -> Matrix:
     s = zinv + ext.pow(zinv, q)
     w = field.neg(ext.cast_down(s))
     # free consistency checks: trace and norm of the eigenvalue match f
-    assert ext.cast_down(z + ext.pow(z, q)) == field.neg(f[1])
-    assert ext.cast_down(ext.pow(z, q + 1)) == f[0]
+    if ext.cast_down(z + ext.pow(z, q)) != field.neg(f[1]):
+        raise AssertionError("eigenvalue trace does not match the characteristic polynomial")
+    if ext.cast_down(ext.pow(z, q + 1)) != f[0]:
+        raise AssertionError("eigenvalue norm does not match the characteristic polynomial")
     t_comp = Matrix(field, 2, (1, 0, w, field.neg(1)))
     p = _cyclic_basis_change(c)
     pinv = p.inverse()
-    assert pinv @ c @ p == companion(f)
+    if pinv @ c @ p != companion(f):
+        raise AssertionError("cyclic basis does not conjugate c to its companion matrix")
     t = p @ t_comp @ pinv
-    assert fixed_space(t).dim == 1  # a genuine reflection, even in char 2
-    assert t @ t == Matrix.identity(field, 2)
-    assert t @ c @ t == c**q
+    if fixed_space(t).dim != 1:  # a genuine reflection, even in char 2
+        raise AssertionError("normalizer reflection does not fix a line")
+    if t @ t != Matrix.identity(field, 2):
+        raise AssertionError("normalizer reflection is not an involution")
+    if t @ c @ t != c**q:
+        raise AssertionError("normalizer reflection does not conjugate c to c^q")
     return t
 
 

@@ -1,0 +1,14 @@
+import ast
+from pathlib import Path
+
+import singerlab
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so contracts and invariants must raise
+    found = []
+    for path in sorted(Path(singerlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from singerlab import (element_order, factorize, frobenius, is_prime,
@@ -63,6 +66,56 @@ def test_lagrange_and_inverses(p, k):
     for v in range(1, field.q):
         assert field.mul(v, field.inv(v)) == 1
         assert field.pow(v, field.q - 1) == 1
+
+
+def _gf2_mod(a: int, m: int) -> int:
+    """Remainder of GF(2) polynomials held as int bitmasks (bit i is x^i)."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+def _gf2_mulmod(a: int, b: int, m: int) -> int:
+    """Carry-less product of two bitmasks, reduced modulo m."""
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a <<= 1
+        b >>= 1
+    return _gf2_mod(prod, m)
+
+
+def _gf2_least_irreducible(k: int) -> int:
+    """Lex-least monic irreducible of degree k by (c_0, ..., c_{k-1}), by trial division."""
+    for tail in itertools.product((0, 1), repeat=k):
+        f = sum(c << i for i, c in enumerate(tail)) | 1 << k
+        if all(_gf2_mod(f, d) for d in range(2, 1 << (k // 2 + 1))):
+            return f
+    raise AssertionError("no irreducible polynomial found")
+
+
+@pytest.mark.parametrize("k", [9, 13])
+def test_untabled_binary_fields_match_bitmask_oracle(k):
+    # q = 512 adds without tables; q = 8192 also multiplies without them
+    field = make_field(2, k)
+    q = field.q
+    modulus = _gf2_least_irreducible(k)
+    assert field.encode(field.modulus) == modulus  # the same little-endian bitmask
+    rng = random.Random(k)
+    for _ in range(300):
+        a, b = rng.randrange(1, q), rng.randrange(q)
+        assert field.add(a, b) == a ^ b
+        assert field.mul(a, b) == _gf2_mulmod(a, b, modulus)
+        assert field.mul(a, field.inv(a)) == 1
+        assert field.pow(a, q - 1) == 1
+        power, base, e = 1, a, b
+        while e:
+            if e & 1:
+                power = _gf2_mulmod(power, base, modulus)
+            base = _gf2_mulmod(base, base, modulus)
+            e >>= 1
+        assert field.pow(a, b) == power
 
 
 def test_field_axioms_exhaustive(f9):
