@@ -1,22 +1,27 @@
-"""Subgroup generation by exhaustive closure, and the theorem-level drivers.
+"""Subgroup generation by exact group order, and the theorem-level drivers.
 
-group_closure realizes every "subgroup generated by" computation as a
-breadth-first closure over left-multiplication by the generators.  Each
-generator acts as a permutation of the q^n vectors of F_q^n, so a group
-element is the tuple of its column-vector indices and a product is a table
-lookup per column, for prime and extension fields alike.  The walk stops
-at the hard element cap, or as soon as it has seen more than half of
-GL_n(F_q), which by Lagrange is then the whole group.  The three
+Each generator acts as a permutation of the q^n vectors of F_q^n, built
+once per matrix with field arithmetic, so prime and extension fields take
+the same path.  group_closure computes the order of the generated subgroup
+by a deterministic Schreier-Sims on that action (Seress, Permutation Group
+Algorithms, ch. 4; Holt-Eick-O'Brien, Handbook of CGT, 4.4) over the base
+e_1, ..., e_n, whose pointwise stabilizer is trivial; it stops as soon as
+the basic orbits prove more than half of GL_n(F_q), which by Lagrange is
+then the whole group.  The element set is a breadth-first closure over
+column-index tuples, built only when asked for; the closure cap (--cap)
+bounds the proper subgroups whose elements may be listed.  The three
 verification drivers sweep a full desk-scale instance and report
 violations; they are pure per pair, so reports are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 import random
 import time
-from collections import deque
 from typing import Sequence
 
 from .errors import BudgetExceededError
@@ -38,12 +43,14 @@ NOT_WEAK = "not_weak"
 
 
 class ClosureResult:
-    """Result of a subgroup closure: exact order unless the cap was hit.
+    """Result of a subgroup closure: the exact order, and the element set
+    unless the cap was hit.
 
-    The element set is produced lazily: closures driven only for their
-    order (the generation sweeps) never materialize it.  A walk stopped
-    early by Lagrange is completed up to the group order first, so the
-    set is never partial.
+    The order comes from Schreier-Sims and is always exact.  The element
+    set is produced lazily by a breadth-first closure: closures driven only
+    for their order (the generation sweeps) never materialize it.
+    hit_cap=True marks a subgroup larger than a cap below |GL_n(F_q)|/2;
+    its elements are not available.
     """
 
     __slots__ = ("order", "generators", "hit_cap", "field", "n",
@@ -82,57 +89,237 @@ class ClosureResult:
         return m.field == self.field and m.n == self.n and m.entries in self.entry_set
 
 
-def group_closure(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
-    """BFS closure of the generated subgroup, starting from the identity,
-    over left-multiplication by the generators.
+def _linear_permutation(columns: Sequence[Sequence[int]], field: FieldSpec) -> tuple[int, ...]:
+    """The permutation v -> A v of the vectors of F_q^n, induced by the
+    matrix A with the given columns.  A vector's index is its coordinate
+    string read in base q (itertools.product order).  Each coordinate of
+    A v is tabulated over all v in index order, adding one coordinate of v
+    at a time, and the image index is read off in base q; over a prime
+    field the sums stay unreduced integers until that last step."""
+    q = field.q
+    fmul, fadd = (operator.mul, operator.add) if field.k == 1 else (field.mul, field.add)
+    images = [0] * q ** len(columns)
+    for i in range(len(columns)):
+        coordinate = [0]
+        for col in columns:
+            multiples = [fmul(c, col[i]) for c in range(q)]
+            coordinate = [fadd(u, m) for u in coordinate for m in multiples]
+        images = [x * q + w % q for x, w in zip(images, coordinate)]
+    return tuple(images)
 
-    Once more than |GL_n(F_q)|/2 elements are seen the subgroup is the
-    whole group (Lagrange): the walk stops there and reports the exact
-    order |GL_n(F_q)|, so such a walk never hits the cap.  Otherwise, when
-    the element count exceeds the cap, the result carries hit_cap=True and
-    its order is only a lower bound.
+
+@functools.lru_cache(maxsize=32)  # a Singer cycle or C_f, and the C_g of small gill sweeps
+def _permutation(g: Matrix) -> tuple[int, ...]:
+    """The permutation g induces on the vector indices: v -> g v."""
+    if g.det() == 0:
+        raise ZeroDivisionError("generators must be invertible")
+    return _linear_permutation([g.entries[j::g.n] for j in range(g.n)], g.field)
+
+
+def _inverse(perm: tuple) -> tuple:
+    inverse = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inverse[y] = x
+    return tuple(inverse)
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    (with their inverses) fixing the earlier base points, and the basic
+    orbit as a Schreier vector, point -> (parent, generator label).
+
+    A coset representative u_y (u_y(point) = y) is composed along the
+    Schreier vector on demand, and u_y^-1 is applied by walking it back
+    with the generator inverses, so no transversal table is built.  Both
+    act on any tuple of points: the base images of an element (its
+    columns), which is all a sift needs, or a whole permutation.
+    """
+
+    __slots__ = ("point", "gens", "inverses", "orbit", "tree", "reps", "checked")
+
+    def __init__(self, point: int, base: tuple):
+        self.point = point
+        self.gens = []
+        self.inverses = []
+        self.orbit = [point]
+        self.tree = {point: None}
+        self.reps = {point: base}  # base images of u_y, for the y Schreier generators used
+        self.checked = {}  # orbit point -> generators whose Schreier generator sifted
+
+    def add_generators(self, new: Sequence[tuple]) -> None:
+        """Append strong generators, each a (permutation, inverse) pair, and
+        extend the basic orbit breadth-first."""
+        gens, orbit, tree = self.gens, self.orbit, self.tree
+        first = len(gens)
+        for g, g_inverse in new:
+            gens.append(g)
+            self.inverses.append(g_inverse)
+        known = len(orbit)
+        for x in orbit[:known]:
+            for label in range(first, len(gens)):
+                y = gens[label][x]
+                if y not in tree:
+                    tree[y] = (x, label)
+                    orbit.append(y)
+        for x in itertools.islice(orbit, known, None):  # also visits points appended here
+            for label, g in enumerate(gens):
+                y = g[x]
+                if y not in tree:
+                    tree[y] = (x, label)
+                    orbit.append(y)
+
+    def compose(self, y: int, h: tuple) -> tuple:
+        """u_y h."""
+        labels = []
+        while y != self.point:
+            y, label = self.tree[y]
+            labels.append(label)
+        for label in reversed(labels):
+            h = tuple(map(self.gens[label].__getitem__, h))
+        return h
+
+    def rep(self, y: int) -> tuple:
+        """The base images of u_y, memoized."""
+        u = self.reps.get(y)
+        if u is None:
+            u = self.reps[y] = self.compose(y, self.reps[self.point])
+        return u
+
+    def strip(self, y: int, h: tuple) -> tuple:
+        """u_y^-1 h."""
+        tree, inverses = self.tree, self.inverses
+        while y != self.point:
+            y, label = tree[y]
+            h = tuple(map(inverses[label].__getitem__, h))
+        return h
+
+
+def _sift(levels: list[_Level], h: tuple, start: int,
+          positions: Sequence[int]) -> tuple[tuple, int]:
+    """Strip h through the levels from start on: the residue and the level
+    whose basic orbit misses its base-point image, or len(levels) when h
+    sifts through.  positions[i] is where h holds the image of the i-th
+    base point: range(n) for base images, the base for a permutation."""
+    for depth in range(start, len(levels)):
+        level = levels[depth]
+        y = h[positions[depth]]
+        if y not in level.tree:
+            return h, depth
+        h = level.strip(y, h)
+    return h, len(levels)
+
+
+def _unsifted_schreier_generator(levels: list[_Level], depth: int,
+                                 base: tuple) -> tuple[int, int, int] | None:
+    """The first unchecked Schreier generator u_{g x}^-1 g u_x of
+    levels[depth] whose sift stops, as (x, g's label, the level where it
+    stopped); None once every one of them sifts through."""
+    level = levels[depth]
+    gens, tree, checked = level.gens, level.tree, level.checked
+    positions = range(len(levels))
+    for x in level.orbit:
+        for label in range(checked.get(x, 0), len(gens)):
+            checked[x] = label + 1
+            g = gens[label]
+            y = g[x]
+            if tree[y] == (x, label):
+                continue  # a Schreier-vector edge: u_y = g u_x
+            h, stop = _sift(levels, level.strip(y, tuple(map(g.__getitem__, level.rep(x)))),
+                            depth + 1, positions)
+            if stop < len(levels):
+                return x, label, stop
+            if h != base:
+                raise AssertionError("a Schreier generator sifted to a non-identity residue")
+    return None
+
+
+def _schreier_sims_order(perms: list[tuple], base: tuple, full: int) -> int:
+    """|<perms>| by deterministic Schreier-Sims over base, the indices of
+    e_1, ..., e_n.  Its pointwise stabilizer is trivial, so an element is
+    known by its base images, which is all a Schreier generator is sifted
+    as; base extension is never needed, and the last level, whose Schreier
+    generators fix every base point, is never searched.
+
+    The product of the basic orbit lengths never exceeds |<perms>|, which
+    divides full = |GL_n(F_q)|; once it passes full/2 the group is the
+    whole one and the search stops there.
+    """
+    n = len(base)
+    identity = tuple(range(len(perms[0])))
+    levels = [_Level(b, base) for b in base]
+    levels[0].add_generators([(g, _inverse(g)) for g in perms])
+    depth = 0
+    while depth >= 0:
+        if math.prod(len(level.orbit) for level in levels) > full // 2:
+            return full
+        found = _unsifted_schreier_generator(levels, depth, base) if depth + 1 < n else None
+        if found is None:
+            depth -= 1
+            continue
+        # the same Schreier generator as a whole permutation, sifted as far:
+        # a new strong generator for every level down to the one it stopped at
+        x, label, stop = found
+        level = levels[depth]
+        g = level.gens[label]
+        h = level.strip(g[x], tuple(map(g.__getitem__, level.compose(x, identity))))
+        h = _sift(levels, h, depth + 1, base)[0]
+        new = [(h, _inverse(h))]
+        for deeper in levels[depth + 1:stop + 1]:
+            deeper.add_generators(new)
+        depth = stop
+    return math.prod(len(level.orbit) for level in levels)
+
+
+def _closure_entries(perms: list[tuple], base: tuple, field: FieldSpec,
+                     order: int) -> list[tuple]:
+    """Row-major entries of every element of <perms>, by breadth-first
+    closure over column-index tuples (the images of base); checks the count
+    against order."""
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for perm in perms:
+                b = tuple(map(perm.__getitem__, a))
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    if len(seen) != order:
+        raise AssertionError("closure size differs from the Schreier-Sims order")
+    vectors = list(itertools.product(range(field.q), repeat=len(base)))
+    return [tuple(x for row in zip(*map(vectors.__getitem__, a)) for x in row)
+            for a in seen]
+
+
+def group_closure(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
+    """The subgroup generated by gens: its exact order, by Schreier-Sims,
+    and its element set, by breadth-first closure when first asked for.
+
+    The cap bounds proper subgroups: when cap < |GL_n(F_q)|/2 and the
+    subgroup has more than cap elements, the result carries hit_cap=True
+    and no element set.  A cap of at least |GL_n(F_q)|/2 never binds,
+    since by Lagrange every proper subgroup is then within it.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     field, n = gens[0].field, gens[0].n
+    perms = []
     for g in gens:
         if g.field != field or g.n != n:
             raise ValueError("generators live in different groups")
-        if g.det() == 0:
-            raise ZeroDivisionError("generators must be invertible")
+        perms.append(_permutation(g))
     full = gl_order(n, field.q)
-    vectors = list(itertools.product(range(field.q), repeat=n))
-    index = {v: i for i, v in enumerate(vectors)}
-    perms = [tuple(index[g.apply(v)] for v in vectors) for g in gens]
-    ident = tuple(index[tuple(int(i == j) for i in range(n))] for j in range(n))
-    seen = {ident}
-    queue = deque(seen)
-
-    def walk(limit):
-        while queue and len(seen) <= limit:
-            a = queue.popleft()
-            for perm in perms:
-                b = tuple(map(perm.__getitem__, a))
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-
-    def entries():
-        walk(full - 1)  # completes a walk cut short by the Lagrange stop
-        for a in seen:
-            yield tuple(x for row in zip(*map(vectors.__getitem__, a)) for x in row)
-
-    walk(min(cap, full // 2))
-    order, hit_cap = len(seen), False
-    if order > full // 2:
-        order = full
-    elif order > cap:
-        hit_cap = True
-    elif full % order:
+    base = tuple(field.q ** (n - 1 - j) for j in range(n))  # e_1, ..., e_n
+    order = _schreier_sims_order(perms, base, full)
+    if full % order:
         raise AssertionError("closure order does not divide |GL_n(F_q)|")
-    return ClosureResult(order, tuple(gens), hit_cap, field, n,
-                         None if hit_cap else entries)
+    hit_cap = cap < full // 2 and order > cap
+    entries = None if hit_cap else functools.partial(_closure_entries, perms, base,
+                                                     field, order)
+    return ClosureResult(order, tuple(gens), hit_cap, field, n, entries)
 
 
 def generates_full(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> bool:

@@ -35,6 +35,15 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _raw(cls, field: FieldSpec, coeffs: tuple) -> "Poly":
+        """Unchecked constructor for arithmetic results: coeffs must be a
+        tuple of in-range encodings with no trailing zeros."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -118,11 +127,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = fld.add(out[i], c)
-        return Poly(fld, out)
+        return Poly._raw(fld, _trimmed(out))
 
     def __neg__(self) -> "Poly":
         fld = self.field
-        return Poly(fld, (fld.neg(c) for c in self.coeffs))
+        return Poly._raw(fld, tuple(fld.neg(c) for c in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -131,14 +140,14 @@ class Poly:
         fld = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly(fld)
+            return Poly._raw(fld, ())
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] = fld.add(out[i + j], fld.mul(ai, bj))
-        return Poly(fld, out)
+        return Poly._raw(fld, tuple(out))  # leading coefficient a[-1] * b[-1] != 0
 
     def scale(self, c: int) -> "Poly":
         fld = self.field
@@ -161,7 +170,7 @@ class Poly:
                 for i, d in enumerate(dv):
                     rem[shift + i] = fld.sub(rem[shift + i], fld.mul(coef, d))
             rem.pop()
-        return Poly(fld, quot), Poly(fld, rem)
+        return Poly._raw(fld, _trimmed(quot)), Poly._raw(fld, _trimmed(rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[0]
@@ -183,6 +192,13 @@ class Poly:
         return acc
 
 
+def _trimmed(coeffs: list) -> tuple:
+    """coeffs without trailing zeros, as a tuple."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor."""
     while not g.is_zero:
@@ -194,7 +210,7 @@ def powmod(f: Poly, e: int, m: Poly) -> Poly:
     """f^e mod m by square-and-multiply, e >= 0."""
     if e < 0:
         raise ValueError("negative exponent; use invmod first")
-    result = Poly.one(f.field)
+    result = Poly._raw(f.field, (1,))
     base = f % m
     while e:
         if e & 1:

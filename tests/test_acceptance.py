@@ -181,3 +181,16 @@ def test_criterion_10_remark_invariant():
     elapsed = time.monotonic() - start
     _report(10, "intersection of factor fixed spaces equals fix(g) over every "
                 "minimal factorization in GL_2(F_3)", elapsed, 120.0)
+
+
+def test_criterion_11_gl5f2_reach(capsys):
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "main2", "--n", "5", "--p", "2")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert report["checked"] == 2790  # 6 Singer classes x 465 reflections
+    assert report["exceptional_pairs"] == [] and report["violations"] == []
+    gill = verify_gill(5, make_field(2))
+    assert gill["checked"] == 90 and gill["violations"] == []
+    _report(11, "Singer x reflection generation on all 2790 pairs of GL_5(F_2), "
+                "|G| = 9999360, through the CLI", elapsed, 20.0)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
                                 singer_class_representatives)
 from singerlab.matrix import mul_entries
+from singerlab.singer import normalizing_reflections
 
 from conftest import run_python
 
@@ -124,6 +126,73 @@ def test_closure_matches_matrix_product_bfs(n, p, k):
         assert closure.order == size and closure.entry_set == expected
 
 
+def _random_element(n, field, rng):
+    while True:
+        m = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
+        if m.det():
+            return m
+
+
+def _main2_pairs(n, field, sample=None):
+    pairs = [[c, t] for c in singer_class_representatives(n, field)
+             for t in enumerate_reflections(n, field)]
+    return pairs if sample is None else random.Random(2407).sample(pairs, sample)
+
+
+def _assert_closure_is_bfs(gens):
+    closure = group_closure(gens)
+    expected = _matrix_product_bfs(gens)
+    assert closure.order == len(expected) and closure.entry_set == expected
+    return closure.order
+
+
+@pytest.mark.parametrize("n,p,k,sample", [(2, 3, 1, None), (2, 2, 2, None), (2, 5, 1, None),
+                                          (3, 2, 1, None), (3, 3, 1, 20), (4, 2, 1, 20)])
+def test_schreier_sims_matches_bfs_on_main2_pairs(n, p, k, sample):
+    for gens in _main2_pairs(n, make_field(p, k), sample):
+        _assert_closure_is_bfs(gens)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_schreier_sims_matches_bfs_on_random_pairs(n, p):
+    # random pairs generate proper subgroups of many orders as well
+    field = make_field(p)
+    rng = random.Random(4)
+    orders = set()
+    for _ in range(50):
+        gens = [_random_element(n, field, rng), _random_element(n, field, rng)]
+        orders.add(_assert_closure_is_bfs(gens))
+    assert len(orders) >= 4 and gl_order(n, p) in orders
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_schreier_sims_matches_bfs_on_torus_and_borel(p):
+    field = make_field(p)
+    a = p - 1  # generates F_p^x for p = 2, 3
+    torus = [Matrix.from_rows(field, [[a if i == j == d else int(i == j) for j in range(3)]
+                                      for i in range(3)]) for d in range(3)]
+    unipotent = [Matrix.from_text(field, "1,1,0;0,1,0;0,0,1"),
+                 Matrix.from_text(field, "1,0,0;0,1,1;0,0,1")]
+    for gens, order in ((torus, (p - 1) ** 3), (torus + unipotent, (p - 1) ** 3 * p**3)):
+        assert _assert_closure_is_bfs(gens) == order
+
+
+def test_closures_leave_no_cyclic_garbage():
+    field = make_field(7)
+    c = companion(find_primitive_poly(2, field))
+    normalizing = normalizing_reflections(c)
+    pairs = [[c, t] for t in enumerate_reflections(2, field) if t not in normalizing][:5]
+    pairs.append([c, normalizing[0]])
+    gc.disable()
+    try:
+        gc.collect()
+        verdicts = [generates_full(gens) for gens in pairs]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdicts == [True] * 5 + [False]
+
+
 def _sympy_order(combinatorics, gens):
     n, field = gens[0].n, gens[0].field
     vectors = list(itertools.product(range(field.q), repeat=n))
@@ -133,16 +202,23 @@ def _sympy_order(combinatorics, gens):
     return combinatorics.PermutationGroup(perms).order()
 
 
-@pytest.mark.parametrize("n,p,k,sample", [(2, 2, 2, None), (3, 3, 1, 12), (2, 3, 2, 12)])
+@pytest.mark.parametrize("n,p,k,sample", [(2, 2, 2, None), (3, 3, 1, 12), (2, 3, 2, 12),
+                                          (4, 2, 1, 12), (5, 2, 1, 12)])
 def test_closure_orders_match_sympy(n, p, k, sample):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    field = make_field(p, k)
-    pairs = [(c, t) for c in singer_class_representatives(n, field)
-             for t in enumerate_reflections(n, field)]
-    if sample is not None:
-        pairs = random.Random(2407).sample(pairs, sample)
-    for c, t in pairs:
-        assert group_closure([c, t]).order == _sympy_order(combinatorics, [c, t])
+    for gens in _main2_pairs(n, make_field(p, k), sample):
+        assert group_closure(gens).order == _sympy_order(combinatorics, gens)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_random_closure_orders_match_sympy(n):
+    # beyond the reach of element-by-element closure for n = 5
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    field = make_field(2)
+    rng = random.Random(5)
+    for _ in range(12):
+        gens = [_random_element(n, field, rng), _random_element(n, field, rng)]
+        assert group_closure(gens).order == _sympy_order(combinatorics, gens)
 
 
 def test_closures_need_no_numpy():
