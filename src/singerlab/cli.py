@@ -3,15 +3,15 @@
 Commands: field, factorize, example, verify.  Output is human-readable
 text by default or a single JSON document with --output json (schema
 version 1).  Exit codes: 0 success/verified, 1 theorem violation or
-failed example assertion, 2 usage or budget errors.  The environment
-variable SINGERLAB_CAP overrides the default closure cap.
+failed example assertion, 2 usage or budget errors.  Every enumeration,
+closures included, is bounded by the one budget matrix.ENUMERATION_BUDGET;
+no option or environment variable changes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -25,15 +25,6 @@ from .reflect import (enumerate_minimal_factorizations,
                       reflection_distances, reflection_length)
 
 SCHEMA_VERSION = 1
-
-
-def _resolve_cap(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SINGERLAB_CAP")
-    if env:
-        return int(env)
-    return groupgen.DEFAULT_CLOSURE_CAP
 
 
 def _emit(report: dict, output: str) -> None:
@@ -71,14 +62,7 @@ def _check_table(checks: list[tuple[str, bool, str]], output: str) -> dict:
 # --- example command -------------------------------------------------------------
 
 
-def _closure(gens, cap):
-    result = groupgen.group_closure(gens, cap)
-    if result.hit_cap:
-        raise BudgetExceededError("closure cap hit before the subgroup closed")
-    return result
-
-
-def _example_gl2f3(cap: int) -> list[tuple[str, bool, str]]:
+def _example_gl2f3() -> list[tuple[str, bool, str]]:
     field = make_field(3)
     f = Poly.from_text(field, "2,1,1")  # x^2 + x - 1
     c = companion(f)
@@ -97,7 +81,7 @@ def _example_gl2f3(cap: int) -> list[tuple[str, bool, str]]:
     tp = c**5 @ t @ c**-5
     check("conjugate reflection t' = c^5 t c^-5", tp.to_text(), "1,2;0,2")
     check("second companion matrix c t'", (c @ tp).to_text(), "0,2;1,0")
-    closure = _closure([c, c @ tp], cap)
+    closure = groupgen.group_closure([c, c @ tp])
     check("order of <c, c t'>", closure.order, 16)
     normalizer = groupgen.normalizer_of_cyclic(c)
     check("<c, c t'> is the normalizer of <c>",
@@ -106,7 +90,7 @@ def _example_gl2f3(cap: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _example_gl2f5(cap: int) -> list[tuple[str, bool, str]]:
+def _example_gl2f5() -> list[tuple[str, bool, str]]:
     field = make_field(5)
     g = Matrix.from_text(field, "3,0;0,4")
     t1 = Matrix.from_text(field, "2,2;2,0")
@@ -122,18 +106,18 @@ def _example_gl2f5(cap: int) -> list[tuple[str, bool, str]]:
     check("fixed spans are (1,2) and (1,3)",
           (fixed_space(t1).basis, fixed_space(t2).basis), (((1, 2),), ((1, 3),)))
     check("the two factors generate GL_2(F_5)",
-          _closure([t1, t2], cap).order, 480)
+          groupgen.group_closure([t1, t2]).order, 480)
     d1 = Matrix.from_text(field, "3,0;0,1")
     d2 = Matrix.from_text(field, "1,0;0,4")
     diag_ok = (reflect.is_reflection(d1) and reflect.is_reflection(d2)
                and (d1 @ d2) == g and (d1 @ d2) == (d2 @ d1))
-    order8 = _closure([d1, d2], cap).order
+    order8 = groupgen.group_closure([d1, d2]).order
     check("diagonal reflections give an abelian group of order 8",
           (diag_ok, order8), (True, 8))
     return checks
 
 
-def _example_s4(cap: int) -> list[tuple[str, bool, str]]:
+def _example_s4() -> list[tuple[str, bool, str]]:
     field = make_field(3)
     four_cycle = {1: 2, 2: 3, 3: 4, 4: 1}
     transposition = {1: 3, 3: 1, 2: 2, 4: 4}
@@ -147,7 +131,7 @@ def _example_s4(cap: int) -> list[tuple[str, bool, str]]:
     pc = perm_matrix(four_cycle)
     pt = perm_matrix(transposition)
     checks = []
-    order = _closure([pc, pt], cap).order
+    order = groupgen.group_closure([pc, pt]).order
     checks.append(("4-cycle with the (1 3) swap generates order 8", order == 8,
                    f"expected 8, got {order}"))
     checks.append(("the subgroup is proper in S_4", order < 24,
@@ -156,9 +140,8 @@ def _example_s4(cap: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_example(args) -> int:
-    cap = _resolve_cap(args.cap)
     runner = {"gl2f3": _example_gl2f3, "gl2f5": _example_gl2f5, "s4": _example_s4}
-    checks = runner[args.name](cap)
+    checks = runner[args.name]()
     report = _check_table(checks, args.output)
     return 0 if report["failed"] == 0 else 1
 
@@ -185,14 +168,12 @@ def _length_oracle_report(n: int, field) -> dict:
 
 def cmd_verify(args) -> int:
     field = make_field(args.p, args.k)
-    cap = _resolve_cap(args.cap)
     if args.subcommand == "main1":
-        report = groupgen.verify_main1(args.n, field, classes=args.classes,
-                                       cap=cap, seed=args.seed)
+        report = groupgen.verify_main1(args.n, field, classes=args.classes, seed=args.seed)
     elif args.subcommand == "main2":
-        report = groupgen.verify_main2(args.n, field, full=args.full, cap=cap)
+        report = groupgen.verify_main2(args.n, field, full=args.full)
     elif args.subcommand == "gill":
-        report = groupgen.verify_gill(args.n, field, cap=cap)
+        report = groupgen.verify_gill(args.n, field)
     elif args.subcommand == "singer-equiv":
         report = singer.singer_equivalence_report(args.n, field)
     else:
@@ -212,14 +193,13 @@ def cmd_factorize(args) -> int:
         raise ValueError(f"--n {args.n} disagrees with a {g.n}x{g.n} matrix literal")
     if g.det() == 0:
         raise ValueError("matrix is singular; only invertible elements factor")
-    cap = _resolve_cap(args.cap)
     if args.det_subgroup is not None:
         factorizations = factorizations_in_det_subgroup(g, args.det_subgroup)
     elif args.all:
         factorizations = list(enumerate_minimal_factorizations(g))
     else:
         factorizations = [minimal_factorization(g)]
-    cache = groupgen._GenerationCache(cap)
+    cache = groupgen._GenerationCache()
     full_is_trivial = groupgen.gl_order(g.n, field.q) == 1
     entries = []
     for fl in factorizations:
@@ -275,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=need_n, help="matrix dimension")
         p.add_argument("--p", type=int, required=True, help="field characteristic")
         p.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="closure element cap (default from SINGERLAB_CAP or builtin)")
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     p_field = sub.add_parser("field", help="construct a field and report it")
@@ -294,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = sub.add_parser("example", help="replicate a worked example end to end")
     p_ex.add_argument("name", choices=("gl2f3", "gl2f5", "s4"))
-    p_ex.add_argument("--cap", type=int, default=None)
     p_ex.add_argument("--output", choices=("text", "json"), default="text")
     p_ex.set_defaults(func=cmd_example)
 

@@ -8,10 +8,12 @@ Algorithms, ch. 4; Holt-Eick-O'Brien, Handbook of CGT, 4.4) over the base
 e_1, ..., e_n, whose pointwise stabilizer is trivial; it stops as soon as
 the basic orbits prove more than half of GL_n(F_q), which by Lagrange is
 then the whole group.  The element set is a breadth-first closure over
-column-index tuples, built only when asked for; the closure cap (--cap)
-bounds the proper subgroups whose elements may be listed.  The three
-verification drivers sweep a full desk-scale instance and report
-violations; they are pure per pair, so reports are deterministic.
+column-index tuples, built only when asked for.  Closures, like every
+enumeration, honour the one budget matrix.ENUMERATION_BUDGET, checked from
+closed-form sizes before any work starts: no closure runs in a GL_n(F_q)
+larger than it, so no subgroup order or element set exceeds it either.
+The three verification drivers sweep a full desk-scale instance and
+report violations; they are pure per pair, so reports are deterministic.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import (Matrix, enumerate_gl, enumerate_subspaces, fixed_space, gl_order,
-                     stabilizes)
+from .matrix import (ENUMERATION_BUDGET, Matrix, enumerate_gl, enumerate_subspaces,
+                     fixed_space, gl_order, stabilizes)
 from .poly import companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
-                      factorizations_in_det_subgroup, stabilizing_factorization)
+                      factorizations_in_det_subgroup, reflection_count,
+                      stabilizing_factorization)
 from .singer import is_irreducible_element, is_singer, normalizing_reflections
 
-DEFAULT_CLOSURE_CAP = 20_000_000
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
 
 STRONG = "strong"
@@ -43,23 +45,19 @@ NOT_WEAK = "not_weak"
 
 
 class ClosureResult:
-    """Result of a subgroup closure: the exact order, and the element set
-    unless the cap was hit.
+    """Result of a subgroup closure: the exact order and the element set.
 
-    The order comes from Schreier-Sims and is always exact.  The element
-    set is produced lazily by a breadth-first closure: closures driven only
-    for their order (the generation sweeps) never materialize it.
-    hit_cap=True marks a subgroup larger than a cap below |GL_n(F_q)|/2;
-    its elements are not available.
+    The order comes from Schreier-Sims.  The element set is produced lazily
+    by a breadth-first closure: closures driven only for their order (the
+    generation sweeps) never materialize it.
     """
 
-    __slots__ = ("order", "generators", "hit_cap", "field", "n",
+    __slots__ = ("order", "generators", "field", "n",
                  "_entry_factory", "_entry_set", "_elements")
 
-    def __init__(self, order, generators, hit_cap, field, n, entry_factory):
+    def __init__(self, order, generators, field, n, entry_factory):
         self.order = order
         self.generators = generators
-        self.hit_cap = hit_cap
         self.field = field
         self.n = n
         self._entry_factory = entry_factory
@@ -67,25 +65,19 @@ class ClosureResult:
         self._elements = None
 
     @property
-    def entry_set(self) -> frozenset[tuple] | None:
-        if self._entry_factory is None:
-            return None
+    def entry_set(self) -> frozenset[tuple]:
         if self._entry_set is None:
             self._entry_set = frozenset(self._entry_factory())
         return self._entry_set
 
     @property
-    def elements(self) -> frozenset[Matrix] | None:
-        if self.entry_set is None:
-            return None
+    def elements(self) -> frozenset[Matrix]:
         if self._elements is None:
             self._elements = frozenset(Matrix(self.field, self.n, e)
                                        for e in self.entry_set)
         return self._elements
 
     def __contains__(self, m: Matrix) -> bool:
-        if self.entry_set is None:
-            raise ValueError("closure elements were not retained")
         return m.field == self.field and m.n == self.n and m.entries in self.entry_set
 
 
@@ -293,41 +285,36 @@ def _closure_entries(perms: list[tuple], base: tuple, field: FieldSpec,
             for a in seen]
 
 
-def group_closure(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
+def group_closure(gens: Sequence[Matrix]) -> ClosureResult:
     """The subgroup generated by gens: its exact order, by Schreier-Sims,
     and its element set, by breadth-first closure when first asked for.
 
-    The cap bounds proper subgroups: when cap < |GL_n(F_q)|/2 and the
-    subgroup has more than cap elements, the result carries hit_cap=True
-    and no element set.  A cap of at least |GL_n(F_q)|/2 never binds,
-    since by Lagrange every proper subgroup is then within it.
+    Raises BudgetExceededError, before any permutation is built, when
+    |GL_n(F_q)| exceeds ENUMERATION_BUDGET, whatever the subgroup: its
+    order, and so its element set, is bounded only by |GL_n(F_q)|.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     field, n = gens[0].field, gens[0].n
-    perms = []
-    for g in gens:
-        if g.field != field or g.n != n:
-            raise ValueError("generators live in different groups")
-        perms.append(_permutation(g))
+    if any(g.field != field or g.n != n for g in gens):
+        raise ValueError("generators live in different groups")
     full = gl_order(n, field.q)
+    if full > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"closure in GL_{n}(F_{field.q}), of order {full}, "
+                                  f"exceeds the budget of {ENUMERATION_BUDGET}")
+    perms = [_permutation(g) for g in gens]
     base = tuple(field.q ** (n - 1 - j) for j in range(n))  # e_1, ..., e_n
     order = _schreier_sims_order(perms, base, full)
     if full % order:
         raise AssertionError("closure order does not divide |GL_n(F_q)|")
-    hit_cap = cap < full // 2 and order > cap
-    entries = None if hit_cap else functools.partial(_closure_entries, perms, base,
-                                                     field, order)
-    return ClosureResult(order, tuple(gens), hit_cap, field, n, entries)
+    entries = functools.partial(_closure_entries, perms, base, field, order)
+    return ClosureResult(order, tuple(gens), field, n, entries)
 
 
-def generates_full(gens: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def generates_full(gens: Sequence[Matrix]) -> bool:
     """True iff the generators produce all of GL_n(F_q)."""
-    result = group_closure(gens, cap)
-    if result.hit_cap:
-        raise BudgetExceededError("closure cap hit before the subgroup closed")
-    return result.order == gl_order(gens[0].n, gens[0].field.q)
+    return group_closure(gens).order == gl_order(gens[0].n, gens[0].field.q)
 
 
 def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
@@ -343,21 +330,20 @@ def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
                if h @ c @ h.inverse() in powers}
     if gl_order(c.n, c.field.q) % len(members):
         raise AssertionError("normalizer order does not divide |GL_n(F_q)|")
-    return ClosureResult(len(members), (c,), False, c.field, c.n, lambda: members)
+    return ClosureResult(len(members), (c,), c.field, c.n, lambda: members)
 
 
 class _GenerationCache:
     """Memoizes generates_full verdicts on unordered factor sets."""
 
-    def __init__(self, cap: int = DEFAULT_CLOSURE_CAP):
-        self.cap = cap
+    def __init__(self):
         self._verdicts: dict[frozenset, bool] = {}
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
         key = frozenset(f.entries for f in factors)
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = generates_full(list(factors), self.cap)
+            verdict = generates_full(list(factors))
             self._verdicts[key] = verdict
         return verdict
 
@@ -435,8 +421,7 @@ def _witness_for_non_singer(g: Matrix, cache: _GenerationCache) -> tuple[str, Fa
     raise AssertionError("no non-generating factorization found for a non-Singer element")
 
 
-def verify_main1(n: int, field: FieldSpec, classes: bool = False,
-                 cap: int = DEFAULT_CLOSURE_CAP, seed: int = 0) -> dict:
+def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
     Every non-Singer element must also yield an explicit non-generating
@@ -446,7 +431,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False,
     """
     start = time.monotonic()
     q = field.q
-    cache = _GenerationCache(cap)
+    cache = _GenerationCache()
     if classes:
         todo = [(rep, size) for rep, size in conjugacy_classes(n, field)]
     else:
@@ -504,8 +489,7 @@ def singer_class_representatives(n: int, field: FieldSpec) -> list[Matrix]:
             if is_primitive_poly(f)]
 
 
-def verify_main2(n: int, field: FieldSpec, full: bool = False,
-                 cap: int = DEFAULT_CLOSURE_CAP) -> dict:
+def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     """Check <c, t> = GL_n(F_q) for Singer c and reflection t, except the
     normalizing reflections when n = 2 and q > 2.
 
@@ -516,12 +500,14 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False,
     start = time.monotonic()
     q = field.q
     reps = singer_class_representatives(n, field)
-    if full:
-        singers = [g for g in enumerate_gl(n, field) if is_singer(g)]
-    else:
-        singers = reps
     class_size = gl_order(n, q) // (q**n - 1)
     singer_cycle_count = len(reps) * class_size
+    swept = singer_cycle_count if full else len(reps)
+    if swept * reflection_count(n, q) > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections "
+            f"exceeds the budget of {ENUMERATION_BUDGET} pairs")
+    singers = [g for g in enumerate_gl(n, field) if is_singer(g)] if full else reps
     reflections = enumerate_reflections(n, field)
     if full and len(singers) != singer_cycle_count:
         return {
@@ -542,7 +528,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False,
         exceptional_here = 0
         for t in reflections:
             pairs += 1
-            generated = generates_full([c, t], cap)
+            generated = generates_full([c, t])
             expected_fail = n == 2 and q > 2 and t in normalizers
             if generated == expected_fail:
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
@@ -572,7 +558,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False,
     }
 
 
-def verify_gill(n: int, field: FieldSpec, cap: int = DEFAULT_CLOSURE_CAP) -> dict:
+def verify_gill(n: int, field: FieldSpec) -> dict:
     """Check the companion-matrix generation theorem: for f primitive and
     g distinct monic with nonzero constant term, <C_f, C_g> = GL_n(F_q)
     except when n = 2 and C_g normalizes <C_f>.
@@ -599,11 +585,11 @@ def verify_gill(n: int, field: FieldSpec, cap: int = DEFAULT_CLOSURE_CAP) -> dic
             if fixed_space(cf @ cg.inverse()).dim != n - 1:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
-            generated = generates_full([cf, cg], cap)
+            generated = generates_full([cf, cg])
             expected_fail = n == 2 and cg in normalizer
             if not generated:
                 exceptional.append({"f": f.to_text(), "g": g.to_text(),
-                                    "order": group_closure([cf, cg], cap).order})
+                                    "order": group_closure([cf, cg]).order})
             if generated == expected_fail:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "generated": generated,

@@ -20,7 +20,8 @@ from typing import Iterator
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import ENUMERATION_BUDGET, Matrix, Subspace, fixed_space, mul_entries
+from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, fixed_space, gl_order,
+                     mul_entries)
 
 
 def reflection_length(g: Matrix) -> int:
@@ -63,13 +64,17 @@ def reflection_params(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return phi, w
 
 
+def reflection_count(n: int, q: int) -> int:
+    """The number of reflections in GL_n(F_q): one hyperplane for each of
+    the (q^n - 1)/(q - 1) functionals phi up to scale, and for each the
+    q^{n-1}(q - 1) - 1 nonzero w with phi(w) != -1."""
+    return (q**n - 1) // (q - 1) * (q ** (n - 1) * (q - 1) - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_reflections(n: int, field: FieldSpec) -> tuple[Matrix, ...]:
-    """All reflections in GL_n(F_q), each exactly once, deterministic order.
-
-    Grouped by canonical hyperplane functional phi; for fixed phi the valid
-    w are the nonzero vectors with phi(w) != -1, giving
-    (q^n - 1)/(q - 1) * (q^{n-1}(q - 1) - 1) reflections in total.
+    """All reflections in GL_n(F_q), each exactly once, deterministic order,
+    grouped by canonical hyperplane functional phi (see reflection_count).
     """
     q = field.q
     if q ** (2 * n) > ENUMERATION_BUDGET:
@@ -89,8 +94,7 @@ def enumerate_reflections(n: int, field: FieldSpec) -> tuple[Matrix, ...]:
             if pw == minus_one:
                 continue
             out.append(reflection_from_params(field, phi, w))
-    expected = (q**n - 1) // (q - 1) * (q ** (n - 1) * (q - 1) - 1)
-    if not len(out) == len(set(out)) == expected:
+    if not len(out) == len(set(out)) == reflection_count(n, q):
         raise AssertionError("reflection enumeration missed or repeated a reflection")
     return tuple(out)
 
@@ -276,7 +280,14 @@ def factorizations_in_det_subgroup(g: Matrix, generator: int) -> list[Factorizat
 
 def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
     """Cayley-graph distance from the identity to every element of
-    GL_n(F_q), with the full reflection set as generators (BFS)."""
+    GL_n(F_q), with the full reflection set as generators (BFS).
+
+    The BFS forms |GL_n(F_q)| * reflection_count products, which must stay
+    within ENUMERATION_BUDGET."""
+    products = gl_order(n, field.q) * reflection_count(n, field.q)
+    if products > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"length oracle on GL_{n}(F_{field.q}) needs {products} "
+                                  f"products, over the budget of {ENUMERATION_BUDGET}")
     refl = enumerate_reflections(n, field)
     ident = Matrix.identity(field, n)
     dist = {ident: 0}

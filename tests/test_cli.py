@@ -122,16 +122,14 @@ def test_exit_code_singular_matrix(capsys):
     assert code == 2 and "singular" in err
 
 
-def test_exit_code_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SINGERLAB_CAP", "10")
-    code, _, err = run(capsys, "example", "gl2f5")
+@pytest.mark.parametrize("args", [
+    pytest.param(("main2", "--n", "3", "--p", "2", "--k", "3"), id="closure-GL3F8"),
+    pytest.param(("main2", "--n", "2", "--p", "3", "--k", "4"), id="main2-sweep-GL2F81"),
+    pytest.param(("length-oracle", "--n", "4", "--p", "7"), id="length-oracle-GL4F7"),
+])
+def test_exit_code_budget(capsys, args):
+    code, _, err = run(capsys, "verify", *args)
     assert code == 2 and "budget" in err.lower()
-
-
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SINGERLAB_CAP", "1000000")
-    code, _, _ = run(capsys, "example", "gl2f3")
-    assert code == 0
 
 
 def test_text_output_mode(capsys):

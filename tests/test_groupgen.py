@@ -51,15 +51,25 @@ def test_group_closure_generator_order_invariance(f3):
     assert orders == {16}
 
 
-def test_group_closure_cap(f5):
-    t1 = Matrix.from_text(f5, "2,2;2,0")
-    t2 = Matrix.from_text(f5, "0,2;4,3")
-    for cap in (50, 200):  # below |GL_2(F_5)|/2 = 240
-        result = group_closure([t1, t2], cap=cap)
-        assert result.hit_cap and result.order > cap
-        assert result.elements is None
+def test_group_closure_budget():
+    # |GL_3(F_8)| = 115,379,712 > 10^8: every closure there is refused, the
+    # cyclic subgroup of order 511 included
+    f8 = make_field(2, 3)
+    c = companion(find_primitive_poly(3, f8))
+    t = Matrix.from_text(f8, "1,1,0;0,1,0;0,0,1")
+    for gens in ([c], [c, t]):
+        with pytest.raises(BudgetExceededError, match="115379712"):
+            group_closure(gens)
     with pytest.raises(BudgetExceededError):
-        generates_full([t1, t2], cap=50)
+        generates_full([c, t])
+
+
+def test_generation_below_budget():
+    # |GL_2(F_97)| = 87,607,296 is within the budget: the pair is decided
+    f97 = make_field(97)
+    c = companion(find_primitive_poly(2, f97))
+    t = Matrix.from_text(f97, "1,1;0,1")
+    assert generates_full([c, t])
 
 
 def test_group_closure_rejects(f3, f5):
@@ -75,13 +85,12 @@ def test_closure_lagrange_stop(f2, f5):
     # a walk past |G|/2 ends early with the exact order and a complete set
     t1 = Matrix.from_text(f5, "2,2;2,0")
     t2 = Matrix.from_text(f5, "0,2;4,3")
-    for cap in (241, 300, 479):
-        result = group_closure([t1, t2], cap=cap)
-        assert result.order == 480 and not result.hit_cap
-        assert len(result.elements) == 480
+    result = group_closure([t1, t2])
+    assert result.order == 480
+    assert len(result.elements) == 480
     ident = Matrix.identity(f2, 1)
     trivial = group_closure([ident])
-    assert trivial.order == 1 and not trivial.hit_cap
+    assert trivial.order == 1
     assert trivial.elements == {ident} and generates_full([ident])
     # GL_2(F_2) has order 6; a Singer cycle closes at exactly |G|/2
     c = companion(find_primitive_poly(2, f2))

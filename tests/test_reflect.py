@@ -9,7 +9,7 @@ from singerlab import (BudgetExceededError, Matrix, Subspace, companion,
                        make_field, minimal_factorization, reflection_length,
                        stabilizing_factorization)
 from singerlab.matrix import common_fixed_space, enumerate_subspaces, stabilizes
-from singerlab.reflect import (FactorizationList, det_subgroup,
+from singerlab.reflect import (FactorizationList, det_subgroup, reflection_count,
                                reflection_distances, reflection_from_params,
                                reflection_params)
 
@@ -30,6 +30,7 @@ def test_enumerate_reflections_counts(n, p, k, expected):
     refl = enumerate_reflections(n, field)
     assert len(refl) == expected
     assert expected == (q**n - 1) // (q - 1) * (q ** (n - 1) * (q - 1) - 1)
+    assert reflection_count(n, q) == expected
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (2, 2)])
@@ -125,6 +126,12 @@ def test_enumerate_budget_guard(f5):
     c = companion(find_primitive_poly(2, f5))
     with pytest.raises(BudgetExceededError):
         list(enumerate_minimal_factorizations(c, budget=5))
+
+
+def test_length_oracle_budget_guard(f2):
+    # |GL_5(F_2)| * 465 reflections = 4,649,702,400 products, refused up front
+    with pytest.raises(BudgetExceededError, match="4649702400"):
+        reflection_distances(5, f2)
 
 
 def test_remark_invariant_gl2f2(f2):
