@@ -27,7 +27,7 @@ import time
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .ff import FieldSpec
+from .ff import FieldSpec, factorize
 from .matrix import (ENUMERATION_BUDGET, Matrix, enumerate_gl, enumerate_subspaces,
                      fixed_space, gl_order, stabilizes)
 from .poly import companion, enumerate_monic, is_primitive_poly
@@ -285,6 +285,15 @@ def _closure_entries(perms: list[tuple], base: tuple, field: FieldSpec,
             for a in seen]
 
 
+def _closure_budget(n: int, q: int) -> int:
+    """|GL_n(F_q)|, or BudgetExceededError when it exceeds ENUMERATION_BUDGET."""
+    full = gl_order(n, q)
+    if full > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"closure in GL_{n}(F_{q}), of order {full}, "
+                                  f"exceeds the budget of {ENUMERATION_BUDGET}")
+    return full
+
+
 def group_closure(gens: Sequence[Matrix]) -> ClosureResult:
     """The subgroup generated by gens: its exact order, by Schreier-Sims,
     and its element set, by breadth-first closure when first asked for.
@@ -299,10 +308,7 @@ def group_closure(gens: Sequence[Matrix]) -> ClosureResult:
     field, n = gens[0].field, gens[0].n
     if any(g.field != field or g.n != n for g in gens):
         raise ValueError("generators live in different groups")
-    full = gl_order(n, field.q)
-    if full > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"closure in GL_{n}(F_{field.q}), of order {full}, "
-                                  f"exceeds the budget of {ENUMERATION_BUDGET}")
+    full = _closure_budget(n, field.q)
     perms = [_permutation(g) for g in gens]
     base = tuple(field.q ** (n - 1 - j) for j in range(n))  # e_1, ..., e_n
     order = _schreier_sims_order(perms, base, full)
@@ -489,24 +495,40 @@ def singer_class_representatives(n: int, field: FieldSpec) -> list[Matrix]:
             if is_primitive_poly(f)]
 
 
+def singer_class_count(n: int, q: int) -> int:
+    """Number of Singer conjugacy classes in GL_n(F_q): phi(q^n - 1) / n,
+    one per primitive degree-n polynomial."""
+    m = q**n - 1
+    phi = m
+    for r, _ in factorize(m):
+        phi = phi // r * (r - 1)
+    return phi // n
+
+
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     """Check <c, t> = GL_n(F_q) for Singer c and reflection t, except the
     normalizing reflections when n = 2 and q > 2.
 
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class; full=True audits every
-    Singer cycle (feasible only on the smaller instances).
+    Singer cycle (feasible only on the smaller instances).  Before any
+    polynomial is tested for primitivity, |GL_n(F_q)| is checked against
+    ENUMERATION_BUDGET as every closure would be, and so is the sweep,
+    from the closed-form class count phi(q^n - 1)/n.
     """
     start = time.monotonic()
     q = field.q
-    reps = singer_class_representatives(n, field)
-    class_size = gl_order(n, q) // (q**n - 1)
-    singer_cycle_count = len(reps) * class_size
-    swept = singer_cycle_count if full else len(reps)
+    classes = singer_class_count(n, q)
+    singer_cycle_count = classes * (_closure_budget(n, q) // (q**n - 1))
+    swept = singer_cycle_count if full else classes
     if swept * reflection_count(n, q) > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections "
             f"exceeds the budget of {ENUMERATION_BUDGET} pairs")
+    reps = singer_class_representatives(n, field)
+    if len(reps) != classes:
+        raise AssertionError(f"{len(reps)} primitive polynomials, expected phi(q^n - 1)/n "
+                             f"= {classes}")
     singers = [g for g in enumerate_gl(n, field) if is_singer(g)] if full else reps
     reflections = enumerate_reflections(n, field)
     if full and len(singers) != singer_cycle_count:
@@ -565,9 +587,12 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
 
     Also asserts dim fix(C_f C_g^-1) = n - 1 on every pair, which holds
     because the two companion matrices differ only in the last column.
+    Every pair needs a closure, so |GL_n(F_q)| > ENUMERATION_BUDGET raises
+    BudgetExceededError before any polynomial is tested for primitivity.
     """
     start = time.monotonic()
     q = field.q
+    _closure_budget(n, q)
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
                   if is_primitive_poly(f)]
     targets = list(enumerate_monic(n, field, nonzero_constant=True))

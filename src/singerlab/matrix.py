@@ -13,10 +13,11 @@ e.g. "0,1;1,2" for [[0,1],[1,2]].
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
-from .ff import FieldSpec, _multiplicative_order
+from .ff import FieldSpec, _multiplicative_order, factorize
 from .poly import Poly
 
 ENUMERATION_BUDGET = 10**8
@@ -61,6 +62,17 @@ class Matrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash((n, field, entries)))
 
+    @classmethod
+    def _raw(cls, field: FieldSpec, n: int, entries: tuple) -> "Matrix":
+        """Unchecked constructor for arithmetic results: entries must be a
+        tuple of n * n in-range integer encodings."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "_hash", hash((n, field, entries)))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -73,7 +85,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._raw(field, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def from_text(cls, field: FieldSpec, text: str) -> "Matrix":
@@ -119,7 +131,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.n != other.n:
             raise ValueError("incompatible matrices")
-        return Matrix(self.field, self.n, mul_entries(self.entries, other.entries, self.n, self.field))
+        return Matrix._raw(self.field, self.n,
+                           mul_entries(self.entries, other.entries, self.n, self.field))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """A*v for a column vector given (and returned) as a coordinate tuple."""
@@ -173,18 +186,21 @@ class Matrix:
                 if i != col and aug[i][col]:
                     f = aug[i][col]
                     aug[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(aug[i], aug[col])]
-        return Matrix(fld, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+        return Matrix._raw(fld, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
 
     def __pow__(self, e: int) -> "Matrix":
-        base = self if e >= 0 else self.inverse()
+        """A^e by square-and-multiply on flat entry tuples; A^-e = (A^-1)^e."""
+        n, fld = self.n, self.field
+        base = (self if e >= 0 else self.inverse()).entries
         e = abs(e)
-        result = Matrix.identity(self.field, self.n)
+        result = None
         while e:
             if e & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else mul_entries(result, base, n, fld)
             e >>= 1
-        return result
+            if e:
+                base = mul_entries(base, base, n, fld)
+        return Matrix.identity(fld, n) if result is None else Matrix._raw(fld, n, result)
 
 
 # --- reduced row echelon form and subspaces -----------------------------------
@@ -385,12 +401,40 @@ def gl_order(n: int, q: int) -> int:
     return order
 
 
+def gl_exponent(n: int, q: int) -> int:
+    """The exponent of GL_n(F_q): p^a * lcm(q - 1, q^2 - 1, ..., q^n - 1),
+    where p is the characteristic and p^a the least power of p that is >= n.
+
+    Every element's order divides it (Celler & Leedham-Green, "Calculating
+    the order of an invertible matrix", DIMACS 28, 1997): the semisimple
+    part has its eigenvalues in fields F_{q^d}, d <= n, so its order divides
+    some q^d - 1, and the unipotent part u satisfies (u - I)^n = 0, so
+    u^(p^a) - I = (u - I)^(p^a) = 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    primes = factorize(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = primes[0][0]
+    unipotent = 1
+    while unipotent < n:
+        unipotent *= p
+    return unipotent * math.lcm(*(q**d - 1 for d in range(1, n + 1)))
+
+
 def matrix_order(a: Matrix) -> int:
-    """Least m >= 1 with A^m = I, via the factored order of GL_n(F_q)."""
+    """Least m >= 1 with A^m = I.
+
+    Starts from gl_exponent(n, q), a multiple of every element's order and
+    far smaller than |GL_n(F_q)|, and divides out each prime r while
+    A^(m / r) = I.  The order comes from matrix powers alone, never from
+    the characteristic polynomial, so it stays an independent oracle.
+    """
     if a.det() == 0:
         raise ZeroDivisionError("singular matrices have no multiplicative order")
     ident = Matrix.identity(a.field, a.n)
-    return _multiplicative_order(lambda e: a**e, ident, gl_order(a.n, a.field.q))
+    return _multiplicative_order(a.__pow__, ident, gl_exponent(a.n, a.field.q))
 
 
 def enumerate_subspaces(n: int, field: FieldSpec, dim: int | None = None) -> Iterator[Subspace]:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import singerlab
-from singerlab import make_field
+from singerlab import Matrix, make_field
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +47,14 @@ def trial_phi(m: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def random_invertible(n: int, field, rng):
+    """A uniformly random element of GL_n(F_q), by rejection sampling."""
+    while True:
+        m = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
+        if m.det():
+            return m
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:

@@ -10,12 +10,13 @@ from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        group_closure, make_field, normalizer_of_cyclic,
                        normalizer_reflection, verify_gill, verify_main1,
                        verify_main2)
+from singerlab import groupgen
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
-                                singer_class_representatives)
+                                singer_class_count, singer_class_representatives)
 from singerlab.matrix import mul_entries
 from singerlab.singer import normalizing_reflections
 
-from conftest import run_python
+from conftest import random_invertible, run_python, trial_phi
 
 
 def test_gl_order_examples():
@@ -64,6 +65,21 @@ def test_group_closure_budget():
         generates_full([c, t])
 
 
+@pytest.mark.parametrize("driver,n,p,k", [(verify_main2, 2, 97, 1), (verify_main2, 3, 2, 3),
+                                          (verify_gill, 4, 11, 1)])
+def test_driver_budget_guards_come_first(monkeypatch, driver, n, p, k):
+    # main2 on GL_2(F_97) sweeps 1344 classes x 912,478 reflections; main2 on
+    # GL_3(F_8) and gill on GL_4(F_11) need closures in groups of order above
+    # 10^8.  All are refused before a polynomial is tested for primitivity.
+    calls = []
+    primitive = groupgen.is_primitive_poly
+    monkeypatch.setattr(groupgen, "is_primitive_poly",
+                        lambda f: calls.append(f) or primitive(f))
+    with pytest.raises(BudgetExceededError):
+        driver(n, make_field(p, k))
+    assert calls == []
+
+
 def test_generation_below_budget():
     # |GL_2(F_97)| = 87,607,296 is within the budget: the pair is decided
     f97 = make_field(97)
@@ -99,21 +115,58 @@ def test_closure_lagrange_stop(f2, f5):
     assert whole.order == 6 and whole.elements == set(enumerate_gl(2, f2))
 
 
+def _sparse_rows(g):
+    """For each row i of g, the pairs (k * n, g[i, k]) with g[i, k] != 0."""
+    n = g.n
+    return [[(k * n, g[i, k]) for k in range(n) if g[i, k]] for i in range(n)]
+
+
+def _left_product(rows, a, n, field):
+    """g a on flat entry tuples, where rows = _sparse_rows(g): row i of g a
+    is the combination of the rows of a that rows[i] lists."""
+    out = []
+    for row in rows:
+        if len(row) == 1 and row[0][1] == 1:
+            start = row[0][0]
+            out.extend(a[start:start + n])
+        elif field.k == 1:
+            p = field.p
+            parts = [a[s:s + n] if c == 1 else [c * x for x in a[s:s + n]] for s, c in row]
+            out.extend([sum(column) % p for column in zip(*parts)])
+        else:
+            acc = [0] * n
+            for s, c in row:
+                for j in range(n):
+                    acc[j] = field.add(acc[j], field.mul(c, a[s + j]))
+            out.extend(acc)
+    return tuple(out)
+
+
 def _matrix_product_bfs(gens):
-    """Reference closure: BFS over flat matrix products."""
+    """Reference closure: BFS over sparse flat matrix products."""
     n, field = gens[0].n, gens[0].field
+    sparse = [_sparse_rows(g) for g in gens]
     ident = Matrix.identity(field, n).entries
     seen, frontier = {ident}, [ident]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
-                b = mul_entries(g.entries, a, n, field)
+            for rows in sparse:
+                b = _left_product(rows, a, n, field)
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
     return seen
+
+
+def test_left_product_matches_mul_entries():
+    rng = random.Random(5)
+    for n, field in ((2, make_field(2, 3)), (3, make_field(5)), (4, make_field(2))):
+        for _ in range(30):
+            g, a = random_invertible(n, field, rng), random_invertible(n, field, rng)
+            assert (_left_product(_sparse_rows(g), a.entries, n, field)
+                    == mul_entries(g.entries, a.entries, n, field))
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
@@ -133,13 +186,6 @@ def test_closure_matches_matrix_product_bfs(n, p, k):
         assert len(expected) == size
         closure = group_closure(gens)
         assert closure.order == size and closure.entry_set == expected
-
-
-def _random_element(n, field, rng):
-    while True:
-        m = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
-        if m.det():
-            return m
 
 
 def _main2_pairs(n, field, sample=None):
@@ -169,7 +215,7 @@ def test_schreier_sims_matches_bfs_on_random_pairs(n, p):
     rng = random.Random(4)
     orders = set()
     for _ in range(50):
-        gens = [_random_element(n, field, rng), _random_element(n, field, rng)]
+        gens = [random_invertible(n, field, rng), random_invertible(n, field, rng)]
         orders.add(_assert_closure_is_bfs(gens))
     assert len(orders) >= 4 and gl_order(n, p) in orders
 
@@ -226,7 +272,7 @@ def test_random_closure_orders_match_sympy(n):
     field = make_field(2)
     rng = random.Random(5)
     for _ in range(12):
-        gens = [_random_element(n, field, rng), _random_element(n, field, rng)]
+        gens = [random_invertible(n, field, rng), random_invertible(n, field, rng)]
         assert group_closure(gens).order == _sympy_order(combinatorics, gens)
 
 
@@ -316,6 +362,11 @@ def test_singer_class_representatives(f3, f5):
     assert len(reps) == 2
     reps5 = singer_class_representatives(2, f5)
     assert len(reps5) == 4
+    for n, p, k in ((1, 7, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1), (3, 3, 1), (4, 2, 1)):
+        q = p**k
+        count = singer_class_count(n, q)
+        assert count == trial_phi(q**n - 1) // n
+        assert count == len(singer_class_representatives(n, make_field(p, k)))
 
 
 def test_verify_main1_small_instances(f2, f3):

@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singerlab import (Matrix, Poly, Subspace, char_poly, common_fixed_space,
                        companion, enumerate_gl, enumerate_subspaces,
-                       fixed_space, kernel, make_field, matrix_order,
-                       stabilizes)
+                       find_primitive_poly, fixed_space, gl_exponent, kernel,
+                       make_field, matrix_order, stabilizes)
 from singerlab.matrix import kernel_of_rows
 
-from conftest import gaussian_binomial
+from conftest import gaussian_binomial, random_invertible
 
 
 def char_poly_cofactor(a):
@@ -196,11 +199,87 @@ def test_matrix_order_examples(f3):
         matrix_order(Matrix(f3, 2, [0, 0, 0, 0]))
 
 
-def test_matrix_order_against_naive(f3, f4):
-    for g in enumerate_gl(2, f3):
-        assert matrix_order(g) == naive_order(g, 3**2)
-    for g in enumerate_gl(2, f4):
-        assert matrix_order(g) == naive_order(g, 4**2)
+def test_matrix_order_against_naive():
+    # all of GL_2(F_3), GL_2(F_4), GL_3(F_2), GL_2(F_5); 300 elements each of
+    # GL_2(F_8) and GL_3(F_3)
+    rng = random.Random(2024)
+    for n, p, k, sample in ((2, 3, 1, None), (2, 2, 2, None), (3, 2, 1, None),
+                            (2, 5, 1, None), (2, 2, 3, 300), (3, 3, 1, 300)):
+        field = make_field(p, k)
+        elements = (enumerate_gl(n, field) if sample is None
+                    else [random_invertible(n, field, rng) for _ in range(sample)])
+        for g in elements:
+            assert matrix_order(g) == naive_order(g, field.q**n)
+
+
+def test_gl_exponent_examples():
+    assert gl_exponent(1, 7) == 6
+    assert gl_exponent(2, 2) == 2 * 3
+    assert gl_exponent(2, 8) == 2 * 63
+    assert gl_exponent(3, 3) == 3 * math.lcm(2, 8, 26)
+    assert gl_exponent(5, 2) == 8 * math.lcm(1, 3, 7, 15, 31)
+    for n, q in ((0, 3), (2, 6), (2, 1)):
+        with pytest.raises(ValueError):
+            gl_exponent(n, q)
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1), (2, 5, 1)])
+def test_gl_exponent_is_lcm_of_element_orders(n, p, k):
+    field = make_field(p, k)
+    orders = [naive_order(g, field.q**n) for g in enumerate_gl(n, field)]
+    assert math.lcm(*orders) == gl_exponent(n, field.q)
+
+
+def test_matrix_order_powers_divide_the_exponent(monkeypatch):
+    # |GL_2(F_8)| = 3528 = 2^3 3^2 7^2 but the exponent is 126 = 2 3^2 7: an
+    # order search from |GL| would raise to 1764, which does not divide 126
+    f8 = make_field(2, 3)
+    c = companion(find_primitive_poly(2, f8))
+    exponents = []
+    power = Matrix.__pow__
+    monkeypatch.setattr(Matrix, "__pow__", lambda a, e: exponents.append(e) or power(a, e))
+    assert matrix_order(c) == 63
+    assert exponents and all(gl_exponent(2, 8) % e == 0 for e in exponents)
+
+
+_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@st.composite
+def invertible_matrices(draw):
+    field = make_field(*_FIELDS[draw(st.sampled_from(sorted(_FIELDS)))])
+    n = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(0, field.q - 1), min_size=n * n, max_size=n * n)
+    return draw(entries.map(lambda e: Matrix(field, n, e)).filter(lambda m: m.det() != 0))
+
+
+def _prime_divisors(m):
+    return [r for r in range(2, m + 1) if m % r == 0 and all(r % d for d in range(2, r))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(invertible_matrices())
+def test_order_and_powers_property(a):
+    order = matrix_order(a)
+    assert (a**order).is_identity
+    assert not any((a ** (order // r)).is_identity for r in _prime_divisors(order))
+    inv = a.inverse()
+    for e in range(-3, 21):
+        expected = Matrix.identity(a.field, a.n)
+        for _ in range(abs(e)):
+            expected = expected @ (a if e > 0 else inv)
+        assert a**e == expected
+
+
+def test_constructor_validates_and_arithmetic_results_match_it(f5):
+    for entries in ([0, 1, 2, 5], [0, 1, -1, 2], [0, 1, 2], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            Matrix(f5, 2, entries)
+    a = Matrix.from_text(f5, "1,2;3,4")
+    b = Matrix.from_text(f5, "0,1;4,4")
+    for result in (a @ b, a.inverse(), a**5, a**-2, Matrix.identity(f5, 2)):
+        checked = Matrix(f5, 2, result.entries)
+        assert result == checked and hash(result) == hash(checked)
 
 
 def test_text_roundtrip_and_hash(f3):
