@@ -6,8 +6,7 @@ them.
 """
 
 from .errors import BudgetExceededError
-from .ff import (FieldElem, FieldSpec, element_order, factorize, frobenius,
-                 is_prime, is_primitive_element, make_field)
+from .ff import FieldSpec, element_order, factorize, is_prime, make_field
 from .groupgen import (ClosureResult, classify_qc, generates_full,
                        group_closure, normalizer_of_cyclic, verify_gill,
                        verify_main1, verify_main2)

@@ -17,7 +17,7 @@ import time
 
 from . import groupgen, reflect, singer
 from .errors import BudgetExceededError
-from .ff import element_order, is_primitive_element, make_field
+from .ff import element_order, make_field
 from .matrix import Matrix, fixed_space
 from .poly import Poly, companion, find_primitive_poly
 from .reflect import (enumerate_minimal_factorizations,
@@ -225,15 +225,14 @@ def cmd_factorize(args) -> int:
 def cmd_field(args) -> int:
     modulus = Poly.from_text(make_field(args.p), args.poly).coeffs if args.poly else None
     field = make_field(args.p, args.k, modulus)
-    primitive = next(v for v in range(1, field.q)
-                     if is_primitive_element(field.elem(v)))
+    primitive = next(v for v in range(1, field.q) if element_order(field, v) == field.q - 1)
     report = {
         "schema": SCHEMA_VERSION,
         **field.serialize(),
         "q": field.q,
         "unit_group_order": field.q - 1,
         "least_primitive_element": primitive,
-        "primitive_element_order": element_order(field.elem(primitive)),
+        "primitive_element_order": element_order(field, primitive),
     }
     if args.n:
         report["primitive_polynomial_degree_n"] = find_primitive_poly(args.n, field).to_text()
@@ -244,6 +243,17 @@ def cmd_field(args) -> int:
 # --- argument parsing ----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --n and --k."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singerlab",
@@ -252,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_n=False):
-        p.add_argument("--n", type=int, required=need_n, help="matrix dimension")
+        p.add_argument("--n", type=_positive_int, required=need_n, help="matrix dimension")
         p.add_argument("--p", type=int, required=True, help="field characteristic")
-        p.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
+        p.add_argument("--k", type=_positive_int, default=1,
+                       help="extension degree (q = p^k)")
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     p_field = sub.add_parser("field", help="construct a field and report it")

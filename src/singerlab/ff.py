@@ -1,14 +1,15 @@
 """Exact arithmetic in the finite fields F_p and F_{p^k}.
 
-A field element is encoded as an integer in [0, q): the encoding is the
-coefficient vector of the residue polynomial, little-endian base p, so
-value = sum(c_i * p**i).  0 and 1 encode the additive and multiplicative
-identities.  Prime fields use direct modular arithmetic.  An extension
-field is F_p[x] modulo a monic irreducible, chosen and checked with the
-poly module over the prime field; fields with q <= 4096 precompute
-generator-power (exp/log) tables, and larger ones multiply as poly.Poly
-products reduced modulo the modulus.  poly builds on this module, so it
-is imported inside the functions that use it.
+A field element is an integer in [0, q), its encoding, and there is no
+other element type: matrices, polynomials and reports all hold encodings.
+The encoding is the coefficient vector of the residue polynomial,
+little-endian base p, so value = sum(c_i * p**i).  0 and 1 encode the
+additive and multiplicative identities.  Prime fields use direct modular
+arithmetic.  An extension field is F_p[x] modulo a monic irreducible,
+chosen and checked with the poly module over the prime field; fields with
+q <= 4096 precompute generator-power (exp/log) tables, and larger ones
+multiply as poly.Poly products reduced modulo the modulus.  poly builds
+on this module, so it is imported inside the functions that use it.
 
 Serialization: an element is its integer encoding; a field is the triple
 {p, k, modulus coefficients little-endian} (modulus is the polynomial x
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 _TRIAL_LIMIT = 10**6
 
@@ -111,9 +111,9 @@ class FieldSpec:
     """The finite field F_q, q = p^k, with table-backed exact arithmetic.
 
     Instances are immutable and cached by make_field; all operations are
-    pure and safe to share across threads.  The low-level add/sub/mul/inv/
-    pow methods work on integer encodings; elem() wraps an encoding in a
-    FieldElem carrying its field tag.
+    pure and safe to share across threads.  Elements are plain integer
+    encodings: add/sub/neg/mul/inv/pow take and return them, and carry no
+    field tag, so the caller keeps each encoding with its field.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_modulus_poly", "_exp", "_log", "_add",
@@ -267,29 +267,6 @@ class FieldSpec:
             e >>= 1
         return result
 
-    # -- element interface ---------------------------------------------------
-
-    def elem(self, value: int) -> FieldElem:
-        if not 0 <= value < self.q:
-            raise ValueError(f"encoding {value} out of range for {self!r}")
-        return FieldElem(self, value)
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, 1)
-
-    def elements(self):
-        for v in range(self.q):
-            yield FieldElem(self, v)
-
-    def units(self):
-        for v in range(1, self.q):
-            yield FieldElem(self, v)
-
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other):
@@ -326,72 +303,11 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return _cached_field(p, k, modulus)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElem:
-    """An immutable field element: an integer encoding tagged with its field."""
-
-    field: FieldSpec
-    value: int
-
-    def _check(self, other: "FieldElem") -> None:
-        if not isinstance(other, FieldElem) or self.field != other.field:
-            raise ValueError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field.mul(self.value, self.field.inv(other.value)))
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.field!r}({self.value})"
-
-
-def frobenius(a: FieldElem, base_order: int) -> FieldElem:
-    """The map a -> a^{q0} for the subfield of order q0 = base_order."""
-    p, k = a.field.p, a.field.k
-    j = 0
-    v = base_order
-    while v > 1 and v % p == 0:
-        v //= p
-        j += 1
-    if v != 1 or j == 0:
-        raise ValueError(f"{base_order} is not a power of the characteristic {p}")
-    if k % j != 0:
-        raise ValueError(f"field of order {a.field.q} is not an extension of F_{base_order}")
-    return a ** base_order
-
-
-def element_order(a: FieldElem) -> int:
-    """Least m >= 1 with a^m = 1."""
-    if a.value == 0:
+def element_order(field: FieldSpec, a: int) -> int:
+    """Multiplicative order of the element of field encoded by a: the least
+    m >= 1 with a^m = 1.  The order is q - 1 exactly when a is primitive."""
+    if a == 0:
         raise ValueError("the zero element has no multiplicative order")
-    field = a.field
-    return _multiplicative_order(lambda e: field.pow(a.value, e), 1, field.q - 1)
-
-
-def is_primitive_element(a: FieldElem) -> bool:
-    """True iff a generates the multiplicative group F_q^x."""
-    return a.value != 0 and element_order(a) == a.field.q - 1
+    if not 0 < a < field.q:
+        raise ValueError(f"encoding {a} out of range for {field!r}")
+    return _multiplicative_order(lambda e: field.pow(a, e), 1, field.q - 1)

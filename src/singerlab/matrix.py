@@ -52,6 +52,8 @@ class Matrix:
     __slots__ = ("field", "n", "entries", "_hash")
 
     def __init__(self, field: FieldSpec, n: int, entries: Sequence[int]):
+        if n < 1:
+            raise ValueError(f"matrix dimension must be >= 1, got {n}")
         entries = tuple(int(e) for e in entries)
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from . import ff
 from .ff import FieldSpec, _multiplicative_order, factorize
 
 
@@ -23,7 +22,7 @@ class Poly:
     def __init__(self, field: FieldSpec, coeffs=()):
         cs = []
         for c in coeffs:
-            v = c.value if isinstance(c, ff.FieldElem) else int(c)
+            v = int(c)
             if not 0 <= v < field.q:
                 raise ValueError(f"coefficient encoding {v} out of range for {field!r}")
             cs.append(v)
@@ -57,10 +56,6 @@ class Poly:
     @classmethod
     def x(cls, field: FieldSpec) -> "Poly":
         return cls(field, (0, 1))
-
-    @classmethod
-    def monomial(cls, field: FieldSpec, degree: int, coeff: int = 1) -> "Poly":
-        return cls(field, (0,) * degree + (coeff,))
 
     @classmethod
     def from_text(cls, field: FieldSpec, text: str) -> "Poly":
@@ -121,6 +116,8 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         fld = self.field
+        if other.field is not fld and other.field != fld:
+            raise ValueError("polynomials over different fields")
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -138,6 +135,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         fld = self.field
+        if other.field is not fld and other.field != fld:
+            raise ValueError("polynomials over different fields")
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly._raw(fld, ())
@@ -156,6 +155,8 @@ class Poly:
     def divrem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder; raises on division by the zero polynomial."""
         fld = self.field
+        if divisor.field is not fld and divisor.field != fld:
+            raise ValueError("polynomials over different fields")
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -172,9 +173,6 @@ class Poly:
             rem.pop()
         return Poly._raw(fld, _trimmed(quot)), Poly._raw(fld, _trimmed(rem))
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divrem(other)[1]
 
@@ -182,14 +180,6 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         return self.scale(self.field.inv(self.leading))
-
-    def __call__(self, value: int) -> int:
-        """Evaluate at a field element given by its encoding (Horner)."""
-        fld = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fld.add(fld.mul(acc, value), c)
-        return acc
 
 
 def _trimmed(coeffs: list) -> tuple:

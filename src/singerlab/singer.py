@@ -45,10 +45,6 @@ class EmbeddingBasis:
         """(1, z, ..., z^{n-1}) for z the residue class of x."""
         return cls(ext, [ext.pow(ext.x, i) for i in range(ext.degree)])
 
-    @property
-    def ground(self) -> FieldSpec:
-        return self.ext.ground
-
     def _coeff_vector(self, b: Poly) -> tuple[int, ...]:
         return tuple(b[i] for i in range(self.ext.degree))
 

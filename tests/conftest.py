@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 import singerlab
-from singerlab import Matrix, make_field
+from singerlab import Matrix, gl_order, make_field
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +56,30 @@ def random_invertible(n: int, field, rng):
         m = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
         if m.det():
             return m
+
+
+# F_2 .. F_9, as (p, k)
+SMALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+
+
+def square_shapes(max_gl_order=None):
+    """Strategy for (field, n): one of F_2..F_9 and n <= 3, optionally only
+    where |GL_n(F_q)| <= max_gl_order."""
+    shapes = [(make_field(p, k), n) for p, k in SMALL_FIELDS for n in (1, 2, 3)
+              if max_gl_order is None or gl_order(n, p**k) <= max_gl_order]
+    return st.sampled_from(shapes)
+
+
+def matrices_over(field, n, invertible=False):
+    """Strategy for n x n matrices over field, optionally only invertible ones."""
+    entries = st.lists(st.integers(0, field.q - 1), min_size=n * n, max_size=n * n)
+    mats = entries.map(lambda e: Matrix(field, n, e))
+    return mats.filter(lambda m: m.det() != 0) if invertible else mats
+
+
+def matrices(invertible=False):
+    """Strategy for matrices over F_2..F_9 with n <= 3."""
+    return square_shapes().flatmap(lambda shape: matrices_over(*shape, invertible))
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:

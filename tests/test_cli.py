@@ -109,12 +109,46 @@ def test_field_command(capsys):
     assert code == 0
     assert report["q"] == 9 and report["modulus"] == [2, 1, 1]
     assert report["least_primitive_element"] == 3
+    # whole reports, key for key, as computed through the FieldElem wrapper
+    # that integer encodings replaced
+    expected = {
+        ("--p", "3", "--k", "2", "--poly", "2,1,1", "--n", "2"): {
+            "p": 3, "k": 2, "modulus": [2, 1, 1], "q": 9, "unit_group_order": 8,
+            "least_primitive_element": 3, "primitive_element_order": 8,
+            "primitive_polynomial_degree_n": "3,3,1"},
+        ("--p", "2", "--k", "13"): {
+            "p": 2, "k": 13, "modulus": [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1],
+            "q": 8192, "unit_group_order": 8191, "least_primitive_element": 2,
+            "primitive_element_order": 8191},
+        ("--p", "7", "--n", "3"): {
+            "p": 7, "k": 1, "modulus": [0, 1], "q": 7, "unit_group_order": 6,
+            "least_primitive_element": 3, "primitive_element_order": 6,
+            "primitive_polynomial_degree_n": "2,1,1,1"},
+    }
+    for args, fields in expected.items():
+        code, report = run_json(capsys, "field", *args)
+        assert code == 0 and report == {"schema": 1, **fields}
 
 
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "2"])  # missing subcommand/p
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("verify", "main2", "--n", "0", "--p", "2"), id="verify-n0"),
+    pytest.param(("verify", "main1", "--n", "2", "--p", "2", "--k", "0"), id="verify-k0"),
+    pytest.param(("field", "--p", "2", "--n", "0"), id="field-n0"),
+    pytest.param(("field", "--p", "2", "--k", "-1"), id="field-k-1"),
+    pytest.param(("factorize", "--matrix", "1", "--p", "2", "--n", "-1"), id="factorize-n-1"),
+    pytest.param(("verify", "gill", "--n", "two", "--p", "2"), id="verify-n-text"),
+])
+def test_exit_code_nonpositive_dimension(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
 def test_exit_code_singular_matrix(capsys):

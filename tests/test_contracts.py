@@ -1,4 +1,6 @@
 import ast
+import functools
+import importlib.util
 from pathlib import Path
 
 import singerlab
@@ -25,3 +27,22 @@ def test_package_reads_no_environment_variables():
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and any(alias.name in knobs for alias in node.names))]
     assert not found, found
+
+
+def test_bench_span_targets_resolve():
+    # the benchmark's traced pass wraps these by name; a deleted or renamed
+    # target would otherwise fail only when the benchmark runs
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr, _ in tracer.CALLS + tracer.GENERATORS:
+        try:
+            target = functools.reduce(getattr, attr.split("."),
+                                      importlib.import_module(module_name))
+        except AttributeError:
+            target = None
+        if not callable(target):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        companion, enumerate_gl, enumerate_reflections,
@@ -16,7 +18,8 @@ from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
 from singerlab.matrix import mul_entries
 from singerlab.singer import normalizing_reflections
 
-from conftest import random_invertible, run_python, trial_phi
+from conftest import (matrices_over, random_invertible, run_python, square_shapes,
+                      trial_phi)
 
 
 def test_gl_order_examples():
@@ -218,6 +221,14 @@ def test_schreier_sims_matches_bfs_on_random_pairs(n, p):
         gens = [random_invertible(n, field, rng), random_invertible(n, field, rng)]
         orders.add(_assert_closure_is_bfs(gens))
     assert len(orders) >= 4 and gl_order(n, p) in orders
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(square_shapes(max_gl_order=12_000).flatmap(
+    lambda shape: st.lists(matrices_over(*shape, invertible=True), min_size=2, max_size=2)))
+def test_schreier_sims_matches_bfs_property(gens):
+    # the bound keeps the reference BFS small: GL_3(F_3) has 11,232 elements
+    _assert_closure_is_bfs(gens)
 
 
 @pytest.mark.parametrize("p", [2, 3])

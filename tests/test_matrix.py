@@ -4,15 +4,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from singerlab import (Matrix, Poly, Subspace, char_poly, common_fixed_space,
                        companion, enumerate_gl, enumerate_subspaces,
                        find_primitive_poly, fixed_space, gl_exponent, kernel,
                        make_field, matrix_order, stabilizes)
-from singerlab.matrix import kernel_of_rows
+from singerlab.matrix import _rref, kernel_of_rows
 
-from conftest import gaussian_binomial, random_invertible
+from conftest import gaussian_binomial, matrices, random_invertible
 
 
 def char_poly_cofactor(a):
@@ -242,23 +241,33 @@ def test_matrix_order_powers_divide_the_exponent(monkeypatch):
     assert exponents and all(gl_exponent(2, 8) % e == 0 for e in exponents)
 
 
-_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
-
-
-@st.composite
-def invertible_matrices(draw):
-    field = make_field(*_FIELDS[draw(st.sampled_from(sorted(_FIELDS)))])
-    n = draw(st.integers(1, 3))
-    entries = st.lists(st.integers(0, field.q - 1), min_size=n * n, max_size=n * n)
-    return draw(entries.map(lambda e: Matrix(field, n, e)).filter(lambda m: m.det() != 0))
-
-
 def _prime_divisors(m):
     return [r for r in range(2, m + 1) if m % r == 0 and all(r % d for d in range(2, r))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(invertible_matrices())
+@given(matrices())
+def test_char_poly_property(a):
+    assert char_poly(a) == char_poly_cofactor(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices())
+def test_rank_plus_nullity_property(a):
+    rank = len(_rref([list(row) for row in a.rows()], a.field)[0])
+    assert rank + kernel(a).dim == a.n
+    assert (rank == a.n) == (a.det() != 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices(invertible=True))
+def test_inverse_property(a):
+    identity = Matrix.identity(a.field, a.n)
+    assert a @ a.inverse() == identity and a.inverse() @ a == identity
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices(invertible=True))
 def test_order_and_powers_property(a):
     order = matrix_order(a)
     assert (a**order).is_identity
@@ -275,6 +284,9 @@ def test_constructor_validates_and_arithmetic_results_match_it(f5):
     for entries in ([0, 1, 2, 5], [0, 1, -1, 2], [0, 1, 2], [0, 1, 2, 3, 4]):
         with pytest.raises(ValueError):
             Matrix(f5, 2, entries)
+    for n, entries in ((0, []), (-1, [1])):
+        with pytest.raises(ValueError):
+            Matrix(f5, n, entries)
     a = Matrix.from_text(f5, "1,2;3,4")
     b = Matrix.from_text(f5, "0,1;4,4")
     for result in (a @ b, a.inverse(), a**5, a**-2, Matrix.identity(f5, 2)):
