@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import groupgen, reflect, singer
 from .errors import BudgetExceededError
@@ -22,7 +21,7 @@ from .matrix import Matrix, fixed_space
 from .poly import Poly, companion, find_primitive_poly
 from .reflect import (enumerate_minimal_factorizations,
                       factorizations_in_det_subgroup, minimal_factorization,
-                      reflection_distances, reflection_length)
+                      reflection_length)
 
 SCHEMA_VERSION = 1
 
@@ -149,23 +148,6 @@ def cmd_example(args) -> int:
 # --- verify command -----------------------------------------------------------------
 
 
-def _length_oracle_report(n: int, field) -> dict:
-    start = time.monotonic()
-    distances = reflection_distances(n, field)
-    violations = []
-    for g, dist in distances.items():
-        if reflection_length(g) != dist:
-            violations.append({"matrix": g.to_text(), "bfs": dist,
-                               "formula": reflection_length(g)})
-    return {
-        "theorem": "reflection length equals Cayley-graph distance",
-        "params": {"n": n, "q": field.q},
-        "checked": len(distances),
-        "violations": violations,
-        "elapsed_ms": int((time.monotonic() - start) * 1000),
-    }
-
-
 def cmd_verify(args) -> int:
     field = make_field(args.p, args.k)
     if args.subcommand == "main1":
@@ -177,7 +159,7 @@ def cmd_verify(args) -> int:
     elif args.subcommand == "singer-equiv":
         report = singer.singer_equivalence_report(args.n, field)
     else:
-        report = _length_oracle_report(args.n, field)
+        report = groupgen.verify_length_oracle(args.n, field)
     report = {"schema": SCHEMA_VERSION, **report}
     _emit(report, args.output)
     return 0 if not report["violations"] else 1

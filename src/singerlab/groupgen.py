@@ -7,13 +7,17 @@ by a deterministic Schreier-Sims on that action (Seress, Permutation Group
 Algorithms, ch. 4; Holt-Eick-O'Brien, Handbook of CGT, 4.4) over the base
 e_1, ..., e_n, whose pointwise stabilizer is trivial; it stops as soon as
 the basic orbits prove more than half of GL_n(F_q), which by Lagrange is
-then the whole group.  The element set is a breadth-first closure over
-column-index tuples, built only when asked for.  Closures, like every
-enumeration, honour the one budget matrix.ENUMERATION_BUDGET, checked from
-closed-form sizes before any work starts: no closure runs in a GL_n(F_q)
-larger than it, so no subgroup order or element set exceeds it either.
-The three verification drivers sweep a full desk-scale instance and
-report violations; they are pure per pair, so reports are deterministic.
+then the whole group.  Element sets come from one breadth-first walk over
+column-index tuples, layer by word length: a closure's element set, built
+only when asked for, is the union of the layers, and the length oracle
+reads each element's Cayley-graph distance over all reflections off its
+layer.  Closures, like every enumeration, honour the one budget
+matrix.ENUMERATION_BUDGET, checked from closed-form sizes before any work
+starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
+order or element set exceeds it either.  verify_main1, verify_main2,
+verify_gill and verify_length_oracle sweep a full desk-scale instance
+and report violations; they are pure per element or pair, so reports
+are deterministic.
 """
 
 from __future__ import annotations
@@ -28,13 +32,13 @@ from typing import Sequence
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec, factorize
-from .matrix import (ENUMERATION_BUDGET, Matrix, enumerate_gl, enumerate_subspaces,
-                     fixed_space, gl_order, stabilizes)
+from .matrix import (ENUMERATION_BUDGET, Matrix, enumerate_gl, fixed_space, gl_order,
+                     invariant_subspace)
 from .poly import companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
                       factorizations_in_det_subgroup, reflection_count,
-                      stabilizing_factorization)
+                      reflection_length, stabilizing_factorization)
 from .singer import is_irreducible_element, is_singer, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
@@ -47,38 +51,25 @@ NOT_WEAK = "not_weak"
 class ClosureResult:
     """Result of a subgroup closure: the exact order and the element set.
 
-    The order comes from Schreier-Sims.  The element set is produced lazily
-    by a breadth-first closure: closures driven only for their order (the
-    generation sweeps) never materialize it.
+    The element set is built lazily, on first use: closures driven only for
+    their order (the generation sweeps) never materialize it.
     """
 
-    __slots__ = ("order", "generators", "field", "n",
-                 "_entry_factory", "_entry_set", "_elements")
+    __slots__ = ("order", "_element_factory", "_elements")
 
-    def __init__(self, order, generators, field, n, entry_factory):
+    def __init__(self, order: int, element_factory):
         self.order = order
-        self.generators = generators
-        self.field = field
-        self.n = n
-        self._entry_factory = entry_factory
-        self._entry_set = None
+        self._element_factory = element_factory
         self._elements = None
-
-    @property
-    def entry_set(self) -> frozenset[tuple]:
-        if self._entry_set is None:
-            self._entry_set = frozenset(self._entry_factory())
-        return self._entry_set
 
     @property
     def elements(self) -> frozenset[Matrix]:
         if self._elements is None:
-            self._elements = frozenset(Matrix(self.field, self.n, e)
-                                       for e in self.entry_set)
+            self._elements = frozenset(self._element_factory())
         return self._elements
 
     def __contains__(self, m: Matrix) -> bool:
-        return m.field == self.field and m.n == self.n and m.entries in self.entry_set
+        return m in self.elements
 
 
 def _linear_permutation(columns: Sequence[Sequence[int]], field: FieldSpec) -> tuple[int, ...]:
@@ -262,27 +253,44 @@ def _schreier_sims_order(perms: list[tuple], base: tuple, full: int) -> int:
     return math.prod(len(level.orbit) for level in levels)
 
 
-def _closure_entries(perms: list[tuple], base: tuple, field: FieldSpec,
-                     order: int) -> list[tuple]:
-    """Row-major entries of every element of <perms>, by breadth-first
-    closure over column-index tuples (the images of base); checks the count
-    against order."""
+def _layers(perms: list[tuple], base: tuple) -> list[list[tuple]]:
+    """The elements of <perms> as column-index tuples (the images of base),
+    by breadth-first search from the identity: layer d holds the elements
+    whose shortest word in perms has length d."""
     seen = {base}
-    frontier = [base]
-    while frontier:
+    layers = [[base]]
+    while layers[-1]:
         nxt = []
-        for a in frontier:
+        for a in layers[-1]:
             for perm in perms:
                 b = tuple(map(perm.__getitem__, a))
                 if b not in seen:
                     seen.add(b)
                     nxt.append(b)
-        frontier = nxt
-    if len(seen) != order:
+        layers.append(nxt)
+    return layers[:-1]
+
+
+def _matrices(columns, field: FieldSpec, n: int) -> list[Matrix]:
+    """The matrices whose columns are the vectors with the given indices."""
+    vectors = list(itertools.product(range(field.q), repeat=n))
+    return [Matrix._raw(field, n, tuple(x for row in zip(*map(vectors.__getitem__, a))
+                                        for x in row))
+            for a in columns]
+
+
+def _closure_elements(perms: list[tuple], base: tuple, field: FieldSpec,
+                      order: int) -> list[Matrix]:
+    """Every element of <perms>; checks the count against order."""
+    columns = [a for layer in _layers(perms, base) for a in layer]
+    if len(columns) != order:
         raise AssertionError("closure size differs from the Schreier-Sims order")
-    vectors = list(itertools.product(range(field.q), repeat=len(base)))
-    return [tuple(x for row in zip(*map(vectors.__getitem__, a)) for x in row)
-            for a in seen]
+    return _matrices(columns, field, len(base))
+
+
+def _basis_indices(n: int, q: int) -> tuple[int, ...]:
+    """The vector indices of e_1, ..., e_n: the column-index tuple of I."""
+    return tuple(q ** (n - 1 - j) for j in range(n))
 
 
 def _closure_budget(n: int, q: int) -> int:
@@ -310,12 +318,11 @@ def group_closure(gens: Sequence[Matrix]) -> ClosureResult:
         raise ValueError("generators live in different groups")
     full = _closure_budget(n, field.q)
     perms = [_permutation(g) for g in gens]
-    base = tuple(field.q ** (n - 1 - j) for j in range(n))  # e_1, ..., e_n
+    base = _basis_indices(n, field.q)
     order = _schreier_sims_order(perms, base, full)
     if full % order:
         raise AssertionError("closure order does not divide |GL_n(F_q)|")
-    entries = functools.partial(_closure_entries, perms, base, field, order)
-    return ClosureResult(order, tuple(gens), field, n, entries)
+    return ClosureResult(order, functools.partial(_closure_elements, perms, base, field, order))
 
 
 def generates_full(gens: Sequence[Matrix]) -> bool:
@@ -332,11 +339,27 @@ def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
         powers.add(acc)
         if acc.is_identity:
             break
-    members = {h.entries for h in enumerate_gl(c.n, c.field)
-               if h @ c @ h.inverse() in powers}
+    members = [h for h in enumerate_gl(c.n, c.field) if h @ c @ h.inverse() in powers]
     if gl_order(c.n, c.field.q) % len(members):
         raise AssertionError("normalizer order does not divide |GL_n(F_q)|")
-    return ClosureResult(len(members), (c,), c.field, c.n, lambda: members)
+    return ClosureResult(len(members), lambda: members)
+
+
+def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
+    """Cayley-graph distance from the identity to every element of
+    GL_n(F_q), with the full reflection set as generators: the layer of
+    the element in the breadth-first walk over all reflections.
+
+    The walk forms |GL_n(F_q)| * reflection_count products, which must stay
+    within ENUMERATION_BUDGET."""
+    q = field.q
+    products = gl_order(n, q) * reflection_count(n, q)
+    if products > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"length oracle on GL_{n}(F_{q}) needs {products} "
+                                  f"products, over the budget of {ENUMERATION_BUDGET}")
+    perms = [_permutation(t) for t in enumerate_reflections(n, field)]
+    layers = _layers(perms, _basis_indices(n, q))
+    return {g: d for d, layer in enumerate(layers) for g in _matrices(layer, field, n)}
 
 
 class _GenerationCache:
@@ -411,10 +434,7 @@ def _witness_for_non_singer(g: Matrix, cache: _GenerationCache) -> tuple[str, Fa
     by the classification is located by direct search.
     """
     if not is_irreducible_element(g):
-        inv_subspace = next(w for d in range(1, g.n)
-                            for w in enumerate_subspaces(g.n, g.field, d)
-                            if stabilizes(g, w))
-        fl = stabilizing_factorization(g, inv_subspace)
+        fl = stabilizing_factorization(g, invariant_subspace(g))
         if fl.factors and cache.generates(fl.factors):
             raise AssertionError("stabilizing factorization generated the full group")
         return "reducible", fl
@@ -626,6 +646,26 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
         "primitive_polynomials": len(primitives),
         "checked": pairs,
         "exceptional_pairs": exceptional,
+        "violations": violations,
+        "elapsed_ms": int((time.monotonic() - start) * 1000),
+    }
+
+
+def verify_length_oracle(n: int, field: FieldSpec) -> dict:
+    """Check that the reflection length n - dim fix(g) equals the
+    Cayley-graph distance over all reflections, on every element of
+    GL_n(F_q)."""
+    start = time.monotonic()
+    distances = reflection_distances(n, field)
+    violations = []
+    for g, dist in distances.items():
+        if reflection_length(g) != dist:
+            violations.append({"matrix": g.to_text(), "bfs": dist,
+                               "formula": reflection_length(g)})
+    return {
+        "theorem": "reflection length equals Cayley-graph distance",
+        "params": {"n": n, "q": field.q},
+        "checked": len(distances),
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }

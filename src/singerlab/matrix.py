@@ -174,21 +174,14 @@ class Matrix:
         return det
 
     def inverse(self) -> "Matrix":
+        """The right half of the RREF of [A | I]; A is singular iff that RREF
+        has a pivot right of column n - 1."""
         n, fld = self.n, self.field
-        aug = [list(self.entries[i * n:(i + 1) * n]) + [1 if i == j else 0 for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = fld.inv(aug[col][col])
-            aug[col] = [fld.mul(inv, v) for v in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(aug[i], aug[col])]
-        return Matrix._raw(fld, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+        rows, pivots = _rref([list(self.entries[i * n:(i + 1) * n])
+                              + [int(i == j) for j in range(n)] for i in range(n)], fld)
+        if pivots[-1] >= n:
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix._raw(fld, n, tuple(v for row in rows for v in row[n:]))
 
     def __pow__(self, e: int) -> "Matrix":
         """A^e by square-and-multiply on flat entry tuples; A^-e = (A^-1)^e."""
@@ -463,6 +456,13 @@ def enumerate_subspaces(n: int, field: FieldSpec, dim: int | None = None) -> Ite
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
                 yield Subspace(field, n, rows, pivots)
+
+
+def invariant_subspace(a: Matrix) -> Subspace | None:
+    """The first subspace of dimension 1..n-1, in enumerate_subspaces order,
+    that A stabilizes; None when there is none (A is irreducible)."""
+    return next((w for d in range(1, a.n) for w in enumerate_subspaces(a.n, a.field, d)
+                 if stabilizes(a, w)), None)
 
 
 def enumerate_gl(n: int, field: FieldSpec) -> Iterator[Matrix]:

@@ -20,8 +20,9 @@ from typing import Iterator
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, fixed_space, gl_order,
-                     mul_entries)
+from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, _rref, fixed_space,
+                     mul_entries, stabilizes)
+from .singer import is_irreducible_element
 
 
 def reflection_length(g: Matrix) -> int:
@@ -126,9 +127,7 @@ class FactorizationList:
                 "product": self.product.to_text()}
 
 
-def enumerate_minimal_factorizations(g: Matrix,
-                                     budget: int = ENUMERATION_BUDGET
-                                     ) -> Iterator[FactorizationList]:
+def enumerate_minimal_factorizations(g: Matrix) -> Iterator[FactorizationList]:
     """All ordered minimum-length reflection factorizations of g.
 
     Depth-first with length pruning: a partial choice t_1..t_i survives only
@@ -153,7 +152,7 @@ def enumerate_minimal_factorizations(g: Matrix,
                 yield FactorizationList(prefix + (rem,), g)
             return
         for t, tinv in inv_pairs:
-            if next(counter) > budget:
+            if next(counter) > ENUMERATION_BUDGET:
                 raise BudgetExceededError("factorization enumeration exceeds budget")
             nxt = mul_entries(tinv, rem_entries, n, field)
             if reflection_length(Matrix(field, n, nxt)) == depth_left - 1:
@@ -180,8 +179,6 @@ def _extend_by_identity(field: FieldSpec, small: Matrix, total: int) -> Matrix:
 
 def _greedy_extend(field: FieldSpec, base: list, candidates) -> list:
     """Rows from candidates that successively enlarge the span of base."""
-    from .matrix import _rref
-
     picked = []
     rows = [list(r) for r in base]
     rank = len(_rref([list(r) for r in rows], field)[0])
@@ -206,8 +203,6 @@ def stabilizing_factorization(g: Matrix, w: Subspace) -> FactorizationList:
     stages overshoot the minimum length.  U is that complement padded
     with standard basis vectors.
     """
-    from .matrix import stabilizes
-
     n, field = g.n, g.field
     if w.is_zero or w.is_full:
         raise ValueError("W must be a nontrivial proper subspace")
@@ -267,8 +262,6 @@ def factorizations_in_det_subgroup(g: Matrix, generator: int) -> list[Factorizat
     """All minimal factorizations of g whose factors' determinants lie in
     the subgroup X generated by the given unit; g must be irreducible with
     det(g) in X."""
-    from .singer import is_irreducible_element
-
     x = det_subgroup(g.field, generator)
     if g.det() not in x:
         raise ValueError("det(g) must lie in the determinant subgroup")
@@ -276,31 +269,3 @@ def factorizations_in_det_subgroup(g: Matrix, generator: int) -> list[Factorizat
         raise ValueError("the determinant-restricted count applies to irreducible g")
     return [fl for fl in enumerate_minimal_factorizations(g)
             if all(d in x for d in fl.dets())]
-
-
-def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
-    """Cayley-graph distance from the identity to every element of
-    GL_n(F_q), with the full reflection set as generators (BFS).
-
-    The BFS forms |GL_n(F_q)| * reflection_count products, which must stay
-    within ENUMERATION_BUDGET."""
-    products = gl_order(n, field.q) * reflection_count(n, field.q)
-    if products > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"length oracle on GL_{n}(F_{field.q}) needs {products} "
-                                  f"products, over the budget of {ENUMERATION_BUDGET}")
-    refl = enumerate_reflections(n, field)
-    ident = Matrix.identity(field, n)
-    dist = {ident: 0}
-    frontier = [ident]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for a in frontier:
-            for t in refl:
-                b = a @ t
-                if b not in dist:
-                    dist[b] = d
-                    nxt.append(b)
-        frontier = nxt
-    return dist

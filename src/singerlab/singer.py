@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 
 from .ff import FieldSpec
-from .matrix import (Matrix, char_poly, enumerate_subspaces, fixed_space,
+from .matrix import (Matrix, char_poly, enumerate_gl, fixed_space, invariant_subspace,
                      matrix_order)
 from .poly import (FieldExtension, Poly, companion, enumerate_monic,
                    find_primitive_poly, is_irreducible, is_primitive_poly)
@@ -75,13 +75,7 @@ def is_irreducible_element(g: Matrix) -> bool:
 
 def is_irreducible_oracle(g: Matrix) -> bool:
     """Subspace-scan check: g stabilizes no subspace of dimension 1..n-1."""
-    from .matrix import stabilizes
-
-    for d in range(1, g.n):
-        for w in enumerate_subspaces(g.n, g.field, d):
-            if stabilizes(g, w):
-                return False
-    return g.n >= 1
+    return invariant_subspace(g) is None
 
 
 def is_singer(g: Matrix) -> bool:
@@ -306,8 +300,6 @@ def normalizing_reflections(c: Matrix) -> list[Matrix]:
 def singer_equivalence_report(n: int, field: FieldSpec) -> dict:
     """Scan GL_n(F_q) checking that all Singer and irreducibility
     characterizations coincide elementwise."""
-    from .matrix import enumerate_gl
-
     checked = 0
     singer_count = 0
     irreducible_count = 0

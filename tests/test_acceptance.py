@@ -18,8 +18,8 @@ from singerlab import (Matrix, companion, enumerate_gl,
                        verify_main2)
 from singerlab.cli import main as cli_main
 from singerlab.matrix import common_fixed_space
-from singerlab.reflect import det_subgroup, factorizations_in_det_subgroup, reflection_distances
-from singerlab.groupgen import gl_order, group_closure
+from singerlab.reflect import det_subgroup, factorizations_in_det_subgroup
+from singerlab.groupgen import gl_order, group_closure, reflection_distances
 from singerlab.singer import singer_equivalence_report
 
 
@@ -112,15 +112,17 @@ def test_criterion_6_singer_equivalences():
 
 def test_criterion_7_reflection_length_oracle():
     start = time.monotonic()
-    for n, p in [(2, 3), (2, 5), (3, 2)]:
-        field = make_field(p)
+    # GL_2(F_4) builds its reflection permutations with extension-field arithmetic
+    for n, p, k in [(2, 3, 1), (2, 5, 1), (3, 2, 1), (2, 2, 2), (2, 7, 1)]:
+        field = make_field(p, k)
         distances = reflection_distances(n, field)
         assert len(distances) == gl_order(n, field.q)
+        assert set(distances) == set(enumerate_gl(n, field))
         for g, dist in distances.items():
             assert reflection_length(g) == dist
     elapsed = time.monotonic() - start
     _report(7, "reflection length equals Cayley BFS distance on GL_2(F_3), "
-               "GL_2(F_5), GL_3(F_2)", elapsed, 120.0)
+               "GL_2(F_5), GL_3(F_2), GL_2(F_4), GL_2(F_7)", elapsed, 120.0)
 
 
 def test_criterion_8_factorization_count():

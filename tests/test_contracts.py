@@ -29,6 +29,31 @@ def test_package_reads_no_environment_variables():
     assert not found, found
 
 
+def _relative_imports(node):
+    """The package modules a relative import statement names, or []."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    return [node.module] if node.module else [alias.name for alias in node.names]
+
+
+def test_deferred_imports_break_a_cycle():
+    # a function-level import is kept only where the module-level one would
+    # be circular: module n may run "from .m import" inside a function only
+    # when m imports n at module level
+    top_level = {}
+    deferred = set()
+    for path in sorted(Path(singerlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top_level[path.stem] = {m for node in tree.body for m in _relative_imports(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred.update((path.stem, m, node.lineno) for node in ast.walk(func)
+                                for m in _relative_imports(node))
+    found = sorted(f"{n}.py:{line} imports {m}" for n, m, line in deferred
+                   if n not in top_level.get(m, ()))
+    assert not found, found
+
+
 def test_bench_span_targets_resolve():
     # the benchmark's traced pass wraps these by name; a deleted or renamed
     # target would otherwise fail only when the benchmark runs

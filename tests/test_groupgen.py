@@ -188,7 +188,7 @@ def test_closure_matches_matrix_product_bfs(n, p, k):
         expected = _matrix_product_bfs(gens)
         assert len(expected) == size
         closure = group_closure(gens)
-        assert closure.order == size and closure.entry_set == expected
+        assert closure.order == size and {m.entries for m in closure.elements} == expected
 
 
 def _main2_pairs(n, field, sample=None):
@@ -200,7 +200,7 @@ def _main2_pairs(n, field, sample=None):
 def _assert_closure_is_bfs(gens):
     closure = group_closure(gens)
     expected = _matrix_product_bfs(gens)
-    assert closure.order == len(expected) and closure.entry_set == expected
+    assert closure.order == len(expected) and {m.entries for m in closure.elements} == expected
     return closure.order
 
 

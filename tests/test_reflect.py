@@ -8,10 +8,10 @@ from singerlab import (BudgetExceededError, Matrix, Subspace, companion,
                        find_primitive_poly, fixed_space, is_reflection,
                        make_field, minimal_factorization, reflection_length,
                        stabilizing_factorization)
+from singerlab.groupgen import reflection_distances
 from singerlab.matrix import common_fixed_space, enumerate_subspaces, stabilizes
 from singerlab.reflect import (FactorizationList, det_subgroup, reflection_count,
-                               reflection_distances, reflection_from_params,
-                               reflection_params)
+                               reflection_from_params, reflection_params)
 
 
 def test_is_reflection_examples(f3, f5):
@@ -122,10 +122,12 @@ def test_factorizations_are_ordered_tuples(f3):
     assert reversed_products != {c}
 
 
-def test_enumerate_budget_guard(f5):
+def test_enumerate_budget_guard(f5, monkeypatch):
     c = companion(find_primitive_poly(2, f5))
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_minimal_factorizations(c, budget=5))
+    enumerate_reflections(2, f5)  # cached, so the lowered budget reaches only the search
+    monkeypatch.setattr("singerlab.reflect.ENUMERATION_BUDGET", 5)
+    with pytest.raises(BudgetExceededError, match="factorization enumeration"):
+        list(enumerate_minimal_factorizations(c))
 
 
 def test_length_oracle_budget_guard(f2):

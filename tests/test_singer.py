@@ -8,6 +8,7 @@ from singerlab import (Matrix, Poly, companion, enumerate_gl,
                        make_field, normalizer_reflection,
                        normalizing_reflections, singer_oracles)
 from singerlab.ff import element_order
+from singerlab.matrix import invariant_subspace, stabilizes
 from singerlab.poly import FieldExtension
 from singerlab.singer import (EmbeddingBasis, embed, irreducible_conditions,
                               max_irreducible_order, singer_equivalence_report)
@@ -107,6 +108,15 @@ def test_irreducible_conditions_agree(n, p, k):
         assert cond.consistent, g
         assert cond.char_poly_irreducible == is_irreducible_element(g)
         assert cond.no_invariant_subspace == is_irreducible_oracle(g)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+def test_invariant_subspace_is_proper_and_stable(n, p):
+    for g in enumerate_gl(n, make_field(p)):
+        w = invariant_subspace(g)
+        assert (w is None) == is_irreducible_element(g)
+        if w is not None:
+            assert not w.is_zero and not w.is_full and stabilizes(g, w)
 
 
 def test_is_singer_examples(f3):
