@@ -8,8 +8,8 @@ additive and multiplicative identities.  Prime fields use direct modular
 arithmetic.  An extension field is F_p[x] modulo a monic irreducible,
 chosen and checked with the poly module over the prime field; fields with
 q <= 4096 precompute generator-power (exp/log) tables, and larger ones
-multiply as poly.Poly products reduced modulo the modulus.  poly builds
-on this module, so it is imported inside the functions that use it.
+multiply with poly's coefficient-list kernels modulo the modulus.  poly
+builds on this module, so it is imported inside the functions that use it.
 
 Serialization: an element is its integer encoding; a field is the triple
 {p, k, modulus coefficients little-endian} (modulus is the polynomial x
@@ -231,11 +231,12 @@ class FieldSpec:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        from .poly import Poly  # deferred: poly builds on ff
+        from .poly import _mul, _reduce, _tail  # deferred: poly builds on ff
 
         m = self._modulus_poly
-        prod = Poly(m.field, self.decode(a)) * Poly(m.field, self.decode(b)) % m
-        return self.encode(prod.coeffs)
+        prod = _mul(self.decode(a), self.decode(b), m.field)
+        _reduce(prod, _tail(m.coeffs, m.field), m.field)
+        return self.encode(prod)
 
     def inv(self, a: int) -> int:
         if a == 0:

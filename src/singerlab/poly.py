@@ -4,6 +4,12 @@ Coefficients are stored little-endian as integer encodings (coeffs[i] is
 the coefficient of x^i), with no trailing zeros; the zero polynomial has
 an empty coefficient tuple.  Text form is the comma-separated encoding
 list, e.g. "2,1,1" for x^2 + x + 2 over F_3.
+
+All products and reductions run on plain coefficient lists through one
+product kernel (_mul) and one long-division kernel (_reduce, which reads
+the divisor as its reduction rule, _tail): Poly arithmetic, powmod and
+FieldExtension.mul build a Poly only for their result, and only the Poly
+constructor validates coefficients.
 """
 
 from __future__ import annotations
@@ -115,9 +121,7 @@ class Poly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        fld = self.field
-        if other.field is not fld and other.field != fld:
-            raise ValueError("polynomials over different fields")
+        fld = _common_field(self, other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -134,47 +138,32 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        fld = self.field
-        if other.field is not fld and other.field != fld:
-            raise ValueError("polynomials over different fields")
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly._raw(fld, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = fld.add(out[i + j], fld.mul(ai, bj))
-        return Poly._raw(fld, tuple(out))  # leading coefficient a[-1] * b[-1] != 0
+        fld = _common_field(self, other)
+        return Poly._raw(fld, tuple(_mul(self.coeffs, other.coeffs, fld)))
 
     def scale(self, c: int) -> "Poly":
         fld = self.field
-        return Poly(fld, (fld.mul(c, v) for v in self.coeffs))
+        return Poly._raw(fld, _trimmed([fld.mul(c, v) for v in self.coeffs]))
 
     def divrem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder; raises on division by the zero polynomial."""
-        fld = self.field
-        if divisor.field is not fld and divisor.field != fld:
-            raise ValueError("polynomials over different fields")
+        quot = [0] * max(len(self.coeffs) - len(divisor.coeffs) + 1, 0)
+        rem = self._remainder(divisor, quot)
+        # quot divides by the monic d / lead, so the quotient by d is quot / lead
+        monic_quot = Poly._raw(rem.field, _trimmed(quot))
+        return monic_quot.scale(rem.field.inv(divisor.leading)), rem
+
+    def __mod__(self, other: "Poly") -> "Poly":
+        return self._remainder(other)
+
+    def _remainder(self, divisor: "Poly", quot: list | None = None) -> "Poly":
+        """self mod divisor; quot, when given, receives the quotient as in _reduce."""
+        fld = _common_field(self, divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dv = divisor.coeffs
-        inv_lead = fld.inv(dv[-1])
-        quot = [0] * max(len(rem) - len(dv) + 1, 0)
-        while len(rem) >= len(dv):
-            coef = fld.mul(rem[-1], inv_lead)
-            shift = len(rem) - len(dv)
-            if coef:
-                quot[shift] = coef
-                for i, d in enumerate(dv):
-                    rem[shift + i] = fld.sub(rem[shift + i], fld.mul(coef, d))
-            rem.pop()
-        return Poly._raw(fld, _trimmed(quot)), Poly._raw(fld, _trimmed(rem))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divrem(other)[1]
+        _reduce(rem, _tail(divisor.coeffs, fld), fld, quot)
+        return Poly._raw(fld, tuple(rem))
 
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
@@ -182,11 +171,67 @@ class Poly:
         return self.scale(self.field.inv(self.leading))
 
 
+def _common_field(a: Poly, b: Poly) -> FieldSpec:
+    """The field of a and b; raises ValueError when they differ."""
+    fld = a.field
+    if b.field is not fld and b.field != fld:
+        raise ValueError("polynomials over different fields")
+    return fld
+
+
 def _trimmed(coeffs: list) -> tuple:
     """coeffs without trailing zeros, as a tuple."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _mul(a, b, field: FieldSpec) -> list:
+    """Schoolbook product of two coefficient sequences over field.
+
+    Inputs without trailing zeros give a product without them, since the
+    leading coefficients multiply to a nonzero one.
+    """
+    if not a or not b:
+        return []
+    add, mul = field.add, field.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                if bj:
+                    out[k] = add(out[k], mul(ai, bj))
+    return out
+
+
+def _tail(divisor, field: FieldSpec) -> list:
+    """The reduction rule of a divisor d of degree n, given as a nonzero
+    coefficient sequence without trailing zeros: x^n = sum_i tail[i] x^i
+    modulo d, with tail[i] = -d_i / d_n."""
+    inv_lead = field.inv(divisor[-1])
+    return [field.neg(field.mul(d, inv_lead)) for d in divisor[:-1]]
+
+
+def _reduce(rem: list, tail: list, field: FieldSpec, quot: list | None = None) -> None:
+    """Long division in place: rem becomes its remainder, without trailing
+    zeros, modulo the divisor whose _tail is tail.
+
+    quot, when given, must hold max(len(rem) - len(tail), 0) zeros; it
+    receives the quotient by the monic associate of the divisor.
+    """
+    add, mul = field.add, field.mul
+    dn = len(tail)
+    while len(rem) > dn:
+        c = rem.pop()
+        if c:
+            shift = len(rem) - dn
+            if quot is not None:
+                quot[shift] = c
+            for k, t in enumerate(tail, shift):
+                if t:
+                    rem[k] = add(rem[k], mul(c, t))
+    while rem and rem[-1] == 0:
+        rem.pop()
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -197,17 +242,26 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 
 def powmod(f: Poly, e: int, m: Poly) -> Poly:
-    """f^e mod m by square-and-multiply, e >= 0."""
+    """f^e mod m by square-and-multiply, e >= 0; e = 0 gives 1 mod m."""
     if e < 0:
         raise ValueError("negative exponent; use invmod first")
-    result = Poly._raw(f.field, (1,))
-    base = f % m
+    fld = _common_field(f, m)
+    if m.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    tail = _tail(m.coeffs, fld)
+    result = [1]
+    _reduce(result, tail, fld)
+    base = list(f.coeffs)
+    _reduce(base, tail, fld)
     while e:
         if e & 1:
-            result = (result * base) % m
-        base = (base * base) % m
+            result = _mul(result, base, fld)
+            _reduce(result, tail, fld)
         e >>= 1
-    return result
+        if e:
+            base = _mul(base, base, fld)
+            _reduce(base, tail, fld)
+    return Poly._raw(fld, tuple(result))
 
 
 def invmod(f: Poly, m: Poly) -> Poly:
@@ -306,6 +360,7 @@ class FieldExtension:
             raise ValueError("extension modulus must be monic irreducible")
         self.modulus = modulus
         self.ground = modulus.field
+        self._tail = _tail(modulus.coeffs, modulus.field)
         self.degree = modulus.degree
         self.order = self.ground.q ** self.degree
         self.x = Poly.x(self.ground) % modulus
@@ -316,7 +371,10 @@ class FieldExtension:
         return f % self.modulus
 
     def mul(self, a: Poly, b: Poly) -> Poly:
-        return (a * b) % self.modulus
+        m = self.modulus
+        prod = _mul(a.coeffs, b.coeffs, _common_field(a, m))
+        _reduce(prod, self._tail, _common_field(b, m))
+        return Poly._raw(m.field, tuple(prod))
 
     def inv(self, a: Poly) -> Poly:
         return invmod(a, self.modulus)

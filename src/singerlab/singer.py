@@ -138,11 +138,17 @@ class IrreducibleConditions:
 
 
 def irreducible_conditions(g: Matrix) -> IrreducibleConditions:
-    f = char_poly(g)
+    return _irreducible_conditions(g, char_poly(g), is_irreducible_oracle(g))
+
+
+def _irreducible_conditions(g: Matrix, f: Poly, no_invariant_subspace: bool
+                            ) -> IrreducibleConditions:
+    """irreducible_conditions(g) from g's characteristic polynomial f and
+    the result of its subspace scan."""
     return IrreducibleConditions(
         embeds_field_generator=f in _generator_minpolys(g.n, g.field),
         char_poly_irreducible=is_irreducible(f),
-        no_invariant_subspace=is_irreducible_oracle(g),
+        no_invariant_subspace=no_invariant_subspace,
     )
 
 
@@ -183,20 +189,21 @@ def _orbit_transitive(g: Matrix) -> bool:
     return size == target
 
 
-def _eigenvalues_primitive(g: Matrix) -> bool:
-    f = char_poly(g)
+def _eigenvalues_primitive(f: Poly) -> bool:
+    """True iff the irreducible f has n distinct Frobenius-conjugate roots in
+    F_q[x]/(f), each a root of f and each primitive."""
     if not is_irreducible(f):
         return False
     ext = FieldExtension(f, check=False)
     orbit = ext.frobenius_orbit(ext.x)
     if len(orbit) != ext.degree:
         return False
+    constants = [ext.one.scale(c) for c in reversed(f.coeffs)]
     # each conjugate root must actually be a root, and each must be primitive
     for root in orbit:
         image = ext.zero
-        for c in reversed(f.coeffs):
-            image = ext.mul(image, root) + Poly(g.field, (c,))
-            image = ext.reduce(image)
+        for c in constants:
+            image = ext.mul(image, root) + c  # a residue plus a constant stays reduced
         if not image.is_zero:
             return False
         if not ext.is_primitive(root):
@@ -206,17 +213,22 @@ def _eigenvalues_primitive(g: Matrix) -> bool:
 
 def singer_oracles(g: Matrix) -> SingerConditions:
     """Evaluate all six Singer characterizations by independent routes."""
+    return _singer_conditions(g, char_poly(g), is_irreducible_oracle(g))
+
+
+def _singer_conditions(g: Matrix, f: Poly, no_invariant_subspace: bool) -> SingerConditions:
+    """singer_oracles(g) from g's characteristic polynomial f and the result
+    of its subspace scan."""
     n, field = g.n, g.field
-    f = char_poly(g)
     order = matrix_order(g)
     return SingerConditions(
         embeds_primitive_element=f in _primitive_minpolys(n, field),
-        irreducible_max_order=(is_irreducible_oracle(g)
+        irreducible_max_order=(no_invariant_subspace
                                and order == max_irreducible_order(n, field)),
         order_full=order == field.q**n - 1,
         char_poly_primitive=is_primitive_poly(f),
         transitive_on_nonzero=_orbit_transitive(g),
-        eigenvalue_primitive=_eigenvalues_primitive(g),
+        eigenvalue_primitive=_eigenvalues_primitive(f),
     )
 
 
@@ -244,11 +256,11 @@ def normalizer_reflection(c: Matrix) -> Matrix:
     """
     if c.n != 2:
         raise ValueError("normalizer reflections exist only for n = 2")
-    if not is_singer(c):
+    f = char_poly(c)
+    if not is_primitive_poly(f):  # is_singer(c), on the one characteristic polynomial
         raise ValueError("input is not a Singer cycle")
     field = c.field
     q = field.q
-    f = char_poly(c)
     ext = FieldExtension(f, check=False)
     z = ext.x
     zinv = ext.inv(z)
@@ -305,9 +317,12 @@ def singer_equivalence_report(n: int, field: FieldSpec) -> dict:
     irreducible_count = 0
     violations = []
     for g in enumerate_gl(n, field):
-        sc = singer_oracles(g)
-        ic = irreducible_conditions(g)
-        if not sc.consistent or not ic.consistent or sc.order_full != is_singer(g):
+        # one characteristic polynomial and one subspace scan per element
+        f = char_poly(g)
+        no_invariant_subspace = is_irreducible_oracle(g)
+        sc = _singer_conditions(g, f, no_invariant_subspace)
+        ic = _irreducible_conditions(g, f, no_invariant_subspace)
+        if not sc.consistent or not ic.consistent or sc.order_full != is_primitive_poly(f):
             violations.append({"matrix": g.to_text(),
                                "singer": sc.as_tuple(), "irreducible": ic.as_tuple()})
         checked += 1

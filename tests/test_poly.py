@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singerlab import (Poly, char_poly, companion, enumerate_monic,
                        find_primitive_poly, gcd, invmod, is_irreducible,
                        is_primitive_poly, make_field, powmod)
 from singerlab.poly import FieldExtension
 
-from conftest import trial_phi
+from conftest import SMALL_FIELDS, trial_phi
 
 
 def brute_force_irreducible(f):
@@ -172,3 +174,132 @@ def test_invmod_roundtrip(f5):
         if f.is_zero:
             continue
         assert (f * invmod(f, m)) % m == Poly.one(f5)
+
+
+def test_powmod_modulo_a_constant_is_zero(f3):
+    # F_3[x]/(2) is the zero ring, so every power is 0 there, x^0 included
+    x = Poly.x(f3)
+    for e in (0, 1, 2, 7):
+        assert powmod(x, e, Poly(f3, (2,))).is_zero
+        assert powmod(Poly.one(f3), e, Poly(f3, (1,))).is_zero
+    assert powmod(x, 0, Poly.from_text(f3, "2,1,1")) == Poly.one(f3)
+    assert powmod(x, 0, Poly.from_text(f3, "2,2")) == Poly.one(f3)
+
+
+# -- the coefficient-list kernels against a test-local schoolbook oracle ------
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _school_mul(a, b, field):
+    """Product of little-endian coefficient lists, term by term."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim(out)
+
+
+def _long_division(a, d, field):
+    """(quotient, remainder) of a by a nonzero d, cancelling the leading
+    term of the remainder with a multiple of d until its degree drops
+    below deg d."""
+    d, rem = _trim(d), _trim(a)
+    quot = [0] * max(len(rem) - len(d) + 1, 0)
+    inv_lead = field.inv(d[-1])
+    while len(rem) >= len(d):
+        c = field.mul(rem[-1], inv_lead)
+        shift = len(rem) - len(d)
+        quot[shift] = c
+        for i, v in enumerate(d):
+            rem[shift + i] = field.sub(rem[shift + i], field.mul(c, v))
+        rem = _trim(rem)
+    return _trim(quot), rem
+
+
+def _polys(field, max_size):
+    return st.lists(st.integers(0, field.q - 1), max_size=max_size).map(
+        lambda coeffs: Poly(field, coeffs))
+
+
+def _kernel_cases(fields):
+    """(f, g, m) over one of fields: f and g of degree < 7, m nonzero of
+    degree < 5, so monic, non-monic and constant moduli all occur."""
+    return st.sampled_from(fields).flatmap(lambda field: st.tuples(
+        _polys(field, 7), _polys(field, 7), _polys(field, 5).filter(bool)))
+
+
+_ALL_FIELDS = [make_field(p, k) for p, k in SMALL_FIELDS]
+_PRIME_FIELDS = [field for field in _ALL_FIELDS if field.k == 1]
+_F8, _F9 = make_field(2, 3), make_field(3, 2)
+# (f, g, m) with a constant m over F_8 and a non-monic m over F_9
+_CONSTANT_MODULUS = (Poly(_F8, (3, 5, 1)), Poly(_F8, (6, 0, 7)), Poly(_F8, (6,)))
+_NON_MONIC_MODULUS = (Poly(_F9, (0, 4, 8)), Poly(_F9, (1, 2)), Poly(_F9, (5, 7, 2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kernel_cases(_ALL_FIELDS), st.integers(0, 40))
+@example(_CONSTANT_MODULUS, 0)
+@example(_NON_MONIC_MODULUS, 13)
+def test_powmod_matches_repeated_multiplication(case, e):
+    f, _, m = case
+    field = f.field
+    expected = _long_division([1], m.coeffs, field)[1]
+    for _ in range(e):
+        expected = _long_division(_school_mul(expected, list(f.coeffs), field),
+                                  m.coeffs, field)[1]
+    assert list(powmod(f, e, m).coeffs) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kernel_cases(_ALL_FIELDS))
+@example(_CONSTANT_MODULUS)
+@example(_NON_MONIC_MODULUS)
+def test_divrem_property(case):
+    a, _, d = case
+    field = a.field
+    quot, rem = a.divrem(d)
+    assert rem.degree < d.degree
+    rebuilt = _school_mul(list(quot.coeffs), list(d.coeffs), field)
+    rebuilt += [0] * (len(rem.coeffs) - len(rebuilt))
+    for i, c in enumerate(rem.coeffs):
+        rebuilt[i] = field.add(rebuilt[i], c)
+    assert _trim(rebuilt) == list(a.coeffs)
+    assert (list(quot.coeffs), list(rem.coeffs)) == _long_division(a.coeffs, d.coeffs, field)
+    assert a % d == rem
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kernel_cases(_ALL_FIELDS))
+@example(_CONSTANT_MODULUS)
+@example(_NON_MONIC_MODULUS)
+def test_field_extension_mul_matches_product_mod(case):
+    a, b, m = case
+    ext = FieldExtension(m, check=False)
+    assert ext.mul(a, b) == (a * b) % m
+    assert list(ext.mul(a, b).coeffs) == _long_division(
+        _school_mul(list(a.coeffs), list(b.coeffs), a.field), m.coeffs, a.field)[1]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_cases(_PRIME_FIELDS), st.integers(0, 40))
+def test_powmod_matches_sympy_on_prime_fields(sympy, case, e):
+    f, _, m = case
+    p = f.field.p
+    x = sympy.Symbol("x")
+
+    def to_sympy(g):
+        return sympy.Poly(list(reversed(g.coeffs)) or [0], x, modulus=p)
+
+    expected = (to_sympy(f) ** e).rem(to_sympy(m))
+    assert list(powmod(f, e, m).coeffs) == _trim(c % p for c in reversed(expected.all_coeffs()))

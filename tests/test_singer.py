@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
+import singerlab.poly
+import singerlab.singer
 from singerlab import (Matrix, Poly, companion, enumerate_gl,
                        find_primitive_poly, is_irreducible_element,
                        is_irreducible_oracle, is_reflection, is_singer,
@@ -139,6 +142,26 @@ def test_six_conditions_agree_gl2f3(f3):
     assert report["violations"] == []
     assert report["checked"] == 48
     assert report["singer_cycles"] == 12
+
+
+def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
+    # one characteristic polynomial and one subspace scan per element of
+    # GL_2(F_4); the Rabin and primitivity tests still run as often as the
+    # six plus three independent characterizations need them
+    singer_equivalence_report(2, f4)  # fills the cached minimal-polynomial sets
+    calls = Counter()
+    for module, name in ((singerlab.singer, "char_poly"),
+                         (singerlab.singer, "invariant_subspace"),
+                         (singerlab.singer, "is_primitive_poly"),
+                         (singerlab.poly, "powmod")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    report = singer_equivalence_report(2, f4)
+    assert report["checked"] == 180 and report["violations"] == []
+    assert calls == {"char_poly": 180, "invariant_subspace": 180,
+                     "is_primitive_poly": 360, "powmod": 2016}
 
 
 def test_max_irreducible_order(f2, f3):
