@@ -215,6 +215,8 @@ class FieldSpec:
         return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
 
     def sub(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:

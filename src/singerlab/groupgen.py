@@ -339,7 +339,10 @@ def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
         powers.add(acc)
         if acc.is_identity:
             break
-    members = [h for h in enumerate_gl(c.n, c.field) if h @ c @ h.inverse() in powers]
+    # keeps h^-1, not h: the same set, since the normalizer is a group, and
+    # h^-1 holds no memoized inverse, so the kept members stay small
+    members = [hinv for h in enumerate_gl(c.n, c.field)
+               if h @ c @ (hinv := h.inverse()) in powers]
     if gl_order(c.n, c.field.q) % len(members):
         raise AssertionError("normalizer order does not divide |GL_n(F_q)|")
     return ClosureResult(len(members), lambda: members)

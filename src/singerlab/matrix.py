@@ -6,6 +6,13 @@ subgroup-closure sets).  Vectors are rows; matrices act on column vectors
 (A.apply(v) computes A*v), which reproduces companion matrices exactly as
 conventionally displayed.
 
+Only the Matrix constructor validates entries; arithmetic results and
+enumerations build with the unchecked Matrix._raw.  A matrix computes its
+hash on first use and its inverse at most once, since both are fixed by
+its entries.  Eliminations run on flat integer rows, and a kernel costs
+one elimination: the RREF of the system with its columns reversed yields
+the kernel's canonical basis directly.
+
 Text form: rows separated by ';', entries comma-separated encodings,
 e.g. "0,1;1,2" for [[0,1],[1,2]].
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -27,11 +35,9 @@ def mul_entries(a: tuple, b: tuple, n: int, field: FieldSpec) -> tuple:
     """Row-major flat product of two n x n entry tuples."""
     if field.k == 1:
         p = field.p
-        rng = range(n)
-        return tuple(
-            sum(a[i * n + k] * b[k * n + j] for k in rng) % p
-            for i in rng for j in rng
-        )
+        rows = [a[i * n:(i + 1) * n] for i in range(n)]
+        cols = [b[j::n] for j in range(n)]
+        return tuple(sum(map(operator.mul, row, col)) % p for row in rows for col in cols)
     fmul, fadd = field.mul, field.add
     out = []
     for i in range(n):
@@ -49,30 +55,24 @@ def mul_entries(a: tuple, b: tuple, n: int, field: FieldSpec) -> tuple:
 class Matrix:
     """Immutable n x n matrix over a FieldSpec."""
 
-    __slots__ = ("field", "n", "entries", "_hash")
+    __slots__ = ("field", "n", "entries", "_hash", "_inverse")
 
     def __init__(self, field: FieldSpec, n: int, entries: Sequence[int]):
         if n < 1:
             raise ValueError(f"matrix dimension must be >= 1, got {n}")
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(map(operator.index, entries))  # no silent float truncation
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")
         if any(not 0 <= e < field.q for e in entries):
             raise ValueError("entry encoding out of range")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash((n, field, entries)))
+        _init(self, field, n, entries)
 
     @classmethod
     def _raw(cls, field: FieldSpec, n: int, entries: tuple) -> "Matrix":
         """Unchecked constructor for arithmetic results: entries must be a
         tuple of n * n in-range integer encodings."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "_hash", hash((n, field, entries)))
+        _init(m, field, n, entries)
         return m
 
     def __setattr__(self, name, value):
@@ -117,6 +117,8 @@ class Matrix:
                 and self.field == other.field and self.entries == other.entries)
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.field, self.entries)))
         return self._hash
 
     def __repr__(self):
@@ -175,13 +177,17 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [A | I]; A is singular iff that RREF
-        has a pivot right of column n - 1."""
-        n, fld = self.n, self.field
-        rows, pivots = _rref([list(self.entries[i * n:(i + 1) * n])
-                              + [int(i == j) for j in range(n)] for i in range(n)], fld)
-        if pivots[-1] >= n:
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix._raw(fld, n, tuple(v for row in rows for v in row[n:]))
+        has a pivot right of column n - 1.  Computed once per matrix; a
+        singular matrix raises on every call."""
+        if self._inverse is None:
+            n, fld = self.n, self.field
+            rows, pivots = _rref([list(self.entries[i * n:(i + 1) * n])
+                                  + [int(i == j) for j in range(n)] for i in range(n)], fld)
+            if pivots[-1] >= n:
+                raise ZeroDivisionError("matrix is singular")
+            object.__setattr__(self, "_inverse", Matrix._raw(
+                fld, n, tuple(v for row in rows for v in row[n:])))
+        return self._inverse
 
     def __pow__(self, e: int) -> "Matrix":
         """A^e by square-and-multiply on flat entry tuples; A^-e = (A^-1)^e."""
@@ -198,6 +204,14 @@ class Matrix:
         return Matrix.identity(fld, n) if result is None else Matrix._raw(fld, n, result)
 
 
+def _init(m: Matrix, field: FieldSpec, n: int, entries: tuple) -> None:
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "_hash", None)
+    object.__setattr__(m, "_inverse", None)
+
+
 # --- reduced row echelon form and subspaces -----------------------------------
 
 
@@ -205,23 +219,34 @@ def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], lis
     """In-place RREF of a list of row vectors; returns (nonzero rows, pivot columns)."""
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
+    p = field.p if field.k == 1 else 0
+    inv, mul, add, neg = field.inv, field.mul, field.add, field.neg
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        if prow[c] != 1:
+            s = inv(prow[c])
+            prow = rows[r] = ([v * s % p for v in prow] if p
+                              else [mul(s, v) for v in prow])
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                if p:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+                else:
+                    f = neg(f)
+                    rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows[:r], pivots
 
@@ -301,43 +326,54 @@ class Subspace:
 
 
 def kernel_of_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> Subspace:
-    """Solution space {v : R v = 0} of a (possibly rectangular) system."""
-    reduced, pivots = _rref([list(r) for r in rows], field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Solution space {v : R v = 0} of a (possibly rectangular) system.
+
+    One RREF of R with its columns reversed.  Each free column f then gives
+    the kernel vector that is 1 at f and 0 at every other free column; its
+    other nonzero entries sit at pivot columns right of f, which the
+    reversed elimination cleared against f.  Sorted by f, these vectors are
+    the kernel's canonical RREF basis, with the free columns as pivots.
+    """
+    reduced, pivots = _rref([r[::-1] for r in rows], field)
+    last = ncols - 1
+    bound = [last - c for c in pivots]
+    neg = field.neg
+    free = [f for f in range(ncols) if f not in bound]
     basis = []
-    for fc in free:
+    for f in free:
         v = [0] * ncols
-        v[fc] = 1
-        for row, piv in zip(reduced, pivots):
-            v[piv] = field.neg(row[fc])
+        v[f] = 1
+        for col, row in zip(bound, reduced):
+            v[col] = neg(row[last - f])
         basis.append(v)
-    return Subspace.from_vectors(field, ncols, basis)
+    return Subspace(field, ncols, basis, free)
 
 
 def kernel(a: Matrix) -> Subspace:
     """Canonical basis of {v : A v = 0}."""
-    return kernel_of_rows(a.field, [list(r) for r in a.rows()], a.n)
+    return kernel_of_rows(a.field, a.rows(), a.n)
+
+
+def _minus_identity_rows(a: Matrix) -> list[list[int]]:
+    """The rows of A - I, subtracting 1 on the diagonal only."""
+    n, sub, e = a.n, a.field.sub, a.entries
+    rows = [list(e[i * n:(i + 1) * n]) for i in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = sub(row[i], 1)
+    return rows
 
 
 def fixed_space(a: Matrix) -> Subspace:
     """fix(A) = ker(A - I)."""
-    n, fld = a.n, a.field
-    rows = [[fld.sub(a.entries[i * n + j], 1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    return kernel_of_rows(fld, rows, n)
+    return kernel_of_rows(a.field, _minus_identity_rows(a), a.n)
 
 
 def common_fixed_space(mats: Sequence[Matrix]) -> Subspace:
     """Intersection of the fixed spaces of the given matrices."""
     if not mats:
         raise ValueError("need at least one matrix")
-    n, fld = mats[0].n, mats[0].field
-    rows = []
-    for a in mats:
-        rows.extend([fld.sub(a.entries[i * n + j], 1 if i == j else 0) for j in range(n)]
-                    for i in range(n))
-    return kernel_of_rows(fld, rows, n)
+    rows = [row for a in mats for row in _minus_identity_rows(a)]
+    return kernel_of_rows(mats[0].field, rows, mats[0].n)
 
 
 def stabilizes(a: Matrix, w: Subspace) -> bool:
@@ -471,6 +507,6 @@ def enumerate_gl(n: int, field: FieldSpec) -> Iterator[Matrix]:
     if q ** (n * n) > ENUMERATION_BUDGET:
         raise BudgetExceededError("GL enumeration exceeds budget")
     for entries in itertools.product(range(q), repeat=n * n):
-        m = Matrix(field, n, entries)
+        m = Matrix._raw(field, n, entries)
         if m.det() != 0:
             yield m

@@ -15,6 +15,7 @@ constructor validates coefficients.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
 from .ff import FieldSpec, _multiplicative_order, factorize
@@ -28,7 +29,7 @@ class Poly:
     def __init__(self, field: FieldSpec, coeffs=()):
         cs = []
         for c in coeffs:
-            v = int(c)
+            v = operator.index(c)  # no silent float truncation
             if not 0 <= v < field.q:
                 raise ValueError(f"coefficient encoding {v} out of range for {field!r}")
             cs.append(v)

@@ -31,8 +31,19 @@ def reflection_length(g: Matrix) -> int:
 
 
 def is_reflection(m: Matrix) -> bool:
-    """True iff m is invertible and fixes a hyperplane pointwise."""
-    return m.det() != 0 and fixed_space(m).dim == m.n - 1
+    """True iff m is invertible and fixes a hyperplane pointwise.
+
+    The fixed space is tested first.  When it is a hyperplane, m = I + w*phi
+    for nonzero w and phi, so det m = 1 + phi(w) and tr m = n + phi(w):
+    det m = tr m - (n - 1), and an O(n) trace test replaces the determinant.
+    """
+    n, fld, e = m.n, m.field, m.entries
+    if fixed_space(m).dim != n - 1:
+        return False
+    phi_w = 0
+    for i in range(0, n * n, n + 1):
+        phi_w = fld.add(phi_w, fld.sub(e[i], 1))
+    return fld.add(1, phi_w) != 0
 
 
 def reflection_from_params(field: FieldSpec, phi, w) -> Matrix:
@@ -146,7 +157,7 @@ def enumerate_minimal_factorizations(g: Matrix) -> Iterator[FactorizationList]:
     counter = itertools.count(1)
 
     def rec(rem_entries: tuple, depth_left: int, prefix: tuple):
-        rem = Matrix(field, n, rem_entries)
+        rem = Matrix._raw(field, n, rem_entries)
         if depth_left == 1:
             if is_reflection(rem):
                 yield FactorizationList(prefix + (rem,), g)
@@ -155,7 +166,7 @@ def enumerate_minimal_factorizations(g: Matrix) -> Iterator[FactorizationList]:
             if next(counter) > ENUMERATION_BUDGET:
                 raise BudgetExceededError("factorization enumeration exceeds budget")
             nxt = mul_entries(tinv, rem_entries, n, field)
-            if reflection_length(Matrix(field, n, nxt)) == depth_left - 1:
+            if reflection_length(Matrix._raw(field, n, nxt)) == depth_left - 1:
                 yield from rec(nxt, depth_left - 1, prefix + (t,))
 
     yield from rec(g.entries, k, ())

@@ -3,7 +3,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singerlab import (Matrix, Poly, Subspace, char_poly, common_fixed_space,
                        companion, enumerate_gl, enumerate_subspaces,
@@ -11,7 +12,8 @@ from singerlab import (Matrix, Poly, Subspace, char_poly, common_fixed_space,
                        make_field, matrix_order, stabilizes)
 from singerlab.matrix import _rref, kernel_of_rows
 
-from conftest import gaussian_binomial, matrices, random_invertible
+from conftest import (gaussian_binomial, matrices, matrices_over, random_invertible,
+                      square_shapes)
 
 
 def char_poly_cofactor(a):
@@ -289,7 +291,8 @@ def test_constructor_validates_and_arithmetic_results_match_it(f5):
             Matrix(f5, n, entries)
     a = Matrix.from_text(f5, "1,2;3,4")
     b = Matrix.from_text(f5, "0,1;4,4")
-    for result in (a @ b, a.inverse(), a**5, a**-2, Matrix.identity(f5, 2)):
+    for result in (a @ b, a.inverse(), a**5, a**-2, Matrix.identity(f5, 2),
+                   Matrix._raw(f5, 2, (1, 2, 3, 4))):
         checked = Matrix(f5, 2, result.entries)
         assert result == checked and hash(result) == hash(checked)
 
@@ -308,3 +311,83 @@ def test_common_fixed_space(f5):
     t2 = Matrix.from_text(f5, "0,2;4,3")
     assert common_fixed_space([t1]).basis == ((1, 2),)
     assert common_fixed_space([t1, t2]).is_zero
+
+
+def test_constructors_reject_non_integral_entries(f5):
+    for bad in (1.7, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Matrix(f5, 2, [bad, 0, 0, 1])
+        with pytest.raises(TypeError):
+            Poly(f5, (bad, 2))
+    assert Matrix(f5, 2, [True, 0, 0, 1]) == Matrix.identity(f5, 2)
+    assert Matrix.from_text(f5, "1,2;3,4").entries == (1, 2, 3, 4)
+    assert Poly.from_text(f5, "1,2") == Poly(f5, (1, 2))
+
+
+def brute_force_span(field, n, keep):
+    """Oracle: the canonical subspace spanned by every v in F_q^n with keep(v)."""
+    vectors = [v for v in itertools.product(range(field.q), repeat=n) if keep(v)]
+    return Subspace.from_vectors(field, n, vectors)
+
+
+def _annihilates(field, rows, v):
+    for row in rows:
+        s = 0
+        for a, b in zip(row, v):
+            s = field.add(s, field.mul(a, b))
+        if s:
+            return False
+    return True
+
+
+@st.composite
+def linear_systems(draw):
+    """(field, n, rows): up to 2n rows of length n over F_2..F_9, n <= 3."""
+    field, n = draw(square_shapes())
+    row = st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n)
+    return field, n, draw(st.lists(row, max_size=2 * n))
+
+
+def _same_subspace(got, want):
+    return got == want and got.pivots == want.pivots
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(linear_systems())
+@example((make_field(3), 2, []))
+@example((make_field(2, 2), 3, [[0, 0, 0], [0, 0, 0]]))
+@example((make_field(5), 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+@example((make_field(3, 2), 3, [[1, 2, 3], [0, 4, 5], [0, 0, 6], [1, 6, 8]]))
+@example((make_field(7), 2, [[3, 4], [6, 1], [0, 0], [1, 6]]))
+def test_kernel_of_rows_matches_brute_force(system):
+    field, n, rows = system
+    oracle = brute_force_span(field, n, lambda v: _annihilates(field, rows, v))
+    assert _same_subspace(kernel_of_rows(field, rows, n), oracle)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices())
+def test_fixed_space_and_kernel_match_brute_force(a):
+    fixed = brute_force_span(a.field, a.n, lambda v: a.apply(v) == v)
+    assert _same_subspace(fixed_space(a), fixed)
+    null = brute_force_span(a.field, a.n, lambda v: not any(a.apply(v)))
+    assert _same_subspace(kernel(a), null)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(square_shapes().flatmap(
+    lambda shape: st.lists(matrices_over(*shape), min_size=1, max_size=3)))
+def test_common_fixed_space_matches_brute_force(mats):
+    field, n = mats[0].field, mats[0].n
+    oracle = brute_force_span(field, n, lambda v: all(a.apply(v) == v for a in mats))
+    assert _same_subspace(common_fixed_space(mats), oracle)
+
+
+def test_inverse_is_computed_once(f5):
+    m = Matrix.from_text(f5, "1,2;3,4")
+    assert m.inverse() is m.inverse()
+    assert m ** -3 == m.inverse() ** 3
+    singular = Matrix.from_text(f5, "1,2;2,4")
+    for _ in range(2):  # a failure is not memoized
+        with pytest.raises(ZeroDivisionError):
+            singular.inverse()

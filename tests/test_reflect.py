@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +10,7 @@ from singerlab import (BudgetExceededError, Matrix, Subspace, companion,
                        find_primitive_poly, fixed_space, is_reflection,
                        make_field, minimal_factorization, reflection_length,
                        stabilizing_factorization)
+from singerlab import matrix, reflect
 from singerlab.groupgen import reflection_distances
 from singerlab.matrix import common_fixed_space, enumerate_subspaces, stabilizes
 from singerlab.reflect import (FactorizationList, det_subgroup, reflection_count,
@@ -19,6 +22,20 @@ def test_is_reflection_examples(f3, f5):
     assert is_reflection(Matrix.from_text(f5, "2,2;2,0"))
     assert not is_reflection(Matrix.identity(f3, 2))
     assert not is_reflection(Matrix(f3, 2, [0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
+def test_is_reflection_matches_definition_on_all_matrices(n, p, k):
+    # singular ones included: I + w*phi with 1 + phi(w) = 0 fixes a
+    # hyperplane but is not a reflection
+    field = make_field(p, k)
+    singular_rank_one = 0
+    for entries in itertools.product(range(field.q), repeat=n * n):
+        m = Matrix(field, n, entries)
+        hyperplane = fixed_space(m).dim == n - 1
+        assert is_reflection(m) == (m.det() != 0 and hyperplane)
+        singular_rank_one += hyperplane and m.det() == 0
+    assert singular_rank_one > 0
 
 
 @pytest.mark.parametrize("n,p,k,expected", [
@@ -229,3 +246,24 @@ def test_det_restricted_rejects(f5):
     irr = Matrix.from_text(f5, "0,1;1,3")
     with pytest.raises(ValueError):
         factorizations_in_det_subgroup(irr, 1)  # det(g) = 4 not in {1}
+
+
+def test_search_runs_one_elimination_per_fixed_space(f3, monkeypatch):
+    elements = list(enumerate_gl(2, f3))
+    for g in elements:  # warm the reflection cache and its inverses
+        list(enumerate_minimal_factorizations(g))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matrix, "_rref", counted("rref", matrix._rref))
+    monkeypatch.setattr(reflect, "fixed_space", counted("fixed_space", reflect.fixed_space))
+    monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
+    total = sum(1 for g in elements for _ in enumerate_minimal_factorizations(g))
+    assert total == 249
+    # every inverse request is a memo hit on a cached reflection
+    assert calls == {"rref": 1312, "fixed_space": 1312, "inverse": 940}
