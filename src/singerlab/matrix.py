@@ -11,7 +11,9 @@ enumerations build with the unchecked Matrix._raw.  A matrix computes its
 hash on first use and its inverse at most once, since both are fixed by
 its entries.  Eliminations run on flat integer rows, and a kernel costs
 one elimination: the RREF of the system with its columns reversed yields
-the kernel's canonical basis directly.
+the kernel's canonical basis directly.  Fixed spaces are memoized by
+(field, n, entries) in a bounded LRU, so each distinct matrix costs one
+elimination however often its fixed space is asked for.
 
 Text form: rows separated by ';', entries comma-separated encodings,
 e.g. "0,1;1,2" for [[0,1],[1,2]].
@@ -19,6 +21,7 @@ e.g. "0,1;1,2" for [[0,1],[1,2]].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -29,6 +32,12 @@ from .ff import FieldSpec, _multiplicative_order, factorize
 from .poly import Poly
 
 ENUMERATION_BUDGET = 10**8
+
+# Fixed spaces held by _fixed_space_of_entries.  2^15 holds every element of
+# GL_4(F_2) (20,160) and GL_3(F_3) (11,232), the largest groups main1 is meant
+# to sweep in full.  An entry, its key's entries tuple included, takes about
+# 320 bytes at n = 2 and 510 at n = 4 (tracemalloc), so a full memo is under 17 MB.
+_FIXED_SPACE_CACHE_SIZE = 2**15
 
 
 def mul_entries(a: tuple, b: tuple, n: int, field: FieldSpec) -> tuple:
@@ -354,9 +363,9 @@ def kernel(a: Matrix) -> Subspace:
     return kernel_of_rows(a.field, a.rows(), a.n)
 
 
-def _minus_identity_rows(a: Matrix) -> list[list[int]]:
-    """The rows of A - I, subtracting 1 on the diagonal only."""
-    n, sub, e = a.n, a.field.sub, a.entries
+def _minus_identity_rows(field: FieldSpec, n: int, e: tuple) -> list[list[int]]:
+    """The rows of A - I for A's flat entries e, subtracting 1 on the diagonal only."""
+    sub = field.sub
     rows = [list(e[i * n:(i + 1) * n]) for i in range(n)]
     for i, row in enumerate(rows):
         row[i] = sub(row[i], 1)
@@ -364,15 +373,26 @@ def _minus_identity_rows(a: Matrix) -> list[list[int]]:
 
 
 def fixed_space(a: Matrix) -> Subspace:
-    """fix(A) = ker(A - I)."""
-    return kernel_of_rows(a.field, _minus_identity_rows(a), a.n)
+    """fix(A) = ker(A - I), memoized by A's field, size and entries.
+
+    The factorization search asks again and again for the fixed spaces of
+    the same group elements; each distinct matrix costs one elimination.
+    The memo keys on entries, not on A, so it keeps no Matrix alive, and
+    its Subspace results are immutable, so every caller may share them.
+    """
+    return _fixed_space_of_entries(a.field, a.n, a.entries)
+
+
+@functools.lru_cache(maxsize=_FIXED_SPACE_CACHE_SIZE)
+def _fixed_space_of_entries(field: FieldSpec, n: int, entries: tuple) -> Subspace:
+    return kernel_of_rows(field, _minus_identity_rows(field, n, entries), n)
 
 
 def common_fixed_space(mats: Sequence[Matrix]) -> Subspace:
     """Intersection of the fixed spaces of the given matrices."""
     if not mats:
         raise ValueError("need at least one matrix")
-    rows = [row for a in mats for row in _minus_identity_rows(a)]
+    rows = [row for a in mats for row in _minus_identity_rows(a.field, a.n, a.entries)]
     return kernel_of_rows(mats[0].field, rows, mats[0].n)
 
 

@@ -8,7 +8,9 @@ exhaustive enumeration.
 
 Factorizations are ordered tuples; all counts use ordered semantics.
 Enumerations are deterministic: candidate reflections are always tried in
-enumerate_reflections order.
+enumerate_reflections order.  The search meets the same residues again and
+again, within one element's enumeration and across elements; fixed_space's
+memo absorbs that, so each distinct residue costs one elimination.
 """
 
 from __future__ import annotations

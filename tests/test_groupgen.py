@@ -12,7 +12,7 @@ from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        group_closure, make_field, normalizer_of_cyclic,
                        normalizer_reflection, verify_gill, verify_main1,
                        verify_main2)
-from singerlab import groupgen
+from singerlab import fixed_space, groupgen, matrix, reflect, singer
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
                                 singer_class_count, singer_class_representatives)
 from singerlab.matrix import mul_entries
@@ -391,6 +391,24 @@ def test_verify_main1_small_instances(f2, f3):
     assert report["violations"] == []
     assert report["witnesses"]["reducible"] == 30
     assert report["witnesses"]["irreducible_proper_det"] == 6
+
+
+def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
+    # one elimination per distinct matrix: a lost memo fails here, not as a slow run
+    memo = matrix._fixed_space_of_entries
+    memo.cache_clear()
+    seen = []
+
+    def recorded(a):
+        seen.append((a.field, a.n, a.entries))
+        return fixed_space(a)
+
+    for module in (matrix, reflect, groupgen, singer):
+        monkeypatch.setattr(module, "fixed_space", recorded)
+    assert verify_main1(2, f3)["violations"] == []
+    info = memo.cache_info()
+    assert info.misses == len(set(seen)) == 50
+    assert info.hits == len(seen) - info.misses == 1928
 
 
 def test_verify_main1_classes_mode_agrees(f3):

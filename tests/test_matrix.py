@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 
 from singerlab import (Matrix, Poly, Subspace, char_poly, common_fixed_space,
                        companion, enumerate_gl, enumerate_subspaces,
-                       find_primitive_poly, fixed_space, gl_exponent, kernel,
-                       make_field, matrix_order, stabilizes)
+                       find_primitive_poly, fixed_space, gl_exponent, gl_order,
+                       kernel, make_field, matrix, matrix_order, stabilizes)
 from singerlab.matrix import _rref, kernel_of_rows
 
 from conftest import (gaussian_binomial, matrices, matrices_over, random_invertible,
@@ -391,3 +393,62 @@ def test_inverse_is_computed_once(f5):
     for _ in range(2):  # a failure is not memoized
         with pytest.raises(ZeroDivisionError):
             singular.inverse()
+
+
+def _minus_identity_oracle(a):
+    n, field = a.n, a.field
+    return [[field.sub(a[i, j], int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
+def test_fixed_space_memo_matches_direct_kernel_on_all_matrices(n, p, k):
+    # singular matrices included: the memo keys on entries, not on invertibility
+    field = make_field(p, k)
+    memo = matrix._fixed_space_of_entries
+    memo.cache_clear()
+    for entries in itertools.product(range(field.q), repeat=n * n):
+        a = Matrix(field, n, entries)
+        direct = kernel_of_rows(field, _minus_identity_oracle(a), n)
+        misses = memo.cache_info().misses
+        cold = fixed_space(a)
+        assert memo.cache_info().misses == misses + 1
+        warm = fixed_space(Matrix(field, n, entries))
+        assert memo.cache_info().misses == misses + 1
+        assert warm is cold
+        assert _same_subspace(cold, direct)
+
+
+def test_fixed_space_memo_keys_on_the_field():
+    # two models of F_9: the same entries are different matrices over each
+    default, other = make_field(3, 2), make_field(3, 2, (2, 1, 1))
+    assert default.modulus != other.modulus
+    matrix._fixed_space_of_entries.cache_clear()
+    differ = 0
+    for entries in itertools.product(range(9), repeat=4):
+        spaces = []
+        for field in (default, other):
+            a = Matrix(field, 2, entries)
+            fixed = fixed_space(a)
+            assert fixed.field is field
+            assert _same_subspace(fixed, kernel_of_rows(field, _minus_identity_oracle(a), 2))
+            spaces.append(fixed.basis)
+        differ += spaces[0] != spaces[1]
+    assert differ  # a key without the field would return the first model's basis
+
+
+def test_fixed_space_memo_holds_no_matrix(f5):
+    class Tracked(Matrix):
+        __slots__ = ("__weakref__",)
+
+    m = Tracked(f5, 2, [1, 2, 3, 4])
+    m.inverse()  # a memoized inverse the memo must not keep alive either
+    assert fixed_space(m).dim == 0
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_fixed_space_memo_bound():
+    maxsize = matrix._fixed_space_of_entries.cache_info().maxsize
+    assert maxsize is not None and maxsize >= gl_order(4, 2)

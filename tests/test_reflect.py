@@ -249,10 +249,11 @@ def test_det_restricted_rejects(f5):
 
 
 def test_search_runs_one_elimination_per_fixed_space(f3, monkeypatch):
+    # the memo carries over between tests, so clear it before counting
+    matrix._fixed_space_of_entries.cache_clear()
     elements = list(enumerate_gl(2, f3))
-    for g in elements:  # warm the reflection cache and its inverses
-        list(enumerate_minimal_factorizations(g))
     calls = Counter()
+    eliminations = Counter()  # _rref runs inside fixed_space, by matrix entries
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -260,10 +261,25 @@ def test_search_runs_one_elimination_per_fixed_space(f3, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def fixed_space_counted(a):
+        before = calls["rref"]
+        result = fixed_space(a)
+        eliminations[a.entries] += calls["rref"] - before
+        return result
+
     monkeypatch.setattr(matrix, "_rref", counted("rref", matrix._rref))
-    monkeypatch.setattr(reflect, "fixed_space", counted("fixed_space", reflect.fixed_space))
+    monkeypatch.setattr(reflect, "fixed_space", fixed_space_counted)
+    for g in elements:  # cold pass; also warms the reflection cache and its inverses
+        list(enumerate_minimal_factorizations(g))
+    # the residues are group elements: one elimination per element of GL_2(F_3)
+    assert len(eliminations) == len(elements) == 48
+    assert set(eliminations.values()) == {1}
+
+    calls.clear()
+    monkeypatch.setattr(reflect, "fixed_space", counted("fixed_space", fixed_space))
     monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
     total = sum(1 for g in elements for _ in enumerate_minimal_factorizations(g))
     assert total == 249
-    # every inverse request is a memo hit on a cached reflection
-    assert calls == {"rref": 1312, "fixed_space": 1312, "inverse": 940}
+    # every fixed space is a memo hit, every inverse a memo hit on a cached reflection
+    assert calls == {"fixed_space": 1312, "inverse": 940}
+    assert calls["rref"] == 0
