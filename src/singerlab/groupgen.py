@@ -17,7 +17,11 @@ starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
 order or element set exceeds it either.  verify_main1, verify_main2,
 verify_gill and verify_length_oracle sweep a full desk-scale instance
 and report violations; they are pure per element or pair, so reports
-are deterministic.
+are deterministic.  verify_main2 runs one closure per orbit of <c> on
+the reflections by conjugation, since the verdict is constant there;
+verify_gill runs one per pair and tests whether C_g normalizes <C_f> by
+the definition, against the powers of C_f, so neither scans GL_n(F_q).
+normalizer_of_cyclic still scans it, for the worked example.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Sequence
 from .errors import BudgetExceededError
 from .ff import FieldSpec, factorize
 from .matrix import (ENUMERATION_BUDGET, Matrix, enumerate_gl, fixed_space, gl_order,
-                     invariant_subspace)
+                     invariant_subspace, mul_entries)
 from .poly import companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
@@ -330,19 +334,24 @@ def generates_full(gens: Sequence[Matrix]) -> bool:
     return group_closure(gens).order == gl_order(gens[0].n, gens[0].field.q)
 
 
-def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
-    """{h in GL_n(F_q) : h c h^-1 in <c>}, by scanning the whole group."""
+def _powers(c: Matrix) -> frozenset[tuple]:
+    """The entries of every element of <c>."""
     powers = set()
     acc = Matrix.identity(c.field, c.n)
     while True:
         acc = acc @ c
-        powers.add(acc)
+        powers.add(acc.entries)
         if acc.is_identity:
-            break
+            return frozenset(powers)
+
+
+def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
+    """{h in GL_n(F_q) : h c h^-1 in <c>}, by scanning the whole group."""
+    powers = _powers(c)
     # keeps h^-1, not h: the same set, since the normalizer is a group, and
     # h^-1 holds no memoized inverse, so the kept members stay small
     members = [hinv for h in enumerate_gl(c.n, c.field)
-               if h @ c @ (hinv := h.inverse()) in powers]
+               if (h @ c @ (hinv := h.inverse())).entries in powers]
     if gl_order(c.n, c.field.q) % len(members):
         raise AssertionError("normalizer order does not divide |GL_n(F_q)|")
     return ClosureResult(len(members), lambda: members)
@@ -528,13 +537,53 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
+def _verdicts_by_orbit(c: Matrix, reflections: Sequence[Matrix]) -> tuple[list[bool], int]:
+    """generates_full([c, t]) for every t in reflections, in their order,
+    and the number of closures run: one per <c>-orbit.
+
+    For h in <c>, h <c, t> h^-1 = <c, h t h^-1>, so the verdict is constant
+    on each orbit of <c> acting on the reflections by conjugation.  Modulo
+    the scalars, which centralize t, <c> permutes the (q^n - 1)/(q - 1)
+    hyperplanes regularly, so every orbit has exactly one member per
+    hyperplane.
+    """
+    n, field = c.n, c.field
+    orbit_size = (field.q**n - 1) // (field.q - 1)
+    index = {t.entries: i for i, t in enumerate(reflections)}
+    ce, cinv = c.entries, c.inverse().entries
+    verdicts = [None] * len(reflections)
+    closures = 0
+    for i, t in enumerate(reflections):
+        if verdicts[i] is not None:
+            continue
+        generated = generates_full([c, t])
+        closures += 1
+        x, members = t.entries, 0
+        while True:
+            j = index.get(x)
+            if j is None or verdicts[j] is not None:
+                raise AssertionError("a <c>-orbit left the reflections or met another orbit")
+            verdicts[j] = generated
+            members += 1
+            x = mul_entries(mul_entries(ce, x, n, field), cinv, n, field)
+            if x == t.entries:
+                break
+        if members != orbit_size:
+            raise AssertionError(f"a <c>-orbit of reflections has {members} members, "
+                                 f"expected {orbit_size}")
+    return verdicts, closures
+
+
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     """Check <c, t> = GL_n(F_q) for Singer c and reflection t, except the
     normalizing reflections when n = 2 and q > 2.
 
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class; full=True audits every
-    Singer cycle (feasible only on the smaller instances).  Before any
+    Singer cycle (feasible only on the smaller instances).  For each c,
+    one closure decides each <c>-orbit of reflections (_verdicts_by_orbit):
+    q^(n-1)(q - 1) - 1 closures per c, counted in generation_tests, while
+    every pair is still reported on.  Before any
     polynomial is tested for primitivity, |GL_n(F_q)| is checked against
     ENUMERATION_BUDGET as every closure would be, and so is the sweep,
     from the closed-form class count phi(q^n - 1)/n.
@@ -559,6 +608,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
             "theorem": "Singer cycle and non-normalizing reflection generate",
             "params": {"n": n, "q": q},
             "mode": "full",
+            "generation_tests": 0,
             "violations": [{"error": "Singer census mismatch",
                             "scanned": len(singers),
                             "expected": singer_cycle_count}],
@@ -568,12 +618,14 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     exceptional = []
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     pairs = 0
+    tests = 0
     for c in singers:
         normalizers = set(normalizing_reflections(c)) if n == 2 else set()
+        verdicts, closures = _verdicts_by_orbit(c, reflections)
+        tests += closures
         exceptional_here = 0
-        for t in reflections:
+        for t, generated in zip(reflections, verdicts):
             pairs += 1
-            generated = generates_full([c, t])
             expected_fail = n == 2 and q > 2 and t in normalizers
             if generated == expected_fail:
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
@@ -595,6 +647,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
         "singer_checked": len(singers),
         "reflections": len(reflections),
         "checked": pairs,
+        "generation_tests": tests,
         "exceptional_per_cycle": per_cycle_expected,
         "exceptional_pairs_total": singer_cycle_count * per_cycle_expected,
         "exceptional_pairs": exceptional,
@@ -610,12 +663,15 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
 
     Also asserts dim fix(C_f C_g^-1) = n - 1 on every pair, which holds
     because the two companion matrices differ only in the last column.
-    Every pair needs a closure, so |GL_n(F_q)| > ENUMERATION_BUDGET raises
-    BudgetExceededError before any polynomial is tested for primitivity.
+    C_g normalizes <C_f> iff C_g C_f C_g^-1 is a power of C_f, tested
+    against the powers of C_f.  Every pair needs one closure, whose order
+    is the exceptional order too, so |GL_n(F_q)| > ENUMERATION_BUDGET
+    raises BudgetExceededError before any polynomial is tested for
+    primitivity.
     """
     start = time.monotonic()
     q = field.q
-    _closure_budget(n, q)
+    full = _closure_budget(n, q)
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
                   if is_primitive_poly(f)]
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
@@ -624,20 +680,21 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     pairs = 0
     for f in primitives:
         cf = companion(f)
-        normalizer = normalizer_of_cyclic(cf) if n == 2 else None
+        powers = _powers(cf) if n == 2 else frozenset()
         for g in targets:
             if g == f:
                 continue
             cg = companion(g)
+            cg_inverse = cg.inverse()
             pairs += 1
-            if fixed_space(cf @ cg.inverse()).dim != n - 1:
+            if fixed_space(cf @ cg_inverse).dim != n - 1:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
-            generated = generates_full([cf, cg])
-            expected_fail = n == 2 and cg in normalizer
+            order = group_closure([cf, cg]).order
+            generated = order == full
+            expected_fail = n == 2 and (cg @ cf @ cg_inverse).entries in powers
             if not generated:
-                exceptional.append({"f": f.to_text(), "g": g.to_text(),
-                                    "order": group_closure([cf, cg]).order})
+                exceptional.append({"f": f.to_text(), "g": g.to_text(), "order": order})
             if generated == expected_fail:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "generated": generated,
@@ -648,6 +705,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
         "params": {"n": n, "q": q},
         "primitive_polynomials": len(primitives),
         "checked": pairs,
+        "generation_tests": pairs,
         "exceptional_pairs": exceptional,
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - start) * 1000),

@@ -18,7 +18,7 @@ import itertools
 import operator
 from typing import Iterator
 
-from .ff import FieldSpec, _multiplicative_order, factorize
+from .ff import FieldSpec, _multiplicative_order, element_order, factorize
 
 
 class Poly:
@@ -341,10 +341,22 @@ def enumerate_monic(n: int, field: FieldSpec, nonzero_constant: bool = False) ->
 
 
 def find_primitive_poly(n: int, field: FieldSpec) -> Poly:
-    """The first primitive degree-n polynomial in enumerate_monic order."""
-    for f in enumerate_monic(n, field, nonzero_constant=True):
-        if is_primitive_poly(f):
-            return f
+    """The first primitive degree-n polynomial in enumerate_monic order.
+
+    (-1)^n c_0 is the norm of a root, and the norm maps F_{q^n}^x onto
+    F_q^x, so a primitive root has a primitive norm: every c_0 whose
+    (-1)^n c_0 is not a primitive element of F_q is skipped untested."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    q = field.q
+    sign = field.neg(1) if n % 2 else 1
+    for c0 in range(1, q):
+        if element_order(field, field.mul(sign, c0)) != q - 1:
+            continue
+        for rest in itertools.product(range(q), repeat=n - 1):  # enumerate_monic's order
+            f = Poly(field, (c0,) + rest + (1,))
+            if is_primitive_poly(f):
+                return f
     raise AssertionError("primitive polynomials always exist")  # unreachable
 
 

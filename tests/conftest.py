@@ -6,7 +6,11 @@ import pytest
 from hypothesis import strategies as st
 
 import singerlab
-from singerlab import Matrix, gl_order, make_field
+from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumerate_reflections,
+                       fixed_space, generates_full, gl_order, group_closure, is_primitive_poly,
+                       is_singer, make_field, normalizer_of_cyclic)
+from singerlab.groupgen import singer_class_representatives
+from singerlab.singer import normalizing_reflections
 
 
 @pytest.fixture(scope="session")
@@ -100,3 +104,91 @@ def run_python(code: str, *options: str) -> subprocess.CompletedProcess:
                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *options, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def unreduced_main2(n: int, field, full: bool = False) -> dict:
+    """verify_main2's report without elapsed_ms and generation_tests, from
+    one generates_full per (Singer cycle, reflection) pair: the sweep with
+    no orbit reduction."""
+    q = field.q
+    reps = singer_class_representatives(n, field)
+    singers = [g for g in enumerate_gl(n, field) if is_singer(g)] if full else reps
+    reflections = enumerate_reflections(n, field)
+    per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
+    singer_cycles = len(reps) * gl_order(n, q) // (q**n - 1)
+    violations = []
+    exceptional = []
+    for c in singers:
+        normalizers = set(normalizing_reflections(c)) if n == 2 else set()
+        exceptional_here = 0
+        for t in reflections:
+            generated = generates_full([c, t])
+            if generated == (n == 2 and q > 2 and t in normalizers):
+                violations.append({"singer": c.to_text(), "reflection": t.to_text(),
+                                   "generated": generated,
+                                   "normalizing": t in normalizers})
+            if not generated:
+                exceptional_here += 1
+                exceptional.append({"singer": c.to_text(), "reflection": t.to_text()})
+        if exceptional_here != per_cycle_expected:
+            violations.append({"singer": c.to_text(), "exceptional_count": exceptional_here,
+                               "expected": per_cycle_expected})
+    return {
+        "theorem": "Singer cycle and non-normalizing reflection generate",
+        "params": {"n": n, "q": q},
+        "mode": "full" if full else "classes",
+        "singer_classes": len(reps),
+        "singer_cycles": singer_cycles,
+        "singer_checked": len(singers),
+        "reflections": len(reflections),
+        "checked": len(singers) * len(reflections),
+        "exceptional_per_cycle": per_cycle_expected,
+        "exceptional_pairs_total": singer_cycles * per_cycle_expected,
+        "exceptional_pairs": exceptional,
+        "violations": violations,
+    }
+
+
+def gill_by_normalizer_scan(n: int, field) -> dict:
+    """verify_gill's report without elapsed_ms and generation_tests, with
+    N(<C_f>) from normalizer_of_cyclic's scan of GL_n(F_q) and a second
+    closure for each exceptional pair's order."""
+    primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                  if is_primitive_poly(f)]
+    targets = list(enumerate_monic(n, field, nonzero_constant=True))
+    violations = []
+    exceptional = []
+    pairs = 0
+    for f in primitives:
+        cf = companion(f)
+        normalizer = normalizer_of_cyclic(cf) if n == 2 else None
+        for g in targets:
+            if g == f:
+                continue
+            cg = companion(g)
+            pairs += 1
+            if fixed_space(cf @ cg.inverse()).dim != n - 1:
+                violations.append({"f": f.to_text(), "g": g.to_text(),
+                                   "error": "fix-dimension side condition failed"})
+            generated = generates_full([cf, cg])
+            expected_fail = n == 2 and cg in normalizer
+            if not generated:
+                exceptional.append({"f": f.to_text(), "g": g.to_text(),
+                                    "order": group_closure([cf, cg]).order})
+            if generated == expected_fail:
+                violations.append({"f": f.to_text(), "g": g.to_text(),
+                                   "generated": generated, "in_normalizer": expected_fail})
+    exceptional.sort(key=lambda e: (e["f"], e["g"]))
+    return {
+        "theorem": "companion matrices of primitive + nonzero-constant polynomials generate",
+        "params": {"n": n, "q": field.q},
+        "primitive_polynomials": len(primitives),
+        "checked": pairs,
+        "exceptional_pairs": exceptional,
+        "violations": violations,
+    }
+
+
+def without_counters(report: dict) -> dict:
+    """A report without its wall time and its generation-test count."""
+    return {k: v for k, v in report.items() if k not in ("elapsed_ms", "generation_tests")}

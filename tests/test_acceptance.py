@@ -196,3 +196,15 @@ def test_criterion_11_gl5f2_reach(capsys):
     assert gill["checked"] == 90 and gill["violations"] == []
     _report(11, "Singer x reflection generation on all 2790 pairs of GL_5(F_2), "
                 "|G| = 9999360, through the CLI", elapsed, 20.0)
+
+
+def test_criterion_12_gl4f3_reach(capsys):
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "main2", "--n", "4", "--p", "3")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert report["checked"] == 16960  # 8 Singer classes x 2120 reflections
+    assert report["generation_tests"] == 8 * 53  # one per <c>-orbit of reflections
+    assert report["exceptional_pairs"] == [] and report["violations"] == []
+    _report(12, "Singer x reflection generation on all 16960 pairs of GL_4(F_3), "
+                "|G| = 24261120, through the CLI", elapsed, 30.0)

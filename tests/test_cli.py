@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
 from singerlab import Matrix, make_field
 from singerlab.cli import main
+
+from conftest import run_python
 
 
 def run(capsys, *args):
@@ -31,6 +34,19 @@ def test_example_gl2f5(capsys):
 def test_example_s4(capsys):
     code, report = run_json(capsys, "example", "s4")
     assert code == 0 and report["failed"] == 0
+
+
+def test_field_primitive_cubic_over_f512():
+    # 7 is the least primitive element of this F_512, so the 6 x 512^2 cubics
+    # with c_0 < 7, whose roots have non-primitive norms, are skipped untested
+    start = time.monotonic()
+    result = run_python("import sys; from singerlab.cli import main; "
+                        "sys.exit(main(['field', '--p', '2', '--k', '9', '--n', '3', "
+                        "'--output', 'json']))")
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["primitive_polynomial_degree_n"] == "7,0,5,1"
+    assert elapsed < 20
 
 
 def test_verify_main2_cli(capsys):

@@ -18,8 +18,8 @@ from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
 from singerlab.matrix import mul_entries
 from singerlab.singer import normalizing_reflections
 
-from conftest import (matrices_over, random_invertible, run_python, square_shapes,
-                      trial_phi)
+from conftest import (gill_by_normalizer_scan, matrices_over, random_invertible, run_python,
+                      square_shapes, trial_phi, unreduced_main2, without_counters)
 
 
 def test_gl_order_examples():
@@ -440,6 +440,54 @@ def test_verify_main2_full_mode_agrees(f3):
     assert full["exceptional_per_cycle"] == classes["exceptional_per_cycle"]
     # observed total over every Singer cycle matches the census formula
     assert len(full["exceptional_pairs"]) == 12 * 4 == full["exceptional_pairs_total"]
+
+
+def _main2_tests(n, q, swept):
+    """Closures run by the reduced main2 sweep: one per <c>-orbit of
+    reflections, q^(n-1)(q - 1) - 1 per swept Singer cycle."""
+    return swept * (q ** (n - 1) * (q - 1) - 1)
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 3, 2),
+                                   (3, 2, 1), (3, 3, 1), (4, 2, 1)])
+def test_main2_orbit_reduction_matches_unreduced_sweep(n, p, k):
+    field = make_field(p, k)
+    report = verify_main2(n, field)
+    assert without_counters(report) == unreduced_main2(n, field)
+    assert report["generation_tests"] == _main2_tests(n, field.q, report["singer_classes"])
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
+def test_main2_full_mode_matches_unreduced_sweep(n, p, k):
+    field = make_field(p, k)
+    report = verify_main2(n, field, full=True)
+    assert without_counters(report) == unreduced_main2(n, field, full=True)
+    assert report["generation_tests"] == _main2_tests(n, field.q, report["singer_cycles"])
+
+
+def test_main2_generation_tests_pinned(f3):
+    assert verify_main2(2, make_field(7))["generation_tests"] == 328 == _main2_tests(2, 7, 8)
+    assert verify_main2(4, make_field(2))["generation_tests"] == 14 == _main2_tests(4, 2, 2)
+    assert verify_main2(2, f3, full=True)["generation_tests"] == 60 == _main2_tests(2, 3, 12)
+
+
+def test_main2_orbit_walk_checks_its_orbits(f3):
+    c = singer_class_representatives(2, f3)[0]
+    reflections = enumerate_reflections(2, f3)
+    verdicts, closures = groupgen._verdicts_by_orbit(c, reflections)
+    assert closures == 5 and verdicts == [generates_full([c, t]) for t in reflections]
+    with pytest.raises(AssertionError, match="left the reflections"):
+        groupgen._verdicts_by_orbit(c, reflections[1:])
+    with pytest.raises(AssertionError, match="members"):  # c^2 splits each orbit in two
+        groupgen._verdicts_by_orbit(c @ c, reflections)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1)])
+def test_gill_matches_normalizer_scan(p, k):
+    field = make_field(p, k)
+    report = verify_gill(2, field)
+    assert without_counters(report) == gill_by_normalizer_scan(2, field)
+    assert report["generation_tests"] == report["checked"]
 
 
 def test_reports_are_deterministic(f3):

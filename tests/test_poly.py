@@ -137,6 +137,15 @@ def test_find_primitive_poly(f2, f3, f5):
     assert count == 2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_find_primitive_poly_norm_filter_keeps_the_first(n, p, k):
+    field = make_field(p, k)
+    unfiltered = next(f for f in enumerate_monic(n, field, nonzero_constant=True)
+                      if is_primitive_poly(f))
+    assert find_primitive_poly(n, field) == unfiltered
+
+
 def test_irreducible_roots_form_frobenius_orbit():
     for p, k in [(2, 1), (3, 1), (2, 2)]:
         field = make_field(p, k)
