@@ -20,9 +20,8 @@ from .reflect import (FactorizationList, enumerate_minimal_factorizations,
                       enumerate_reflections, factorizations_in_det_subgroup,
                       is_reflection, minimal_factorization, reflection_length,
                       stabilizing_factorization)
-from .singer import (EmbeddingBasis, embed, irreducible_conditions,
-                     is_irreducible_element, is_irreducible_oracle, is_singer,
-                     normalizer_reflection, normalizing_reflections,
-                     singer_oracles)
+from .singer import (irreducible_conditions, is_irreducible_element,
+                     is_irreducible_oracle, is_singer, normalizer_reflection,
+                     normalizing_reflections, singer_oracles)
 
 __version__ = "0.1.0"

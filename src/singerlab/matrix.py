@@ -400,6 +400,8 @@ def stabilizes(a: Matrix, w: Subspace) -> bool:
     """True iff A maps every basis vector of W back into W."""
     if a.n != w.ambient_dim:
         raise ValueError("dimension mismatch")
+    if a.field != w.field:
+        raise ValueError("field mismatch")
     return all(w.contains(a.apply(row)) for row in w.basis)
 
 

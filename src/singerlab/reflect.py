@@ -8,7 +8,10 @@ exhaustive enumeration.
 
 Factorizations are ordered tuples; all counts use ordered semantics.
 Enumerations are deterministic: candidate reflections are always tried in
-enumerate_reflections order.  The search meets the same residues again and
+enumerate_reflections order.  One depth-first search finds them all, over
+a tuple of reflections: every reflection, or for main1's witnesses the
+reflections with determinant in a subgroup X of F_q^x, or those that
+stabilize a subspace W.  The search meets the same residues again and
 again, within one element's enumeration and across elements; fixed_space's
 memo absorbs that, so each distinct residue costs one elimination.
 """
@@ -18,12 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, _rref, fixed_space,
-                     mul_entries, stabilizes)
+from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, fixed_space, mul_entries,
+                     stabilizes)
 from .singer import is_irreducible_element
 
 
@@ -141,21 +144,30 @@ class FactorizationList:
 
 
 def enumerate_minimal_factorizations(g: Matrix) -> Iterator[FactorizationList]:
-    """All ordered minimum-length reflection factorizations of g.
+    """All ordered minimum-length reflection factorizations of g, in the
+    lexicographic order of their factors' enumerate_reflections indices."""
+    if g.det() == 0:
+        raise ValueError("only invertible elements factor into reflections")
+    yield from _search(g, functools.partial(enumerate_reflections, g.n, g.field))
+
+
+def _search(g: Matrix, reflections: Callable[[], tuple[Matrix, ...]]
+            ) -> Iterator[FactorizationList]:
+    """The minimal factorizations of the invertible g whose factors are
+    taken from the tuple reflections(), which is built only if g != 1.
 
     Depth-first with length pruning: a partial choice t_1..t_i survives only
     if the residual (t_1...t_i)^-1 g still has reflection length k - i.  The
-    final factor is forced, so it is emitted directly.
+    final factor is forced, so it is emitted directly.  It is one of the
+    given reflections whenever they are all the reflections of a subgroup
+    that contains g, as for both of main1's witnesses.
     """
-    if g.det() == 0:
-        raise ValueError("only invertible elements factor into reflections")
     k = reflection_length(g)
     if k == 0:
         yield FactorizationList((), g)
         return
     n, field = g.n, g.field
-    refl = enumerate_reflections(n, field)
-    inv_pairs = [(t, t.inverse().entries) for t in refl]
+    inv_pairs = [(t, t.inverse().entries) for t in reflections()]
     counter = itertools.count(1)
 
     def rec(rem_entries: tuple, depth_left: int, prefix: tuple):
@@ -179,83 +191,26 @@ def minimal_factorization(g: Matrix) -> FactorizationList:
     return next(enumerate_minimal_factorizations(g))
 
 
-def _extend_by_identity(field: FieldSpec, small: Matrix, total: int) -> Matrix:
-    entries = [0] * (total * total)
-    r = small.n
-    for i in range(r):
-        for j in range(r):
-            entries[i * total + j] = small.entries[i * r + j]
-    for i in range(r, total):
-        entries[i * total + i] = 1
-    return Matrix(field, total, entries)
-
-
-def _greedy_extend(field: FieldSpec, base: list, candidates) -> list:
-    """Rows from candidates that successively enlarge the span of base."""
-    picked = []
-    rows = [list(r) for r in base]
-    rank = len(_rref([list(r) for r in rows], field)[0])
-    for cand in candidates:
-        trial = rows + [list(cand)]
-        new_rank = len(_rref([list(r) for r in trial], field)[0])
-        if new_rank > rank:
-            picked.append(list(cand))
-            rows = trial
-            rank = new_rank
-    return picked
+@functools.lru_cache(maxsize=256)
+def _stabilizing_reflections(w: Subspace) -> tuple[Matrix, ...]:
+    """The reflections that stabilize W, in enumerate_reflections order."""
+    return tuple(t for t in enumerate_reflections(w.ambient_dim, w.field)
+                 if stabilizes(t, w))
 
 
 def stabilizing_factorization(g: Matrix, w: Subspace) -> FactorizationList:
-    """A minimum-length factorization of g whose factors all stabilize W.
-
-    Construction: split V = W + U, minimally factor the restriction of g
-    to W and extend each factor by the identity on U; the residual then
-    fixes W pointwise, so every factor of its minimal factorization fixes
-    W too.  U must contain a complement of fix(g) n W inside fix(g):
-    otherwise the residual's fixed space comes out too small and the two
-    stages overshoot the minimum length.  U is that complement padded
-    with standard basis vectors.
-    """
-    n, field = g.n, g.field
+    """A minimum-length factorization of g whose factors all stabilize W:
+    the first one the search finds over the reflections that stabilize W,
+    which with g lie in W's stabilizer subgroup."""
     if w.is_zero or w.is_full:
         raise ValueError("W must be a nontrivial proper subspace")
     if not stabilizes(g, w):
         raise ValueError("g does not stabilize W")
-    r = w.dim
-    fix_rows = _greedy_extend(field, list(w.basis), fixed_space(g).basis)
-    std = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    pad_rows = _greedy_extend(field, list(w.basis) + fix_rows, std)
-    basis_cols = [list(row) for row in w.basis] + fix_rows + pad_rows
-    p = Matrix(field, n, [basis_cols[j][i] for i in range(n) for j in range(n)])
-    pinv = p.inverse()
-
-    # restriction of g to W in the RREF-basis coordinates
-    cols = [w.coordinates(g.apply(row)) for row in w.basis]
-    g_w = Matrix(field, r, [cols[j][i] for i in range(r) for j in range(r)])
-
-    head = []
-    for tau in minimal_factorization(g_w).factors:
-        t = p @ _extend_by_identity(field, tau, n) @ pinv
-        head.append(t)
-
-    residual = g
-    for t in head:
-        residual = t.inverse() @ residual
-    # the residual fixes W pointwise; by the fixed-space additivity this
-    # makes the two factorization stages sum to the minimum total length
-    res_fix = fixed_space(residual)
-    if not all(res_fix.contains(row) for row in w.basis):
-        raise AssertionError("residual does not fix the subspace pointwise")
-    if res_fix.dim != fixed_space(g).dim + len(head):
-        raise AssertionError("fixed-space dimensions of the two stages do not add up")
-
-    tail = minimal_factorization(residual).factors
-    factors = tuple(head) + tail
-    result = FactorizationList(factors, g)
-    if len(result) != reflection_length(g):
-        raise AssertionError("stabilizing factorization is not minimal")
-    if not all(stabilizes(t, w) for t in factors):
-        raise AssertionError("a factor does not stabilize the subspace")
+    if g.det() == 0:
+        raise ValueError("only invertible elements factor into reflections")
+    result = next(_search(g, functools.partial(_stabilizing_reflections, w)), None)
+    if result is None:
+        raise AssertionError("no minimal factorization stabilizes the subspace")
     return result
 
 
@@ -271,14 +226,22 @@ def det_subgroup(field: FieldSpec, generator: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _reflections_with_dets_in(n: int, field: FieldSpec, x: frozenset[int]
+                              ) -> tuple[Matrix, ...]:
+    """The reflections of GL_n(F_q) with determinant in X, in
+    enumerate_reflections order."""
+    return tuple(t for t in enumerate_reflections(n, field) if t.det() in x)
+
+
 def factorizations_in_det_subgroup(g: Matrix, generator: int) -> list[FactorizationList]:
     """All minimal factorizations of g whose factors' determinants lie in
     the subgroup X generated by the given unit; g must be irreducible with
-    det(g) in X."""
+    det(g) in X.  The search runs over the reflections with determinant in
+    X, which with g lie in the subgroup of elements with determinant in X."""
     x = det_subgroup(g.field, generator)
     if g.det() not in x:
         raise ValueError("det(g) must lie in the determinant subgroup")
     if not is_irreducible_element(g):
         raise ValueError("the determinant-restricted count applies to irreducible g")
-    return [fl for fl in enumerate_minimal_factorizations(g)
-            if all(d in x for d in fl.dets())]
+    return list(_search(g, functools.partial(_reflections_with_dets_in, g.n, g.field, x)))

@@ -1,9 +1,8 @@
 """Singer cycles and irreducible elements of GL_n(F_q).
 
-Implements the multiplication-matrix embedding of F_{q^n}^x into GL_n(F_q),
-independently computable characterizations of irreducible elements and
-Singer cycles, and the explicit reflections normalizing a Singer cycle's
-cyclic subgroup when n = 2.
+Implements independently computable characterizations of irreducible
+elements and Singer cycles, and the explicit reflections normalizing a
+Singer cycle's cyclic subgroup when n = 2.
 
 Extension-field eigenvalue computations work in the residue field
 F_q[x]/(f) for f the characteristic polynomial, so no fixed model of
@@ -21,51 +20,6 @@ from .matrix import (Matrix, char_poly, enumerate_gl, fixed_space, invariant_sub
                      matrix_order)
 from .poly import (FieldExtension, Poly, companion, enumerate_monic,
                    find_primitive_poly, is_irreducible, is_primitive_poly)
-
-
-class EmbeddingBasis:
-    """An ordered F_q-basis of the residue-field model of F_{q^n}."""
-
-    def __init__(self, ext: FieldExtension, basis):
-        self.ext = ext
-        self.basis = tuple(ext.reduce(b) for b in basis)
-        n = ext.degree
-        if len(self.basis) != n:
-            raise ValueError(f"expected {n} basis elements")
-        cols = [self._coeff_vector(b) for b in self.basis]
-        coord = Matrix(ext.ground, n,
-                       [cols[j][i] for i in range(n) for j in range(n)])
-        if coord.det() == 0:
-            raise ValueError("basis elements are linearly dependent over F_q")
-        self.coord_matrix = coord
-        self.coord_inverse = coord.inverse()
-
-    @classmethod
-    def power_basis(cls, ext: FieldExtension) -> "EmbeddingBasis":
-        """(1, z, ..., z^{n-1}) for z the residue class of x."""
-        return cls(ext, [ext.pow(ext.x, i) for i in range(ext.degree)])
-
-    def _coeff_vector(self, b: Poly) -> tuple[int, ...]:
-        return tuple(b[i] for i in range(self.ext.degree))
-
-    def __repr__(self):
-        return f"EmbeddingBasis({self.ext!r}, {list(self.basis)})"
-
-
-def embed(alpha: Poly, basis: EmbeddingBasis) -> Matrix:
-    """Matrix of multiplication by alpha on F_{q^n} in the given basis.
-
-    The map is an injective group homomorphism from F_{q^n}^x into
-    GL_n(F_q); alpha must be nonzero.
-    """
-    ext = basis.ext
-    alpha = ext.reduce(alpha)
-    if alpha.is_zero:
-        raise ZeroDivisionError("multiplication by zero is not invertible")
-    n = ext.degree
-    cols = [basis._coeff_vector(ext.mul(alpha, b)) for b in basis.basis]
-    images = Matrix(ext.ground, n, [cols[j][i] for i in range(n) for j in range(n)])
-    return basis.coord_inverse @ images
 
 
 def is_irreducible_element(g: Matrix) -> bool:

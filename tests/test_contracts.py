@@ -29,6 +29,24 @@ def test_package_reads_no_environment_variables():
     assert not found, found
 
 
+def test_package_imports_are_used():
+    # a name imported and never read is left over from deleted code
+    found = []
+    for path in sorted(Path(singerlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # the package namespace re-exports
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            found.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                         if (alias.asname or alias.name).split(".")[0] not in used)
+    assert not found, found
+
+
 def _relative_imports(node):
     """The package modules a relative import statement names, or []."""
     if not isinstance(node, ast.ImportFrom) or node.level != 1:

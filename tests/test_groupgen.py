@@ -407,8 +407,8 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
         monkeypatch.setattr(module, "fixed_space", recorded)
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
-    assert info.misses == len(set(seen)) == 50
-    assert info.hits == len(seen) - info.misses == 1928
+    assert info.misses == len(set(seen)) == 48
+    assert info.hits == len(seen) - info.misses == 1598
 
 
 def test_verify_main1_classes_mode_agrees(f3):

@@ -158,6 +158,15 @@ def test_stabilizes(f3, f5):
     assert not any(stabilizes(singer, line) for line in lines)
 
 
+def test_stabilizes_rejects_a_subspace_over_another_field(f3, f5):
+    # (1,0;3,1) maps (1,0) to (1,3): off the line over F_5, while F_3
+    # arithmetic reduces 3 to 0 and would put it on the line
+    a = Matrix.from_text(f5, "1,0;3,1")
+    assert not stabilizes(a, Subspace.from_vectors(f5, 2, [(1, 0)]))
+    with pytest.raises(ValueError, match="field"):
+        stabilizes(a, Subspace.from_vectors(f3, 2, [(1, 0)]))
+
+
 def test_subspace_canonical_under_row_ops(f5):
     rng = random.Random(41)
     for _ in range(40):

@@ -7,9 +7,9 @@ import pytest
 from singerlab import (BudgetExceededError, Matrix, Subspace, companion,
                        enumerate_gl, enumerate_minimal_factorizations,
                        enumerate_reflections, factorizations_in_det_subgroup,
-                       find_primitive_poly, fixed_space, is_reflection,
-                       make_field, minimal_factorization, reflection_length,
-                       stabilizing_factorization)
+                       find_primitive_poly, fixed_space, is_irreducible_element,
+                       is_reflection, make_field, minimal_factorization,
+                       reflection_length, stabilizing_factorization)
 from singerlab import matrix, reflect
 from singerlab.groupgen import reflection_distances
 from singerlab.matrix import common_fixed_space, enumerate_subspaces, stabilizes
@@ -118,6 +118,12 @@ def test_factorization_list_validates(f5):
 def test_enumerate_identity_gives_empty(f3):
     fls = list(enumerate_minimal_factorizations(Matrix.identity(f3, 2)))
     assert len(fls) == 1 and fls[0].factors == ()
+    # 11^8 > ENUMERATION_BUDGET refuses GL_4(F_11)'s reflections, which the
+    # identity's empty factorization never needs
+    big = Matrix.identity(make_field(11), 4)
+    assert [fl.factors for fl in enumerate_minimal_factorizations(big)] == [()]
+    w = Subspace.from_vectors(big.field, 4, [(1, 0, 0, 0)])
+    assert stabilizing_factorization(big, w).factors == ()
 
 
 def test_singer_factorizations_gl2f2(f2):
@@ -169,7 +175,7 @@ def test_stabilizing_factorization_diagonal(f5):
 
 
 def test_stabilizing_factorization_reflection_regression(f3):
-    # fix(g) not inside W: U must absorb it or the construction overshoots
+    # a reflection whose fixed line is not W
     g = Matrix.from_text(f3, "2,1;0,1")
     w = Subspace.from_vectors(f3, 2, [(1, 0)])
     fl = stabilizing_factorization(g, w)
@@ -202,13 +208,55 @@ def test_stabilizing_factorization_random_reducible(f2):
         checked += 1
 
 
-def test_stabilizing_factorization_rejects(f5):
+def test_stabilizing_factorization_rejects(f3, f5):
     g = Matrix.from_text(f5, "0,1;1,3")  # irreducible
     w = Subspace.from_vectors(f5, 2, [(1, 0)])
     with pytest.raises(ValueError):
         stabilizing_factorization(g, w)
     with pytest.raises(ValueError):
         stabilizing_factorization(g, Subspace.full(f5, 2))
+    # the same line over F_3 is stabilized by its F_3 reading, not over F_5
+    with pytest.raises(ValueError, match="field"):
+        stabilizing_factorization(Matrix.from_text(f5, "1,0;3,1"),
+                                  Subspace.from_vectors(f3, 2, [(1, 0)]))
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
+def test_stabilizing_factorization_is_first_stabilizing_entry(n, p, k):
+    # oracle: the first entry of the unrestricted enumeration whose factors
+    # all stabilize W, for every reducible g and every W that g stabilizes
+    field = make_field(p, k)
+    subspaces = [w for d in range(1, n) for w in enumerate_subspaces(n, field, d)]
+    checked = 0
+    for g in enumerate_gl(n, field):
+        stabilized = [w for w in subspaces if stabilizes(g, w)]
+        for w in stabilized:
+            expected = next(fl for fl in enumerate_minimal_factorizations(g)
+                            if all(stabilizes(t, w) for t in fl.factors))
+            assert stabilizing_factorization(g, w) == expected
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
+def test_det_restricted_search_matches_eager_filter(n, p, k):
+    # oracle: every minimal factorization, filtered by its factors' determinants
+    field = make_field(p, k)
+    primitive = next(u for u in range(1, field.q)
+                     if len(det_subgroup(field, u)) == field.q - 1)
+    pruned = 0
+    for g in enumerate_gl(n, field):
+        if not is_irreducible_element(g):
+            continue
+        every = list(enumerate_minimal_factorizations(g))
+        for generator in (g.det(), primitive):
+            x = det_subgroup(field, generator)
+            eager = [fl for fl in every if all(d in x for d in fl.dets())]
+            restricted = factorizations_in_det_subgroup(g, generator)
+            assert restricted == eager
+            pruned += len(restricted) < len(every)
+    # GL_3(F_2) has only the unit 1, so no proper X prunes anything there
+    assert pruned > 0 or field.q == 2
 
 
 def test_det_subgroup(f5):

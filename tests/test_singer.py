@@ -13,25 +13,48 @@ from singerlab import (Matrix, Poly, companion, enumerate_gl,
 from singerlab.ff import element_order
 from singerlab.matrix import invariant_subspace, stabilizes
 from singerlab.poly import FieldExtension
-from singerlab.singer import (EmbeddingBasis, embed, irreducible_conditions,
-                              max_irreducible_order, singer_equivalence_report)
+from singerlab.singer import (irreducible_conditions, max_irreducible_order,
+                              singer_equivalence_report)
 
 
 def make_ext(field, n):
     return FieldExtension(find_primitive_poly(n, field), check=False)
 
 
-def test_embed_identity_is_identity(f3):
-    ext = make_ext(f3, 2)
-    basis = EmbeddingBasis.power_basis(ext)
-    assert embed(ext.one, basis).is_identity
+def coordinates(ext, a):
+    """a in the power basis (1, z, ..., z^{n-1}) of F_q[x]/(f), z the class of x."""
+    return tuple(a[i] for i in range(ext.degree))
+
+
+def power_images(ext):
+    """z^j -> C^j for 0 <= j < q^n - 1, with C the companion matrix of the
+    primitive modulus f: every unit, since z is primitive, with its matrix
+    of multiplication in the power basis."""
+    c = companion(ext.modulus)
+    images = {}
+    a, m = ext.one, Matrix.identity(c.field, c.n)
+    for _ in range(ext.order - 1):
+        images[a] = m
+        a, m = ext.mul(a, ext.x), m @ c
+    return images
+
+
+def test_embed_identity_is_identity(f2, f3, f4):
+    # z^(q^n - 1) = 1 and C^(q^n - 1) = I, so z^j -> C^j is well defined
+    for field, n in [(f3, 2), (f2, 3), (f4, 2)]:
+        ext = make_ext(field, n)
+        c = companion(ext.modulus)
+        assert (c ** (ext.order - 1)).is_identity
+        assert ext.pow(ext.x, ext.order - 1) == ext.one
 
 
 def test_embed_power_basis_gives_companion(f2, f3, f4):
+    # in the power basis, multiplication by z^j is C^j
     for field, n in [(f3, 2), (f2, 3), (f4, 2)]:
         ext = make_ext(field, n)
-        basis = EmbeddingBasis.power_basis(ext)
-        assert embed(ext.x, basis) == companion(ext.modulus)
+        for zj, m in power_images(ext).items():
+            for a in ext.elements():
+                assert m.apply(coordinates(ext, a)) == coordinates(ext, ext.mul(zj, a))
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 2), (2, 1, 2), (2, 1, 3), (2, 2, 2),
@@ -39,12 +62,12 @@ def test_embed_power_basis_gives_companion(f2, f3, f4):
 def test_embed_is_homomorphism_exhaustive(p, k, n):
     # every extension with q^n <= 81, over both prime and composite grounds
     ext = make_ext(make_field(p, k), n)
-    basis = EmbeddingBasis.power_basis(ext)
+    images = power_images(ext)
     units = [a for a in ext.elements() if not a.is_zero]
-    images = {a: embed(a, basis) for a in units}
+    assert set(images) == set(units)
     for a in units:
         for b in units:
-            assert images[a] @ images[b] == embed(ext.mul(a, b), basis)
+            assert images[a] @ images[b] == images[ext.mul(a, b)]
     # injectivity
     assert len(set(images.values())) == len(units)
 
@@ -57,11 +80,7 @@ def test_embed_char_poly_is_minimal_poly_power(f2, f3):
 
     for field, n in [(f3, 2), (f2, 3)]:
         ext = make_ext(field, n)
-        basis = EmbeddingBasis.power_basis(ext)
-        for a in ext.elements():
-            if a.is_zero:
-                continue
-            m = embed(a, basis)
+        for a, m in power_images(ext).items():
             mp = ext.minimal_poly(a)
             expected = mp
             for _ in range(n // mp.degree - 1):
@@ -69,31 +88,6 @@ def test_embed_char_poly_is_minimal_poly_power(f2, f3):
             assert char_poly(m) == expected
             assert is_irreducible_element(m) == (mp.degree == n)
             assert is_singer(m) == ext.is_primitive(a)
-
-
-def test_embed_nonstandard_basis(f3):
-    ext = make_ext(f3, 2)
-    z = ext.x
-    basis = EmbeddingBasis(ext, [z, ext.one + z])
-    a = ext.mul(z, z)
-    m = embed(a, basis)
-    # matrix columns express a*b_j in the chosen basis
-    for j, b in enumerate(basis.basis):
-        prod = ext.mul(a, b)
-        coords = tuple(m[i, j] for i in range(2))
-        rebuilt = ext.zero
-        for coord, bb in zip(coords, basis.basis):
-            rebuilt = ext.reduce(rebuilt + bb.scale(coord))
-        assert rebuilt == prod
-
-
-def test_embed_rejects_zero_and_bad_basis(f3):
-    ext = make_ext(f3, 2)
-    basis = EmbeddingBasis.power_basis(ext)
-    with pytest.raises(ZeroDivisionError):
-        embed(ext.zero, basis)
-    with pytest.raises(ValueError):
-        EmbeddingBasis(ext, [ext.one, ext.one.scale(2)])
 
 
 def test_irreducible_element_examples(f3, f5):
