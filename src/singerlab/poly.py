@@ -10,15 +10,32 @@ product kernel (_mul) and one long-division kernel (_reduce, which reads
 the divisor as its reduction rule, _tail): Poly arithmetic, powmod and
 FieldExtension.mul build a Poly only for their result, and only the Poly
 constructor validates coefficients.
+
+The Rabin and primitivity verdicts are pure functions of the polynomial, so
+each is memoized by the Poly itself in a bounded LRU: a sweep over
+GL_n(F_q) runs them once per distinct characteristic polynomial, not once
+per element.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterator
 
 from .ff import FieldSpec, _multiplicative_order, element_order, factorize
+
+# Verdicts held by each polynomial memo (is_irreducible, is_primitive_poly and
+# singer._eigenvalues_primitive).  A sweep over GL_n(F_q) meets at most
+# q^(n-1)(q - 1) characteristic polynomials with c_0 != 0: 56 on GL_2(F_8) and
+# 448 on GL_3(F_8).  2^12 holds them all on GL_2(F_q) up to q = 64 and on
+# GL_3(F_q) up to q = 16 (GL_2(F_64) alone has 1.6*10^7 elements); a larger
+# sweep only evicts the oldest verdicts, and every verdict stays correct.  An
+# entry, its Poly key included, takes about 300 bytes (tracemalloc), so the
+# three full memos hold under 4 MB.  Keys are Polys, which hash and compare by
+# (field, coeffs), so two models of one F_q never share an entry.
+_POLY_VERDICT_CACHE_SIZE = 2**12
 
 
 class Poly:
@@ -279,6 +296,7 @@ def invmod(f: Poly, m: Poly) -> Poly:
     return s0.scale(fld.inv(r0.leading)) % m
 
 
+@functools.lru_cache(maxsize=_POLY_VERDICT_CACHE_SIZE)
 def is_irreducible(f: Poly) -> bool:
     """Rabin's irreducibility test over F_q.
 
@@ -298,6 +316,7 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=_POLY_VERDICT_CACHE_SIZE)
 def is_primitive_poly(f: Poly) -> bool:
     """True iff f is irreducible and the class of x generates (F_q[x]/(f))^x."""
     if not f.is_monic:

@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib.util
+import inspect
 from pathlib import Path
 
 import singerlab
@@ -45,6 +46,41 @@ def test_package_imports_are_used():
             found.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                          if (alias.asname or alias.name).split(".")[0] not in used)
     assert not found, found
+
+
+def _package_memos():
+    """Every lru_cache-wrapped function defined in the package, by name."""
+    memos = {}
+    for path in sorted(Path(singerlab.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"singerlab.{path.stem}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_parameters", None)):
+                memos[f"{value.__module__}.{value.__qualname__}"] = value
+    return memos
+
+
+# the annotations of group parameters: sizes, the field, a unit subgroup of
+# F_q^x and a field modulus; there are finitely many of each per group
+_GROUP_PARAMETERS = {"int", "FieldSpec", "frozenset[int]", "tuple[int, ...] | None"}
+
+
+def test_unbounded_memos_take_only_group_parameters():
+    # a memo keyed by a Poly, Matrix, Subspace or entries tuple grows with a
+    # sweep, so it must have a finite maxsize; only memos keyed by group
+    # parameters may be unbounded
+    memos = _package_memos()
+    unbounded = {name: memo for name, memo in memos.items()
+                 if memo.cache_parameters()["maxsize"] is None}
+    found = [f"{name}({param.name}: {param.annotation})"
+             for name, memo in unbounded.items()
+             for param in inspect.signature(memo).parameters.values()
+             if param.annotation not in _GROUP_PARAMETERS]
+    assert not found, found
+    bounded = {name.rsplit(".", 1)[1] for name in memos.keys() - unbounded.keys()}
+    assert {"_fixed_space_of_entries", "_stabilizing_reflections", "_permutation",
+            "is_irreducible", "is_primitive_poly", "_eigenvalues_primitive"} <= bounded
 
 
 def _relative_imports(node):

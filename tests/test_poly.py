@@ -94,6 +94,62 @@ def test_primitive_implies_irreducible(f3, f5):
                 assert is_irreducible(f)
 
 
+def test_verdicts_still_raise_on_every_call(f3):
+    # the memos cache verdicts, not errors
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_irreducible(Poly.one(f3))
+        with pytest.raises(ValueError):
+            is_primitive_poly(Poly.from_text(f3, "1,2"))
+
+
+def _has_root(f):
+    field = f.field
+    for a in range(field.q):
+        value = 0
+        for c in reversed(f.coeffs):
+            value = field.add(field.mul(value, a), c)
+        if value == 0:
+            return True
+    return False
+
+
+def _order_of_x(f):
+    """The multiplicative order of x modulo an irreducible f, by repeated
+    multiplication."""
+    ext = FieldExtension(f, check=False)
+    power, order = ext.x, 1
+    while power != ext.one:
+        power, order = ext.mul(power, ext.x), order + 1
+    return order
+
+
+def test_verdict_memos_are_keyed_by_the_field_model():
+    # the two models of F_8 disagree on many verdicts for equal coefficient
+    # tuples; each model is evaluated right after the other, through the
+    # shared memos, and checked against a root test and the order of x
+    models = [make_field(2, 3, (1, 0, 1, 1)), make_field(2, 3, (1, 1, 0, 1))]
+    is_irreducible.cache_clear()
+    is_primitive_poly.cache_clear()
+    disagreements = {}
+    for n in (2, 3):
+        irreducible_differ = primitive_differ = 0
+        for rest in itertools.product(range(8), repeat=n):
+            verdicts = []
+            for field in models:
+                f = Poly(field, rest + (1,))
+                irreducible = not _has_root(f)  # degree <= 3
+                primitive = irreducible and _order_of_x(f) == 8**n - 1
+                assert is_irreducible(f) == irreducible, (field, f)
+                assert is_primitive_poly(f) == primitive, (field, f)
+                verdicts.append((irreducible, primitive))
+            (irr_a, prim_a), (irr_b, prim_b) = verdicts
+            irreducible_differ += irr_a != irr_b
+            primitive_differ += prim_a != prim_b
+        disagreements[n] = (irreducible_differ, primitive_differ)
+    assert disagreements == {2: (24, 20), 3: (188, 160)}
+
+
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 5, 1), (3, 2, 1), (4, 2, 1), (2, 2, 2)])
 def test_primitive_poly_count(n, p, k):
     field = make_field(p, k)

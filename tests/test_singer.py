@@ -5,7 +5,7 @@ import pytest
 
 import singerlab.poly
 import singerlab.singer
-from singerlab import (Matrix, Poly, companion, enumerate_gl,
+from singerlab import (Matrix, Poly, char_poly, companion, enumerate_gl,
                        find_primitive_poly, is_irreducible_element,
                        is_irreducible_oracle, is_reflection, is_singer,
                        make_field, normalizer_reflection,
@@ -76,8 +76,6 @@ def test_embed_char_poly_is_minimal_poly_power(f2, f3):
     # char poly of the multiplication matrix = minpoly^(n / deg minpoly);
     # in particular field generators embed with irreducible char poly and
     # primitive elements embed as Singer cycles
-    from singerlab import char_poly
-
     for field, n in [(f3, 2), (f2, 3)]:
         ext = make_ext(field, n)
         for a, m in power_images(ext).items():
@@ -138,15 +136,20 @@ def test_six_conditions_agree_gl2f3(f3):
     assert report["singer_cycles"] == 12
 
 
+_POLY_MEMOS = (singerlab.poly.is_irreducible, singerlab.poly.is_primitive_poly,
+               singerlab.singer._eigenvalues_primitive)
+
+
 def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
     # one characteristic polynomial and one subspace scan per element of
-    # GL_2(F_4); the Rabin and primitivity tests still run as often as the
-    # six plus three independent characterizations need them
+    # GL_2(F_4); the Rabin, primitivity and eigenvalue tests run once per
+    # distinct characteristic polynomial, and a second report runs none
     singer_equivalence_report(2, f4)  # fills the cached minimal-polynomial sets
+    for memo in _POLY_MEMOS:
+        memo.cache_clear()
     calls = Counter()
     for module, name in ((singerlab.singer, "char_poly"),
                          (singerlab.singer, "invariant_subspace"),
-                         (singerlab.singer, "is_primitive_poly"),
                          (singerlab.poly, "powmod")):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -154,8 +157,27 @@ def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
         monkeypatch.setattr(module, name, counted)
     report = singer_equivalence_report(2, f4)
     assert report["checked"] == 180 and report["violations"] == []
-    assert calls == {"char_poly": 180, "invariant_subspace": 180,
-                     "is_primitive_poly": 360, "powmod": 2016}
+    assert calls["char_poly"] == 180 and calls["invariant_subspace"] == 180
+    distinct = len({char_poly(g) for g in enumerate_gl(2, f4)})
+    assert [memo.cache_info().misses for memo in _POLY_MEMOS] == [distinct] * 3
+    calls.clear()
+    assert singer_equivalence_report(2, f4) == report
+    assert calls["powmod"] == 0
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
+def test_equivalence_report_matches_unmemoized(monkeypatch, n, p, k):
+    # the memos change no verdict: clearing them before every element, so
+    # each element's polynomial tests run afresh, gives the same report
+    field = make_field(p, k)
+    memoized = singer_equivalence_report(n, field)
+
+    def char_poly_afresh(g, _fn=singerlab.singer.char_poly):
+        for memo in _POLY_MEMOS:
+            memo.cache_clear()
+        return _fn(g)
+    monkeypatch.setattr(singerlab.singer, "char_poly", char_poly_afresh)
+    assert singer_equivalence_report(n, field) == memoized
 
 
 def test_max_irreducible_order(f2, f3):
