@@ -181,13 +181,9 @@ def cmd_factorize(args) -> int:
         factorizations = list(enumerate_minimal_factorizations(g))
     else:
         factorizations = [minimal_factorization(g)]
-    cache = groupgen._GenerationCache()
-    full_is_trivial = groupgen.gl_order(g.n, field.q) == 1
-    entries = []
-    for fl in factorizations:
-        generates = cache.generates(fl.factors) if fl.factors else full_is_trivial
-        entries.append({**fl.serialize(), "dets": list(fl.dets()),
-                        "generates": generates})
+    cache = groupgen._GenerationCache(g.n, field.q)
+    entries = [{**fl.serialize(), "dets": list(fl.dets()),
+                "generates": cache.generates(fl.factors)} for fl in factorizations]
     report = {
         "schema": SCHEMA_VERSION,
         "matrix": g.to_text(),

@@ -116,22 +116,23 @@ class FieldSpec:
     field tag, so the caller keeps each encoding with its field.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_modulus_poly", "_exp", "_log", "_add",
-                 "_neg", "_key")
+    __slots__ = ("p", "k", "q", "modulus", "_modulus_poly", "_tail", "_exp", "_log",
+                 "_add", "_neg", "_key")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        self._modulus_poly = None
+        self._modulus_poly = self._tail = None
         if k == 1:
             if modulus is None:
                 modulus = (0, 1)
             if tuple(modulus) != (0, 1):
                 raise ValueError("prime fields use the identity polynomial x as modulus")
         else:
-            from .poly import Poly, enumerate_monic, is_irreducible  # deferred: poly builds on ff
+            from .poly import (Poly, _tail, enumerate_monic,  # deferred: poly builds on ff
+                               is_irreducible)
 
             prime = make_field(p)
             if modulus is None:
@@ -148,6 +149,7 @@ class FieldSpec:
                 if not is_irreducible(self._modulus_poly):
                     raise ValueError("modulus is reducible over the prime field")
             modulus = self._modulus_poly.coeffs
+            self._tail = _tail(modulus, prime)  # the untabled mul's reduction rule
         self.p = p
         self.k = k
         self.q = p**k
@@ -233,11 +235,11 @@ class FieldSpec:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        from .poly import _mul, _reduce, _tail  # deferred: poly builds on ff
+        from .poly import _mul, _reduce  # deferred: poly builds on ff
 
-        m = self._modulus_poly
-        prod = _mul(self.decode(a), self.decode(b), m.field)
-        _reduce(prod, _tail(m.coeffs, m.field), m.field)
+        prime = self._modulus_poly.field
+        prod = _mul(self.decode(a), self.decode(b), prime)
+        _reduce(prod, self._tail, prime)
         return self.encode(prod)
 
     def inv(self, a: int) -> int:

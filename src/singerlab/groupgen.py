@@ -14,7 +14,8 @@ reads each element's Cayley-graph distance over all reflections off its
 layer.  Closures, like every enumeration, honour the one budget
 matrix.ENUMERATION_BUDGET, checked from closed-form sizes before any work
 starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
-order or element set exceeds it either.  verify_main1, verify_main2,
+order or element set exceeds it either.  A generation cache serves one
+group and holds the empty factor set's verdict.  verify_main1, verify_main2,
 verify_gill and verify_length_oracle sweep a full desk-scale instance
 and report violations; they are pure per element or pair, so reports
 are deterministic.  verify_main2 runs one closure per orbit of <c> on
@@ -34,11 +35,10 @@ import random
 import time
 from typing import Sequence
 
-from .errors import BudgetExceededError
 from .ff import FieldSpec, factorize
-from .matrix import (ENUMERATION_BUDGET, Matrix, enumerate_gl, fixed_space, gl_order,
+from .matrix import (Matrix, _check_budget, enumerate_gl, fixed_space, gl_order,
                      invariant_subspace, mul_entries)
-from .poly import companion, enumerate_monic, is_primitive_poly
+from .poly import Poly, companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
                       factorizations_in_det_subgroup, reflection_count,
@@ -84,6 +84,7 @@ def _linear_permutation(columns: Sequence[Sequence[int]], field: FieldSpec) -> t
     at a time, and the image index is read off in base q; over a prime
     field the sums stay unreduced integers until that last step."""
     q = field.q
+    # the prime-field fork pays: the generation sweeps build one table per closure
     fmul, fadd = (operator.mul, operator.add) if field.k == 1 else (field.mul, field.add)
     images = [0] * q ** len(columns)
     for i in range(len(columns)):
@@ -300,9 +301,7 @@ def _basis_indices(n: int, q: int) -> tuple[int, ...]:
 def _closure_budget(n: int, q: int) -> int:
     """|GL_n(F_q)|, or BudgetExceededError when it exceeds ENUMERATION_BUDGET."""
     full = gl_order(n, q)
-    if full > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"closure in GL_{n}(F_{q}), of order {full}, "
-                                  f"exceeds the budget of {ENUMERATION_BUDGET}")
+    _check_budget(f"a closure in GL_{n}(F_{q})", full, "elements")
     return full
 
 
@@ -365,20 +364,19 @@ def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
     The walk forms |GL_n(F_q)| * reflection_count products, which must stay
     within ENUMERATION_BUDGET."""
     q = field.q
-    products = gl_order(n, q) * reflection_count(n, q)
-    if products > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"length oracle on GL_{n}(F_{q}) needs {products} "
-                                  f"products, over the budget of {ENUMERATION_BUDGET}")
+    _check_budget(f"length oracle on GL_{n}(F_{q})", gl_order(n, q) * reflection_count(n, q),
+                  "products")
     perms = [_permutation(t) for t in enumerate_reflections(n, field)]
     layers = _layers(perms, _basis_indices(n, q))
     return {g: d for d, layer in enumerate(layers) for g in _matrices(layer, field, n)}
 
 
 class _GenerationCache:
-    """Memoizes generates_full verdicts on unordered factor sets."""
+    """Memoizes generates_full verdicts on unordered factor sets in GL_n(F_q).
+    It starts with the empty set's, the trivial group: all of GL_1(F_2), proper elsewhere."""
 
-    def __init__(self):
-        self._verdicts: dict[frozenset, bool] = {}
+    def __init__(self, n: int, q: int):
+        self._verdicts: dict[frozenset, bool] = {frozenset(): gl_order(n, q) == 1}
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
         key = frozenset(f.entries for f in factors)
@@ -396,17 +394,13 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
     not all; not_weak: none.  The empty factorization of the identity
     generates the trivial subgroup.
     """
-    cache = cache or _GenerationCache()
-    full_is_trivial = gl_order(g.n, g.field.q) == 1
+    cache = cache or _GenerationCache(g.n, g.field.q)
     any_gen = False
     all_gen = True
     seen_any = False
     for fl in enumerate_minimal_factorizations(g):
         seen_any = True
-        if fl.factors:
-            verdict = cache.generates(fl.factors)
-        else:
-            verdict = full_is_trivial
+        verdict = cache.generates(fl.factors)
         any_gen = any_gen or verdict
         all_gen = all_gen and verdict
         if any_gen and not all_gen:
@@ -447,14 +441,14 @@ def _witness_for_non_singer(g: Matrix, cache: _GenerationCache) -> tuple[str, Fa
     """
     if not is_irreducible_element(g):
         fl = stabilizing_factorization(g, invariant_subspace(g))
-        if fl.factors and cache.generates(fl.factors):
+        if cache.generates(fl.factors):
             raise AssertionError("stabilizing factorization generated the full group")
         return "reducible", fl
     d = g.det()
     proper = len(det_subgroup(g.field, d)) < g.field.q - 1
     kind = "irreducible_proper_det" if proper else "irreducible_full_det"
     for fl in factorizations_in_det_subgroup(g, d):
-        if not fl.factors or not cache.generates(fl.factors):
+        if not cache.generates(fl.factors):
             return kind, fl
     raise AssertionError("no non-generating factorization found for a non-Singer element")
 
@@ -469,7 +463,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     """
     start = time.monotonic()
     q = field.q
-    cache = _GenerationCache()
+    cache = _GenerationCache(n, q)
     if classes:
         todo = [(rep, size) for rep, size in conjugacy_classes(n, field)]
     else:
@@ -520,11 +514,15 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     }
 
 
+def _primitive_polys(n: int, field: FieldSpec) -> list[Poly]:
+    """The primitive monic polynomials of degree n, in enumerate_monic order."""
+    return [f for f in enumerate_monic(n, field, nonzero_constant=True) if is_primitive_poly(f)]
+
+
 def singer_class_representatives(n: int, field: FieldSpec) -> list[Matrix]:
     """One Singer cycle per conjugacy class: the companion matrices of the
     primitive degree-n polynomials."""
-    return [companion(f) for f in enumerate_monic(n, field, nonzero_constant=True)
-            if is_primitive_poly(f)]
+    return [companion(f) for f in _primitive_polys(n, field)]
 
 
 def singer_class_count(n: int, q: int) -> int:
@@ -593,10 +591,8 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     classes = singer_class_count(n, q)
     singer_cycle_count = classes * (_closure_budget(n, q) // (q**n - 1))
     swept = singer_cycle_count if full else classes
-    if swept * reflection_count(n, q) > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections "
-            f"exceeds the budget of {ENUMERATION_BUDGET} pairs")
+    _check_budget(f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections",
+                  swept * reflection_count(n, q), "pairs")
     reps = singer_class_representatives(n, field)
     if len(reps) != classes:
         raise AssertionError(f"{len(reps)} primitive polynomials, expected phi(q^n - 1)/n "
@@ -672,8 +668,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     start = time.monotonic()
     q = field.q
     full = _closure_budget(n, q)
-    primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
-                  if is_primitive_poly(f)]
+    primitives = _primitive_polys(n, field)
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
     violations = []
     exceptional = []

@@ -9,11 +9,13 @@ conventionally displayed.
 Only the Matrix constructor validates entries; arithmetic results and
 enumerations build with the unchecked Matrix._raw.  A matrix computes its
 hash on first use and its inverse at most once, since both are fixed by
-its entries.  Eliminations run on flat integer rows, and a kernel costs
-one elimination: the RREF of the system with its columns reversed yields
-the kernel's canonical basis directly.  Fixed spaces are memoized by
-(field, n, entries) in a bounded LRU, so each distinct matrix costs one
-elimination however often its fixed space is asked for.
+its entries.  _rref, on flat integer rows, is the one elimination: an
+inverse, a determinant, a canonical subspace and a kernel cost one each
+(the RREF of a system with its columns reversed yields the kernel's
+canonical basis directly).  Fixed spaces are memoized by (field, n,
+entries) in a bounded LRU, so each distinct matrix costs one elimination
+however often its fixed space is asked for.  _check_budget is the one
+closed-form guard of the one budget, ENUMERATION_BUDGET.
 
 Text form: rows separated by ';', entries comma-separated encodings,
 e.g. "0,1;1,2" for [[0,1],[1,2]].
@@ -33,6 +35,15 @@ from .poly import Poly
 
 ENUMERATION_BUDGET = 10**8
 
+
+def _check_budget(what: str, size: int, unit: str) -> None:
+    """The one closed-form guard: BudgetExceededError, before any work
+    starts, when what needs more than ENUMERATION_BUDGET units."""
+    if size > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs {size} {unit}, over the budget of {ENUMERATION_BUDGET}")
+
+
 # Fixed spaces held by _fixed_space_of_entries.  2^15 holds every element of
 # GL_4(F_2) (20,160) and GL_3(F_3) (11,232), the largest groups main1 is meant
 # to sweep in full.  An entry, its key's entries tuple included, takes about
@@ -42,6 +53,7 @@ _FIXED_SPACE_CACHE_SIZE = 2**15
 
 def mul_entries(a: tuple, b: tuple, n: int, field: FieldSpec) -> tuple:
     """Row-major flat product of two n x n entry tuples."""
+    # the prime-field fork pays: this is the factorization search's kernel
     if field.k == 1:
         p = field.p
         rows = [a[i * n:(i + 1) * n] for i in range(n)]
@@ -150,10 +162,6 @@ class Matrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """A*v for a column vector given (and returned) as a coordinate tuple."""
         n, fld = self.n, self.field
-        if fld.k == 1:
-            p = fld.p
-            return tuple(sum(self.entries[i * n + j] * vec[j] for j in range(n)) % p
-                         for i in range(n))
         out = []
         for i in range(n):
             s = 0
@@ -165,24 +173,12 @@ class Matrix:
         return tuple(out)
 
     def det(self) -> int:
-        n, fld = self.n, self.field
-        rows = [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-        det = 1
-        for col in range(n):
-            piv = next((i for i in range(col, n) if rows[i][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = fld.neg(det)
-            pivot = rows[col][col]
-            det = fld.mul(det, pivot)
-            inv = fld.inv(pivot)
-            for i in range(col + 1, n):
-                f = fld.mul(rows[i][col], inv)
-                if f:
-                    rows[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(rows[i], rows[col])]
-        return det
+        """Read off the RREF: the product of the pivots it divides by,
+        negated once per row swap, or 0 when A has fewer than n pivots."""
+        n = self.n
+        _, pivots, det = _rref([list(self.entries[i * n:(i + 1) * n]) for i in range(n)],
+                               self.field)
+        return det if len(pivots) == n else 0
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [A | I]; A is singular iff that RREF
@@ -190,8 +186,8 @@ class Matrix:
         singular matrix raises on every call."""
         if self._inverse is None:
             n, fld = self.n, self.field
-            rows, pivots = _rref([list(self.entries[i * n:(i + 1) * n])
-                                  + [int(i == j) for j in range(n)] for i in range(n)], fld)
+            rows, pivots, _ = _rref([list(self.entries[i * n:(i + 1) * n])
+                                     + [int(i == j) for j in range(n)] for i in range(n)], fld)
             if pivots[-1] >= n:
                 raise ZeroDivisionError("matrix is singular")
             object.__setattr__(self, "_inverse", Matrix._raw(
@@ -224,14 +220,15 @@ def _init(m: Matrix, field: FieldSpec, n: int, entries: tuple) -> None:
 # --- reduced row echelon form and subspaces -----------------------------------
 
 
-def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
-    """In-place RREF of a list of row vectors; returns (nonzero rows, pivot columns)."""
+def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], list[int], int]:
+    """In-place RREF of a list of row vectors: (nonzero rows, pivot columns, the
+    product of the pivots divided by, negated once per row swap)."""
     if not rows:
-        return [], []
+        return [], [], 1
     nrows, ncols = len(rows), len(rows[0])
-    p = field.p if field.k == 1 else 0
     inv, mul, add, neg = field.inv, field.mul, field.add, field.neg
     pivots = []
+    det = 1
     r = 0
     for c in range(ncols):
         for piv in range(r, nrows):
@@ -239,25 +236,24 @@ def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], lis
                 break
         else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = neg(det)
         prow = rows[r]
         if prow[c] != 1:
+            det = mul(det, prow[c])
             s = inv(prow[c])
-            prow = rows[r] = ([v * s % p for v in prow] if p
-                              else [mul(s, v) for v in prow])
+            prow = rows[r] = [mul(s, v) for v in prow]
         for i in range(nrows):
             f = rows[i][c]
             if f and i != r:
-                if p:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-                else:
-                    f = neg(f)
-                    rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                f = neg(f)
+                rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows[:r], pivots
+    return rows[:r], pivots, det
 
 
 class Subspace:
@@ -283,7 +279,7 @@ class Subspace:
         rows = [list(v) for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("vector length does not match ambient dimension")
-        basis, pivots = _rref(rows, field)
+        basis, pivots, _ = _rref(rows, field)
         return cls(field, ambient_dim, basis, pivots)
 
     @classmethod
@@ -316,12 +312,6 @@ class Subspace:
                 v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, row)]
         return not any(v)
 
-    def coordinates(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a member vector in the RREF basis (pivot reads)."""
-        if not self.contains(vec):
-            raise ValueError("vector is not in the subspace")
-        return tuple(vec[p] for p in self.pivots)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim and self.basis == other.basis)
@@ -343,7 +333,7 @@ def kernel_of_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> Subsp
     reversed elimination cleared against f.  Sorted by f, these vectors are
     the kernel's canonical RREF basis, with the free columns as pivots.
     """
-    reduced, pivots = _rref([r[::-1] for r in rows], field)
+    reduced, pivots, _ = _rref([r[::-1] for r in rows], field)
     last = ncols - 1
     bound = [last - c for c in pivots]
     neg = field.neg
@@ -505,8 +495,8 @@ def enumerate_subspaces(n: int, field: FieldSpec, dim: int | None = None) -> Ite
         for pivots in itertools.combinations(range(n), r):
             free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n)
                     if j not in pivots]
-            if q ** len(free) > ENUMERATION_BUDGET:
-                raise BudgetExceededError("subspace enumeration exceeds budget")
+            _check_budget(f"subspace enumeration in F_{q}^{n} with pivots {pivots}",
+                          q ** len(free), "bases")
             for values in itertools.product(range(q), repeat=len(free)):
                 rows = [[0] * n for _ in range(r)]
                 for i, p in enumerate(pivots):
@@ -526,8 +516,7 @@ def invariant_subspace(a: Matrix) -> Subspace | None:
 def enumerate_gl(n: int, field: FieldSpec) -> Iterator[Matrix]:
     """All invertible n x n matrices over F_q, in entry-lex order."""
     q = field.q
-    if q ** (n * n) > ENUMERATION_BUDGET:
-        raise BudgetExceededError("GL enumeration exceeds budget")
+    _check_budget(f"GL_{n}(F_{q}) enumeration", q ** (n * n), "candidate matrices")
     for entries in itertools.product(range(q), repeat=n * n):
         m = Matrix._raw(field, n, entries)
         if m.det() != 0:

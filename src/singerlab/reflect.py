@@ -14,6 +14,8 @@ reflections with determinant in a subgroup X of F_q^x, or those that
 stabilize a subspace W.  The search meets the same residues again and
 again, within one element's enumeration and across elements; fixed_space's
 memo absorbs that, so each distinct residue costs one elimination.
+The search has no closed-form size, so it counts its candidates against
+the budget inline, in its hot loop.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Callable, Iterator
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec
-from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, fixed_space, mul_entries,
-                     stabilizes)
+from .matrix import (ENUMERATION_BUDGET, Matrix, Subspace, _check_budget, fixed_space,
+                     mul_entries, stabilizes)
 from .singer import is_irreducible_element
 
 
@@ -64,23 +66,6 @@ def reflection_from_params(field: FieldSpec, phi, w) -> Matrix:
     return Matrix(field, n, entries)
 
 
-def reflection_params(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Recover (phi, w) with m = I + w*phi, phi canonicalized so its first
-    nonzero entry is 1."""
-    if not is_reflection(m):
-        raise ValueError("matrix is not a reflection")
-    n, fld = m.n, m.field
-    diff = [[fld.sub(m.entries[i * n + j], 1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    row_idx = next(i for i in range(n) if any(diff[i]))
-    col_idx = next(j for j in range(n) if diff[row_idx][j])
-    scale = fld.inv(diff[row_idx][col_idx])
-    phi = tuple(fld.mul(scale, v) for v in diff[row_idx])
-    # first nonzero of phi is at col_idx with value 1; w reads off that column
-    w = tuple(diff[i][col_idx] for i in range(n))
-    return phi, w
-
-
 def reflection_count(n: int, q: int) -> int:
     """The number of reflections in GL_n(F_q): one hyperplane for each of
     the (q^n - 1)/(q - 1) functionals phi up to scale, and for each the
@@ -94,8 +79,7 @@ def enumerate_reflections(n: int, field: FieldSpec) -> tuple[Matrix, ...]:
     grouped by canonical hyperplane functional phi (see reflection_count).
     """
     q = field.q
-    if q ** (2 * n) > ENUMERATION_BUDGET:
-        raise BudgetExceededError("reflection enumeration exceeds budget")
+    _check_budget(f"GL_{n}(F_{q}) reflection enumeration", q ** (2 * n), "(phi, w) pairs")
     minus_one = field.neg(1)
     out = []
     for phi in itertools.product(range(q), repeat=n):

@@ -119,6 +119,15 @@ def test_factorize_identity(capsys):
     assert report["factorizations"][0]["factors"] == []
 
 
+@pytest.mark.parametrize("text,generates", [("1", True), ("1,0;0,1", False)])
+def test_factorize_identity_over_f2(capsys, text, generates):
+    # the empty factorization generates GL_1(F_2), but not GL_2(F_2)
+    code, report = run_json(capsys, "factorize", "--matrix", text, "--p", "2", "--all")
+    assert code == 0 and report["count"] == 1
+    assert report["factorizations"] == [{"dets": [], "factors": [], "generates": generates,
+                                         "product": text}]
+
+
 def test_field_command(capsys):
     code, report = run_json(capsys, "field", "--p", "3", "--k", "2",
                             "--poly", "2,1,1", "--n", "1")

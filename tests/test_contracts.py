@@ -125,3 +125,40 @@ def test_bench_span_targets_resolve():
         if not callable(target):
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+def _outermost_definitions():
+    """(file:definition, node) for every node of the package, where the
+    definition is the top-level function or Class.method holding the node,
+    or <module>."""
+    for path in sorted(Path(singerlab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{node.name}", node) for node in top.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs = [(top.name, top)]
+            else:
+                defs = [("<module>", top)]
+            for name, root in defs:
+                for node in ast.walk(root):
+                    yield f"{path.name}:{name}", node
+
+
+def test_prime_field_forks_only_where_they_pay():
+    # every kernel runs field arithmetic on prime and extension fields alike;
+    # outside ff, only the search's matrix product and the closures'
+    # permutation tables keep a prime-field branch
+    found = {where for where, node in _outermost_definitions()
+             if isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+             and node.left.attr == "k" and not where.startswith("ff.py:")}
+    assert found == {"matrix.py:mul_entries", "groupgen.py:_linear_permutation"}, found
+
+
+def test_budget_errors_come_from_the_one_guard():
+    # closed-form sizes go through matrix._check_budget; only the search's
+    # running candidate counter, which has no closed form, raises inline
+    found = {where for where, node in _outermost_definitions()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "BudgetExceededError"}
+    assert found == {"matrix.py:_check_budget", "reflect.py:_search"}, found

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from singerlab import Poly, element_order, factorize, is_prime, make_field
+from singerlab import Poly, element_order, factorize, is_prime, make_field, poly
 
 from conftest import run_python, trial_phi
 
@@ -94,17 +94,24 @@ def _gf2_least_irreducible(k: int) -> int:
 
 
 @pytest.mark.parametrize("k", [9, 13])
-def test_untabled_binary_fields_match_bitmask_oracle(k):
+def test_untabled_binary_fields_match_bitmask_oracle(k, monkeypatch):
     # q = 512 adds without tables; q = 8192 also multiplies without them
     field = make_field(2, k)
     q = field.q
     modulus = _gf2_least_irreducible(k)
     assert field.encode(field.modulus) == modulus  # the same little-endian bitmask
     rng = random.Random(k)
-    for _ in range(300):
-        a, b = rng.randrange(1, q), rng.randrange(q)
+    pairs = [(rng.randrange(1, q), rng.randrange(q)) for _ in range(300)]
+    # the poly kernels' product modulo the modulus, with its reduction rule
+    # computed afresh for each product
+    prime, modulus_poly = make_field(2), Poly(make_field(2), field.modulus)
+    by_kernels = [field.encode((Poly(prime, field.decode(a)) * Poly(prime, field.decode(b))
+                                % modulus_poly).coeffs) for a, b in pairs]
+    # the field computes its reduction rule once, when it is built
+    monkeypatch.setattr(poly, "_tail", None)
+    for (a, b), product in zip(pairs, by_kernels):
         assert field.add(a, b) == a ^ b
-        assert field.mul(a, b) == _gf2_mulmod(a, b, modulus)
+        assert field.mul(a, b) == _gf2_mulmod(a, b, modulus) == product
         assert field.mul(a, field.inv(a)) == 1
         assert field.pow(a, q - 1) == 1
         power, base, e = 1, a, b

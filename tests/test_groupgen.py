@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
-                       companion, enumerate_gl, enumerate_reflections,
+                       companion, enumerate_gl, enumerate_reflections, enumerate_subspaces,
                        find_primitive_poly, generates_full, gl_order,
                        group_closure, make_field, normalizer_of_cyclic,
                        normalizer_reflection, verify_gill, verify_main1,
                        verify_main2)
 from singerlab import fixed_space, groupgen, matrix, reflect, singer
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
-                                singer_class_count, singer_class_representatives)
+                                reflection_distances, singer_class_count,
+                                singer_class_representatives)
 from singerlab.matrix import mul_entries
 from singerlab.singer import normalizing_reflections
 
@@ -81,6 +82,32 @@ def test_driver_budget_guards_come_first(monkeypatch, driver, n, p, k):
     with pytest.raises(BudgetExceededError):
         driver(n, make_field(p, k))
     assert calls == []
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the work started before the budget guard")
+
+
+@pytest.mark.parametrize("guard,size,work", [
+    pytest.param(lambda: next(enumerate_gl(3, make_field(2, 3))), 8**9, (Matrix, "_raw"),
+                 id="enumerate_gl-GL3F8"),
+    pytest.param(lambda: next(enumerate_subspaces(12, make_field(2), 6)), 2**36,
+                 (matrix, "Subspace"), id="enumerate_subspaces-F2^12"),
+    pytest.param(lambda: enumerate_reflections(4, make_field(11)), 11**8,
+                 (reflect, "reflection_from_params"), id="enumerate_reflections-GL4F11"),
+    pytest.param(lambda: group_closure([companion(find_primitive_poly(3, make_field(2, 3)))]),
+                 115379712, (groupgen, "_permutation"), id="closure-GL3F8"),
+    pytest.param(lambda: reflection_distances(5, make_field(2)), 4649702400,
+                 (groupgen, "enumerate_reflections"), id="length-oracle-GL5F2"),
+    pytest.param(lambda: verify_main2(2, make_field(97)), 1344 * 912478,
+                 (groupgen, "is_primitive_poly"), id="main2-sweep-GL2F97"),
+])
+def test_closed_form_guards_name_their_size_before_work(monkeypatch, guard, size, work):
+    # each of the six closed-form guards raises before the first step of its
+    # work, and its message names the size it refused
+    monkeypatch.setattr(*work, _refuse_work)
+    with pytest.raises(BudgetExceededError, match=f"needs {size} .*over the budget of 100000000"):
+        guard()
 
 
 def test_generation_below_budget():
@@ -351,6 +378,21 @@ def test_classify_examples(f3, f5):
     assert classify_qc(companion(Poly.from_text(f3, "2,1,1"))) == STRONG
     assert classify_qc(Matrix.from_text(f5, "3,0;0,4")) == WEAK_ONLY
     assert classify_qc(Matrix.identity(f3, 2)) == NOT_WEAK
+
+
+def test_generation_cache_holds_the_empty_set_verdict(f2):
+    # the empty factor set generates the trivial group: all of GL_1(F_2),
+    # a proper subgroup of GL_2(F_2)
+    assert groupgen._GenerationCache(1, 2).generates(())
+    assert not groupgen._GenerationCache(2, 2).generates(())
+    assert classify_qc(Matrix.identity(f2, 1)) == STRONG
+    assert classify_qc(Matrix.identity(f2, 2)) == NOT_WEAK
+    one, two = verify_main1(1, f2), verify_main1(2, f2)
+    assert (one["checked"], one["singer_cycles"], one["witness_samples"]) == (1, 1, [])
+    assert (two["checked"], two["singer_cycles"], two["witnesses"]["reducible"]) == (6, 2, 4)
+    assert {"matrix": "1,0;0,1", "kind": "reducible",
+            "witness": {"factors": [], "product": "1,0;0,1"}} in two["witness_samples"]
+    assert one["violations"] == two["violations"] == []
 
 
 def test_classify_constant_on_conjugacy_classes(f3):
