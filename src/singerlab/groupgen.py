@@ -15,10 +15,15 @@ layer.  Closures, like every enumeration, honour the one budget
 matrix.ENUMERATION_BUDGET, checked from closed-form sizes before any work
 starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
 order or element set exceeds it either.  A generation cache serves one
-group and holds the empty factor set's verdict.  verify_main1, verify_main2,
-verify_gill and verify_length_oracle sweep a full desk-scale instance
-and report violations; they are pure per element or pair, so reports
-are deterministic.  verify_main2 runs one closure per orbit of <c> on
+group, holds the empty factor set's verdict and counts the closures it
+runs.  verify_main1, verify_main2, verify_gill and verify_length_oracle
+sweep a full desk-scale instance and report violations; they are pure per
+element or pair, so reports are deterministic.  verify_main1 decides
+is_singer first and proves only what the theorem asks: a Singer element
+walks its minimal factorizations until one fails to generate, and a
+non-Singer element gets only its non-generating witness, searched
+lazily; classify_qc's full classification is left to the conjugation
+spot checks.  verify_main2 runs one closure per orbit of <c> on
 the reflections by conjugation, since the verdict is constant there;
 verify_gill runs one per pair and tests whether C_g normalizes <C_f> by
 the definition, against the powers of C_f, so neither scans GL_n(F_q).
@@ -33,16 +38,15 @@ import math
 import operator
 import random
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ff import FieldSpec, factorize
 from .matrix import (Matrix, _check_budget, enumerate_gl, fixed_space, gl_order,
                      invariant_subspace, mul_entries)
 from .poly import Poly, companion, enumerate_monic, is_primitive_poly
-from .reflect import (FactorizationList, det_subgroup,
+from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
-                      factorizations_in_det_subgroup, reflection_count,
-                      reflection_length, stabilizing_factorization)
+                      reflection_count, reflection_length, stabilizing_factorization)
 from .singer import is_irreducible_element, is_singer, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
@@ -372,11 +376,13 @@ def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
 
 
 class _GenerationCache:
-    """Memoizes generates_full verdicts on unordered factor sets in GL_n(F_q).
-    It starts with the empty set's, the trivial group: all of GL_1(F_2), proper elsewhere."""
+    """Memoizes generates_full verdicts on unordered factor sets in GL_n(F_q),
+    counting the closures it runs.  It starts with the empty set's, the
+    trivial group: all of GL_1(F_2), proper elsewhere."""
 
     def __init__(self, n: int, q: int):
         self._verdicts: dict[frozenset, bool] = {frozenset(): gl_order(n, q) == 1}
+        self.closures = 0
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
         key = frozenset(f.entries for f in factors)
@@ -384,7 +390,13 @@ class _GenerationCache:
         if verdict is None:
             verdict = generates_full(list(factors))
             self._verdicts[key] = verdict
+            self.closures += 1
         return verdict
+
+    def first_non_generating(self, factorizations: Iterable[FactorizationList]
+                             ) -> FactorizationList | None:
+        """The first factorization whose factors do not generate, or None."""
+        return next((fl for fl in factorizations if not self.generates(fl.factors)), None)
 
 
 def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
@@ -430,36 +442,40 @@ def conjugacy_classes(n: int, field: FieldSpec) -> list[tuple[Matrix, int]]:
 # --- theorem-level drivers ------------------------------------------------------
 
 
-def _witness_for_non_singer(g: Matrix, cache: _GenerationCache) -> tuple[str, FactorizationList]:
-    """A non-generating minimal factorization of a non-Singer element.
+def _witness_for_non_singer(g: Matrix, cache: _GenerationCache
+                            ) -> tuple[str, FactorizationList | None]:
+    """A non-generating minimal factorization of a non-Singer element, or
+    None if the search below finds none.
 
     Reducible g: the factorization stabilizing an invariant subspace.
-    Irreducible g: a factorization whose factor determinants stay in the
-    subgroup generated by det(g); when that subgroup is the whole unit
-    group the list is unrestricted, and the non-generating entry promised
-    by the classification is located by direct search.
+    Irreducible g: the first factorization whose factor determinants stay
+    in the subgroup generated by det(g) and which does not generate, found
+    lazily; when that subgroup is the whole unit group the search is
+    unrestricted, and the non-generating entry promised by the
+    classification is located by direct search.
     """
     if not is_irreducible_element(g):
         fl = stabilizing_factorization(g, invariant_subspace(g))
-        if cache.generates(fl.factors):
-            raise AssertionError("stabilizing factorization generated the full group")
-        return "reducible", fl
-    d = g.det()
-    proper = len(det_subgroup(g.field, d)) < g.field.q - 1
-    kind = "irreducible_proper_det" if proper else "irreducible_full_det"
-    for fl in factorizations_in_det_subgroup(g, d):
-        if not cache.generates(fl.factors):
-            return kind, fl
-    raise AssertionError("no non-generating factorization found for a non-Singer element")
+        return "reducible", None if cache.generates(fl.factors) else fl
+    x = det_subgroup(g.field, g.det())
+    kind = "irreducible_proper_det" if len(x) < g.field.q - 1 else "irreducible_full_det"
+    return kind, cache.first_non_generating(_det_subgroup_search(g, x))
 
 
 def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
-    Every non-Singer element must also yield an explicit non-generating
-    witness factorization.  With classes=True only one representative per
-    conjugacy class is classified (the classification is conjugation
-    invariant); the default audits every element.
+    Each element gets the work its verdict needs.  A Singer element must
+    have every minimal factorization generate; its walk stops at the first
+    that does not, which is reported as a violation.  A non-Singer element
+    is not strong as soon as one minimal factorization fails to generate,
+    so it is given only its explicit witness (_witness_for_non_singer);
+    finding none is a violation.  All closures go through one generation
+    cache, and generation_tests counts those it ran.  With classes=True
+    only one representative per conjugacy class is checked (the
+    classification is conjugation invariant); the default audits every
+    element.  The randomized conjugation spot checks compare full
+    classify_qc classifications.
     """
     start = time.monotonic()
     q = field.q
@@ -475,20 +491,24 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     violations = []
     sample = []
     for g, weight in todo:
-        verdict = classify_qc(g, cache)
         singer = is_singer(g)
         checked += weight
         singer_count += weight * singer
-        if singer != (verdict == STRONG):
-            violations.append({"matrix": g.to_text(), "classification": verdict,
-                               "is_singer": singer})
+        if singer:
+            fl = cache.first_non_generating(enumerate_minimal_factorizations(g))
+            if fl is not None:
+                violations.append({"matrix": g.to_text(), "is_singer": True,
+                                   "non_generating": fl.serialize()})
             continue
-        if not singer:
-            kind, fl = _witness_for_non_singer(g, cache)
-            witness_kinds[kind] += weight
-            if len(sample) < 3:
-                sample.append({"matrix": g.to_text(), "kind": kind,
-                               "witness": fl.serialize()})
+        kind, fl = _witness_for_non_singer(g, cache)
+        if fl is None:
+            violations.append({"matrix": g.to_text(), "is_singer": False,
+                               "error": "no non-generating witness found"})
+            continue
+        witness_kinds[kind] += weight
+        if len(sample) < 3:
+            sample.append({"matrix": g.to_text(), "kind": kind,
+                           "witness": fl.serialize()})
     rng = random.Random(seed)
     reps = [g for g, _ in todo]
     all_elements = reps if not classes else list(enumerate_gl(n, field))
@@ -509,6 +529,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
         "witnesses": witness_kinds,
         "witness_samples": sample,
         "conjugation_spot_checks": len(spot_results),
+        "generation_tests": cache.closures,
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }

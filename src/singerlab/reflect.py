@@ -8,14 +8,18 @@ exhaustive enumeration.
 
 Factorizations are ordered tuples; all counts use ordered semantics.
 Enumerations are deterministic: candidate reflections are always tried in
-enumerate_reflections order.  One depth-first search finds them all, over
-a tuple of reflections: every reflection, or for main1's witnesses the
-reflections with determinant in a subgroup X of F_q^x, or those that
-stabilize a subspace W.  The search meets the same residues again and
-again, within one element's enumeration and across elements; fixed_space's
-memo absorbs that, so each distinct residue costs one elimination.
-The search has no closed-form size, so it counts its candidates against
-the budget inline, in its hot loop.
+enumerate_reflections order.  One lazy depth-first search finds them all,
+over a tuple of reflections: every reflection, or for main1's witnesses
+the reflections with determinant in a subgroup X of F_q^x, or those that
+stabilize a subspace W.  Each tuple is built, and paired with its
+inverses, once per argument set of its builder.
+The search meets the same residues again and again, within one element's
+enumeration and across elements; fixed_space's memo absorbs that, so each
+distinct residue costs one elimination.  It tracks the product of what it
+chose, so it yields its factorizations unchecked; the public
+FactorizationList constructor checks the product and every factor.  The
+search has no closed-form size, so it counts its candidates against the
+budget inline, in its hot loop.
 """
 
 from __future__ import annotations
@@ -116,6 +120,15 @@ class FactorizationList:
         if not all(is_reflection(t) for t in self.factors):
             raise ValueError("every factor must be a reflection")
 
+    @classmethod
+    def _unchecked(cls, factors: tuple[Matrix, ...], product: Matrix) -> "FactorizationList":
+        """Unchecked constructor for the search: factors must be reflections
+        multiplying to product, in that order."""
+        fl = object.__new__(cls)
+        object.__setattr__(fl, "factors", factors)
+        object.__setattr__(fl, "product", product)
+        return fl
+
     def __len__(self):
         return len(self.factors)
 
@@ -132,33 +145,43 @@ def enumerate_minimal_factorizations(g: Matrix) -> Iterator[FactorizationList]:
     lexicographic order of their factors' enumerate_reflections indices."""
     if g.det() == 0:
         raise ValueError("only invertible elements factor into reflections")
-    yield from _search(g, functools.partial(enumerate_reflections, g.n, g.field))
+    yield from _search(g, enumerate_reflections, g.n, g.field)
 
 
-def _search(g: Matrix, reflections: Callable[[], tuple[Matrix, ...]]
+@functools.lru_cache(maxsize=256)  # keyed like the builders; entries share their matrices
+def _with_inverses(builder: Callable[..., tuple[Matrix, ...]], *args
+                   ) -> tuple[tuple[Matrix, tuple], ...]:
+    """builder(*args)'s reflections, each paired with its inverse's entries."""
+    return tuple((t, t.inverse().entries) for t in builder(*args))
+
+
+def _search(g: Matrix, builder: Callable[..., tuple[Matrix, ...]], *args
             ) -> Iterator[FactorizationList]:
     """The minimal factorizations of the invertible g whose factors are
-    taken from the tuple reflections(), which is built only if g != 1.
+    taken from the tuple builder(*args), lazily, in the tuple's order.  The
+    tuple and its inverses come from one table per argument set, built only
+    if g != 1.
 
     Depth-first with length pruning: a partial choice t_1..t_i survives only
     if the residual (t_1...t_i)^-1 g still has reflection length k - i.  The
     final factor is forced, so it is emitted directly.  It is one of the
     given reflections whenever they are all the reflections of a subgroup
-    that contains g, as for both of main1's witnesses.
+    that contains g, as for both of main1's witnesses.  Every factorization
+    multiplies to g by construction, so it is built unchecked.
     """
     k = reflection_length(g)
     if k == 0:
-        yield FactorizationList((), g)
+        yield FactorizationList._unchecked((), g)
         return
     n, field = g.n, g.field
-    inv_pairs = [(t, t.inverse().entries) for t in reflections()]
+    inv_pairs = _with_inverses(builder, *args)
     counter = itertools.count(1)
 
     def rec(rem_entries: tuple, depth_left: int, prefix: tuple):
         rem = Matrix._raw(field, n, rem_entries)
         if depth_left == 1:
             if is_reflection(rem):
-                yield FactorizationList(prefix + (rem,), g)
+                yield FactorizationList._unchecked(prefix + (rem,), g)
             return
         for t, tinv in inv_pairs:
             if next(counter) > ENUMERATION_BUDGET:
@@ -192,7 +215,7 @@ def stabilizing_factorization(g: Matrix, w: Subspace) -> FactorizationList:
         raise ValueError("g does not stabilize W")
     if g.det() == 0:
         raise ValueError("only invertible elements factor into reflections")
-    result = next(_search(g, functools.partial(_stabilizing_reflections, w)), None)
+    result = next(_search(g, _stabilizing_reflections, w), None)
     if result is None:
         raise AssertionError("no minimal factorization stabilizes the subspace")
     return result
@@ -228,4 +251,10 @@ def factorizations_in_det_subgroup(g: Matrix, generator: int) -> list[Factorizat
         raise ValueError("det(g) must lie in the determinant subgroup")
     if not is_irreducible_element(g):
         raise ValueError("the determinant-restricted count applies to irreducible g")
-    return list(_search(g, functools.partial(_reflections_with_dets_in, g.n, g.field, x)))
+    return list(_det_subgroup_search(g, x))
+
+
+def _det_subgroup_search(g: Matrix, x: frozenset[int]) -> Iterator[FactorizationList]:
+    """factorizations_in_det_subgroup's entries, lazily and unchecked: the
+    caller vouches that g is irreducible with det(g) in X."""
+    return _search(g, _reflections_with_dets_in, g.n, g.field, x)

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
-                       companion, enumerate_gl, enumerate_reflections, enumerate_subspaces,
-                       find_primitive_poly, generates_full, gl_order,
-                       group_closure, make_field, normalizer_of_cyclic,
-                       normalizer_reflection, verify_gill, verify_main1,
-                       verify_main2)
+                       companion, enumerate_gl, enumerate_minimal_factorizations,
+                       enumerate_reflections, enumerate_subspaces,
+                       factorizations_in_det_subgroup, find_primitive_poly,
+                       generates_full, gl_order, group_closure, is_singer, make_field,
+                       minimal_factorization, normalizer_of_cyclic, normalizer_reflection,
+                       reflection_length, verify_gill, verify_main1, verify_main2)
 from singerlab import fixed_space, groupgen, matrix, reflect, singer
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
                                 reflection_distances, singer_class_count,
@@ -450,7 +451,63 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
     assert info.misses == len(set(seen)) == 48
-    assert info.hits == len(seen) - info.misses == 1598
+    assert info.hits == len(seen) - info.misses == 455
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
+def test_main1_per_element_check_matches_classify_qc(n, p, k):
+    # oracle: the full classification of every element, and for the
+    # irreducible witnesses the eager determinant-restricted list
+    field = make_field(p, k)
+    cache = groupgen._GenerationCache(n, field.q)
+    lazy = 0
+    for g in enumerate_gl(n, field):
+        strong = classify_qc(g, cache) == STRONG
+        if is_singer(g):
+            assert strong == (cache.first_non_generating(
+                enumerate_minimal_factorizations(g)) is None)
+            continue
+        kind, fl = groupgen._witness_for_non_singer(g, cache)
+        assert fl is not None and not strong
+        assert fl.product == g and len(fl) == reflection_length(g)
+        assert not cache.generates(fl.factors)
+        if kind != "reducible":
+            eager = factorizations_in_det_subgroup(g, g.det())
+            assert fl == next(e for e in eager if not cache.generates(e.factors))
+            lazy += 1
+    # 2^3 - 1 is prime, so every irreducible element of GL_3(F_2) is Singer
+    assert lazy > 0 or (n, field.q) == (3, 2)
+
+
+def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypatch):
+    # every factor set generates: no non-Singer element has a witness
+    monkeypatch.setattr(groupgen._GenerationCache, "generates", lambda self, factors: True)
+    report = verify_main1(2, f3)
+    assert (report["checked"], report["singer_cycles"]) == (48, 12)
+    assert sum(report["witnesses"].values()) == 0
+    assert len(report["violations"]) == 36
+    assert all(v["is_singer"] is False and v["error"] == "no non-generating witness found"
+               for v in report["violations"])
+    # no factor set generates: each Singer element reports its first factorization
+    monkeypatch.setattr(groupgen._GenerationCache, "generates", lambda self, factors: False)
+    report = verify_main1(2, f3)
+    assert sum(report["witnesses"].values()) == 36
+    assert len(report["violations"]) == 12
+    for v in report["violations"]:
+        assert v["is_singer"] is True
+        g = Matrix.from_text(f3, v["matrix"])
+        assert is_singer(g)
+        assert v["non_generating"] == minimal_factorization(g).serialize()
+
+
+def test_main1_generation_tests_pinned(f2, f3, f4, f5):
+    # seed 0: the closures main1's cache runs, the same on a second run with
+    # every module memo warm; a lost reduction fails here, not as a slow run
+    assert verify_main1(2, f3)["generation_tests"] == 83
+    assert verify_main1(2, f3)["generation_tests"] == 83
+    assert verify_main1(2, f4)["generation_tests"] == 519
+    assert verify_main1(2, f5)["generation_tests"] == 1392
+    assert verify_main1(3, f2)["generation_tests"] == 511
 
 
 def test_verify_main1_classes_mode_agrees(f3):

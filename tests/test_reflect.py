@@ -16,6 +16,8 @@ from singerlab.matrix import common_fixed_space, enumerate_subspaces, stabilizes
 from singerlab.reflect import (FactorizationList, det_subgroup, reflection_count,
                                reflection_from_params)
 
+from conftest import random_invertible
+
 
 def test_is_reflection_examples(f3, f5):
     assert is_reflection(Matrix.from_text(f3, "1,0;2,2"))
@@ -101,10 +103,24 @@ def test_factorization_list_validates(f5):
     fl = FactorizationList((t1, t2), Matrix.from_text(f5, "3,0;0,4"))
     assert fl.dets() == (1, 2)
     assert f5.mul(*fl.dets()) == fl.product.det()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not multiply"):
         FactorizationList((t1, t2), Matrix.identity(f5, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not multiply"):
+        FactorizationList((t1, t2), t2 @ t1)
+    with pytest.raises(ValueError, match="must be a reflection"):
         FactorizationList((t1, Matrix.identity(f5, 2)), t1)
+    with pytest.raises(ValueError, match="must be a reflection"):
+        FactorizationList((t1, t2 @ t1), t1 @ t2 @ t1)
+    # the search's constructor trusts its caller
+    assert FactorizationList._unchecked((t1, t2), t2).product == t2
+
+
+def test_search_factorizations_pass_the_public_checks(f3):
+    # the search builds its factorizations unchecked; the public constructor
+    # accepts every one of them
+    for g in enumerate_gl(2, f3):
+        for fl in enumerate_minimal_factorizations(g):
+            assert FactorizationList(fl.factors, fl.product) == fl
 
 
 def test_enumerate_identity_gives_empty(f3):
@@ -230,14 +246,30 @@ def test_stabilizing_factorization_is_first_stabilizing_entry(n, p, k):
     assert checked > 0
 
 
-@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
-def test_det_restricted_search_matches_eager_filter(n, p, k):
-    # oracle: every minimal factorization, filtered by its factors' determinants
+def _irreducible_sample(n, field, size, seed):
+    """size distinct irreducible elements of GL_n(F_q), drawn with the seed."""
+    rng = random.Random(seed)
+    sample = {}
+    while len(sample) < size:
+        g = random_invertible(n, field, rng)
+        if is_irreducible_element(g):
+            sample.setdefault(g, None)
+    return list(sample)
+
+
+@pytest.mark.parametrize("n,p,k,sample", [(2, 3, 1, None), (2, 2, 2, None), (2, 5, 1, None),
+                                          (3, 2, 1, None), (3, 3, 1, 4)],
+                         ids=["2-3-1", "2-2-2", "2-5-1", "3-2-1", "3-3-1-sample"])
+def test_det_restricted_search_matches_eager_filter(n, p, k, sample):
+    # oracle: every minimal factorization, filtered by its factors' determinants,
+    # on every irreducible element, or on a seeded sample of them
     field = make_field(p, k)
     primitive = next(u for u in range(1, field.q)
                      if len(det_subgroup(field, u)) == field.q - 1)
+    elements = (enumerate_gl(n, field) if sample is None
+                else _irreducible_sample(n, field, sample, seed=3))
     pruned = 0
-    for g in enumerate_gl(n, field):
+    for g in elements:
         if not is_irreducible_element(g):
             continue
         every = list(enumerate_minimal_factorizations(g))
@@ -310,7 +342,7 @@ def test_search_runs_one_elimination_per_fixed_space(f3, monkeypatch):
 
     monkeypatch.setattr(matrix, "_rref", counted("rref", matrix._rref, rref_calls))
     monkeypatch.setattr(reflect, "fixed_space", fixed_space_counted)
-    for g in elements:  # cold pass; also warms the reflection cache and its inverses
+    for g in elements:  # cold pass; also warms the reflection cache and its (t, t^-1) table
         list(enumerate_minimal_factorizations(g))
     # the residues are group elements: one elimination per element of GL_2(F_3)
     assert len(eliminations) == len(elements) == 48
@@ -322,7 +354,8 @@ def test_search_runs_one_elimination_per_fixed_space(f3, monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
     total = sum(1 for g in elements for _ in enumerate_minimal_factorizations(g))
     assert total == 249
-    # every fixed space is a memo hit, every inverse a memo hit on a cached reflection
-    assert calls == {"fixed_space": 1312, "inverse": 940}
+    # every fixed space is a memo hit, and the search reads its inverses
+    # from the table the cold pass built
+    assert (calls["fixed_space"], calls["inverse"]) == (836, 0)
     # det's one _rref per search input runs outside fixed_space
     assert sum(eliminations.values()) == 0
