@@ -23,11 +23,16 @@ is_singer first and proves only what the theorem asks: a Singer element
 walks its minimal factorizations until one fails to generate, and a
 non-Singer element gets only its non-generating witness, searched
 lazily; classify_qc's full classification is left to the conjugation
-spot checks.  verify_main2 runs one closure per orbit of <c> on
-the reflections by conjugation, since the verdict is constant there;
-verify_gill runs one per pair and tests whether C_g normalizes <C_f> by
-the definition, against the powers of C_f, so neither scans GL_n(F_q).
-normalizer_of_cyclic still scans it, for the worked example.
+spot checks.  verify_main2 and verify_gill read their verdicts from one
+orbit table of one Singer cycle c: one closure per orbit of <c> on the
+reflections by conjugation, since the order of <c, t> is constant there.
+Every other Singer class is C_f = P^-1 c^k P with <c^k> = <c>, so its
+pairs read the table at P t P^-1; gill's pair (C_f, C_g) generates what
+(C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing x_n = 0.
+verify_main2(full=True) builds one table per Singer cycle.  verify_gill
+tests whether C_g normalizes <C_f> by the definition, against the powers
+of C_f, not by scanning GL_n(F_q) as normalizer_of_cyclic still does for
+the worked example.
 """
 
 from __future__ import annotations
@@ -41,13 +46,14 @@ import time
 from typing import Iterable, Sequence
 
 from .ff import FieldSpec, factorize
-from .matrix import (Matrix, _check_budget, enumerate_gl, fixed_space, gl_order,
+from .matrix import (Matrix, _check_budget, char_poly, enumerate_gl, fixed_space, gl_order,
                      invariant_subspace, mul_entries)
 from .poly import Poly, companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
                       reflection_count, reflection_length, stabilizing_factorization)
-from .singer import is_irreducible_element, is_singer, normalizing_reflections
+from .singer import (_cyclic_basis_change, is_irreducible_element, is_singer,
+                     normalizing_reflections)
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
 
@@ -100,7 +106,8 @@ def _linear_permutation(columns: Sequence[Sequence[int]], field: FieldSpec) -> t
     return tuple(images)
 
 
-@functools.lru_cache(maxsize=32)  # a Singer cycle or C_f, and the C_g of small gill sweeps
+# every reflection of the desk-scale main1 groups (710 in GL_2(F_9)), and their Singer cycles
+@functools.lru_cache(maxsize=1024)
 def _permutation(g: Matrix) -> tuple[int, ...]:
     """The permutation g induces on the vector indices: v -> g v."""
     if g.det() == 0:
@@ -556,41 +563,75 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
-def _verdicts_by_orbit(c: Matrix, reflections: Sequence[Matrix]) -> tuple[list[bool], int]:
-    """generates_full([c, t]) for every t in reflections, in their order,
-    and the number of closures run: one per <c>-orbit.
+def _conjugator(p: Matrix):
+    """x -> the entries of p x p^-1, on the entries x of a matrix."""
+    n, field = p.n, p.field
+    pe, p_inverse = p.entries, p.inverse().entries
+    return lambda x: mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field)
 
-    For h in <c>, h <c, t> h^-1 = <c, h t h^-1>, so the verdict is constant
+
+def _orbit_table(c: Matrix, reflections: Sequence[Matrix]) -> tuple[dict[tuple, int], list[int]]:
+    """The <c>-orbit of every reflection, as a map from its entries to an
+    orbit number, and |<c, t>| for the first member t of each orbit, by
+    orbit number: one closure per orbit.
+
+    For h in <c>, h <c, t> h^-1 = <c, h t h^-1>, so the order is constant
     on each orbit of <c> acting on the reflections by conjugation.  Modulo
     the scalars, which centralize t, <c> permutes the (q^n - 1)/(q - 1)
     hyperplanes regularly, so every orbit has exactly one member per
     hyperplane.
     """
-    n, field = c.n, c.field
-    orbit_size = (field.q**n - 1) // (field.q - 1)
-    index = {t.entries: i for i, t in enumerate(reflections)}
-    ce, cinv = c.entries, c.inverse().entries
-    verdicts = [None] * len(reflections)
-    closures = 0
-    for i, t in enumerate(reflections):
-        if verdicts[i] is not None:
+    q = c.field.q
+    orbit_size = (q**c.n - 1) // (q - 1)
+    known = {t.entries for t in reflections}
+    conjugate = _conjugator(c)
+    orbit_of: dict[tuple, int] = {}
+    orders = []
+    for t in reflections:
+        if t.entries in orbit_of:
             continue
-        generated = generates_full([c, t])
-        closures += 1
+        number = len(orders)
+        orders.append(group_closure([c, t]).order)
         x, members = t.entries, 0
         while True:
-            j = index.get(x)
-            if j is None or verdicts[j] is not None:
+            if x not in known or x in orbit_of:
                 raise AssertionError("a <c>-orbit left the reflections or met another orbit")
-            verdicts[j] = generated
+            orbit_of[x] = number
             members += 1
-            x = mul_entries(mul_entries(ce, x, n, field), cinv, n, field)
+            x = conjugate(x)
             if x == t.entries:
                 break
         if members != orbit_size:
             raise AssertionError(f"a <c>-orbit of reflections has {members} members, "
                                  f"expected {orbit_size}")
-    return verdicts, closures
+    return orbit_of, orders
+
+
+def _singer_conjugators(c: Matrix) -> dict[Poly, Matrix]:
+    """For the Singer cycle c, a matrix P with P^-1 c^k P = C_f for every
+    primitive f of degree n, keyed by f.
+
+    Every such f is the characteristic polynomial of some c^k with
+    gcd(k, q^n - 1) = 1, and then <c^k> = <c>; P is the cyclic basis change
+    of the first such power, so <C_f, t> = P^-1 <c, P t P^-1> P.
+    """
+    if not is_singer(c):
+        raise ValueError("input is not a Singer cycle")
+    m = c.field.q**c.n - 1
+    conjugators = {}
+    power = c
+    for k in range(1, m + 1):  # up to k = m, for GL_1(F_2): there m = 1 and c = I
+        if math.gcd(k, m) == 1:
+            f = char_poly(power)
+            if f not in conjugators:
+                p = _cyclic_basis_change(power)
+                if p.inverse() @ power @ p != companion(f):
+                    raise AssertionError("cyclic basis does not conjugate c^k to C_f")
+                conjugators[f] = p
+        power = power @ c
+    if len(conjugators) != singer_class_count(c.n, c.field.q):
+        raise AssertionError("the powers of c missed a primitive polynomial")
+    return conjugators
 
 
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
@@ -598,23 +639,29 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     normalizing reflections when n = 2 and q > 2.
 
     Generation is conjugation invariant, so by default c runs over one
-    representative per Singer conjugacy class; full=True audits every
-    Singer cycle (feasible only on the smaller instances).  For each c,
-    one closure decides each <c>-orbit of reflections (_verdicts_by_orbit):
-    q^(n-1)(q - 1) - 1 closures per c, counted in generation_tests, while
-    every pair is still reported on.  Before any
-    polynomial is tested for primitivity, |GL_n(F_q)| is checked against
-    ENUMERATION_BUDGET as every closure would be, and so is the sweep,
-    from the closed-form class count phi(q^n - 1)/n.
+    representative per Singer conjugacy class, the companion matrices C_f;
+    full=True audits every Singer cycle (feasible only on the smaller
+    instances).  Every verdict is read from an orbit table (_orbit_table),
+    one closure per <c>-orbit of reflections, q^(n-1)(q - 1) - 1 in all,
+    counted in generation_tests, while every pair is still reported on.
+    By default one table, of c = C_f for the first primitive f, serves
+    every class: C_f = P^-1 c^k P (_singer_conjugators), so the pair
+    (C_f, t) reads the table at P t P^-1.  full=True builds each Singer
+    cycle's own table.  Before any polynomial is tested for primitivity,
+    |GL_n(F_q)| is checked against ENUMERATION_BUDGET as every closure
+    would be, and so is the sweep, from the closed-form class count
+    phi(q^n - 1)/n.
     """
     start = time.monotonic()
     q = field.q
     classes = singer_class_count(n, q)
-    singer_cycle_count = classes * (_closure_budget(n, q) // (q**n - 1))
+    group_order = _closure_budget(n, q)
+    singer_cycle_count = classes * (group_order // (q**n - 1))
     swept = singer_cycle_count if full else classes
     _check_budget(f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections",
                   swept * reflection_count(n, q), "pairs")
-    reps = singer_class_representatives(n, field)
+    primitives = _primitive_polys(n, field)
+    reps = [companion(f) for f in primitives]
     if len(reps) != classes:
         raise AssertionError(f"{len(reps)} primitive polynomials, expected phi(q^n - 1)/n "
                              f"= {classes}")
@@ -636,13 +683,28 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     pairs = 0
     tests = 0
-    for c in singers:
+    if not full:
+        orbit_of, orders = _orbit_table(reps[0], reflections)
+        tests = len(orders)
+        conjugators = _singer_conjugators(reps[0])
+    for i, c in enumerate(singers):
+        if full:  # c's own table, where P = I
+            orbit_of, orders = _orbit_table(c, reflections)
+            tests += len(orders)
+            p = Matrix.identity(field, n)
+        else:
+            p = conjugators[primitives[i]]
+        conjugate = _conjugator(p)
         normalizers = set(normalizing_reflections(c)) if n == 2 else set()
-        verdicts, closures = _verdicts_by_orbit(c, reflections)
-        tests += closures
         exceptional_here = 0
-        for t, generated in zip(reflections, verdicts):
+        for t in reflections:
             pairs += 1
+            number = orbit_of.get(conjugate(t.entries))
+            if number is None:
+                violations.append({"singer": c.to_text(), "reflection": t.to_text(),
+                                   "error": "no verdict in the orbit table"})
+                continue
+            generated = orders[number] == group_order
             expected_fail = n == 2 and q > 2 and t in normalizers
             if generated == expected_fail:
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
@@ -680,22 +742,30 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
 
     Also asserts dim fix(C_f C_g^-1) = n - 1 on every pair, which holds
     because the two companion matrices differ only in the last column.
-    C_g normalizes <C_f> iff C_g C_f C_g^-1 is a power of C_f, tested
-    against the powers of C_f.  Every pair needs one closure, whose order
-    is the exceptional order too, so |GL_n(F_q)| > ENUMERATION_BUDGET
-    raises BudgetExceededError before any polynomial is tested for
-    primitivity.
+    So t = C_f^-1 C_g is a reflection fixing x_n = 0, <C_f, C_g> = <C_f, t>,
+    and the order of the pair, the exceptional order too, is read from
+    main2's orbit table of one Singer cycle, as verify_main2 reads it: the
+    q^(n-1)(q - 1) - 1 closures of that table, counted in
+    generation_tests, decide every pair.  C_g normalizes <C_f> iff
+    C_g C_f C_g^-1 is a power of C_f, tested against the powers of C_f.
+    |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before any
+    polynomial is tested for primitivity.
     """
     start = time.monotonic()
     q = field.q
     full = _closure_budget(n, q)
     primitives = _primitive_polys(n, field)
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
+    c = companion(primitives[0])
+    orbit_of, orders = _orbit_table(c, enumerate_reflections(n, field))
+    conjugators = _singer_conjugators(c)
     violations = []
     exceptional = []
     pairs = 0
     for f in primitives:
         cf = companion(f)
+        cf_inverse = cf.inverse()
+        conjugate = _conjugator(conjugators[f])
         powers = _powers(cf) if n == 2 else frozenset()
         for g in targets:
             if g == f:
@@ -706,7 +776,13 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
             if fixed_space(cf @ cg_inverse).dim != n - 1:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
-            order = group_closure([cf, cg]).order
+            # <C_f, C_g> = <C_f, C_f^-1 C_g> = P^-1 <c, P C_f^-1 C_g P^-1> P
+            number = orbit_of.get(conjugate((cf_inverse @ cg).entries))
+            if number is None:
+                violations.append({"f": f.to_text(), "g": g.to_text(),
+                                   "error": "no verdict in the orbit table"})
+                continue
+            order = orders[number]
             generated = order == full
             expected_fail = n == 2 and (cg @ cf @ cg_inverse).entries in powers
             if not generated:
@@ -721,7 +797,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
         "params": {"n": n, "q": q},
         "primitive_polynomials": len(primitives),
         "checked": pairs,
-        "generation_tests": pairs,
+        "generation_tests": len(orders),
         "exceptional_pairs": exceptional,
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - start) * 1000),

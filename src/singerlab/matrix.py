@@ -8,14 +8,16 @@ conventionally displayed.
 
 Only the Matrix constructor validates entries; arithmetic results and
 enumerations build with the unchecked Matrix._raw.  A matrix computes its
-hash on first use and its inverse at most once, since both are fixed by
-its entries.  _rref, on flat integer rows, is the one elimination: an
-inverse, a determinant, a canonical subspace and a kernel cost one each
-(the RREF of a system with its columns reversed yields the kernel's
-canonical basis directly).  Fixed spaces are memoized by (field, n,
-entries) in a bounded LRU, so each distinct matrix costs one elimination
-however often its fixed space is asked for.  _check_budget is the one
-closed-form guard of the one budget, ENUMERATION_BUDGET.
+hash on first use and its inverse and determinant at most once, since
+all three are fixed by its entries; the elements enumerate_gl yields keep
+the determinant it tested them by.  _rref, on flat integer rows, is the
+one elimination: an inverse, a determinant, a canonical subspace and a
+kernel cost one each (the RREF of a system with its columns reversed
+yields the kernel's canonical basis directly).  Fixed spaces are
+memoized by (field, n, entries) in a bounded LRU, so each distinct matrix
+costs one elimination however often its fixed space is asked for.
+_check_budget is the one closed-form guard of the one budget,
+ENUMERATION_BUDGET.
 
 Text form: rows separated by ';', entries comma-separated encodings,
 e.g. "0,1;1,2" for [[0,1],[1,2]].
@@ -76,7 +78,7 @@ def mul_entries(a: tuple, b: tuple, n: int, field: FieldSpec) -> tuple:
 class Matrix:
     """Immutable n x n matrix over a FieldSpec."""
 
-    __slots__ = ("field", "n", "entries", "_hash", "_inverse")
+    __slots__ = ("field", "n", "entries", "_hash", "_inverse", "_det")
 
     def __init__(self, field: FieldSpec, n: int, entries: Sequence[int]):
         if n < 1:
@@ -174,11 +176,14 @@ class Matrix:
 
     def det(self) -> int:
         """Read off the RREF: the product of the pivots it divides by,
-        negated once per row swap, or 0 when A has fewer than n pivots."""
-        n = self.n
-        _, pivots, det = _rref([list(self.entries[i * n:(i + 1) * n]) for i in range(n)],
-                               self.field)
-        return det if len(pivots) == n else 0
+        negated once per row swap, or 0 when A has fewer than n pivots.
+        Computed once per matrix."""
+        if self._det is None:
+            n = self.n
+            _, pivots, det = _rref([list(self.entries[i * n:(i + 1) * n]) for i in range(n)],
+                                   self.field)
+            object.__setattr__(self, "_det", det if len(pivots) == n else 0)
+        return self._det
 
     def inverse(self) -> "Matrix":
         """The right half of the RREF of [A | I]; A is singular iff that RREF
@@ -215,6 +220,7 @@ def _init(m: Matrix, field: FieldSpec, n: int, entries: tuple) -> None:
     object.__setattr__(m, "entries", entries)
     object.__setattr__(m, "_hash", None)
     object.__setattr__(m, "_inverse", None)
+    object.__setattr__(m, "_det", None)
 
 
 # --- reduced row echelon form and subspaces -----------------------------------

@@ -204,7 +204,22 @@ def test_criterion_12_gl4f3_reach(capsys):
     elapsed = time.monotonic() - start
     assert code == 0
     assert report["checked"] == 16960  # 8 Singer classes x 2120 reflections
-    assert report["generation_tests"] == 8 * 53  # one per <c>-orbit of reflections
+    assert report["generation_tests"] == 53  # one table: one per <c>-orbit of reflections
     assert report["exceptional_pairs"] == [] and report["violations"] == []
     _report(12, "Singer x reflection generation on all 16960 pairs of GL_4(F_3), "
                 "|G| = 24261120, through the CLI", elapsed, 30.0)
+
+
+def test_criterion_13_gl3f5_reach(capsys):
+    start = time.monotonic()
+    code, main2 = _run_cli_json(capsys, "verify", "main2", "--n", "3", "--p", "5")
+    gill_code, gill = _run_cli_json(capsys, "verify", "gill", "--n", "3", "--p", "5")
+    elapsed = time.monotonic() - start
+    assert code == gill_code == 0
+    assert main2["checked"] == 61380  # 20 Singer classes x 3069 reflections
+    assert gill["checked"] == 1980  # 20 primitive cubics x 99 partners
+    for report in (main2, gill):
+        assert report["generation_tests"] == 99  # one orbit table: 5^2 * 4 - 1 closures
+        assert report["exceptional_pairs"] == [] and report["violations"] == []
+    _report(13, "main2 on all 61380 pairs and gill on all 1980 pairs of GL_3(F_5), "
+                "|G| = 1488000, through the CLI", elapsed, 20.0)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        companion, enumerate_gl, enumerate_minimal_factorizations,
-                       enumerate_reflections, enumerate_subspaces,
+                       enumerate_monic, enumerate_reflections, enumerate_subspaces,
                        factorizations_in_det_subgroup, find_primitive_poly,
-                       generates_full, gl_order, group_closure, is_singer, make_field,
+                       generates_full, gl_order, group_closure, is_primitive_poly,
+                       is_singer, make_field,
                        minimal_factorization, normalizer_of_cyclic, normalizer_reflection,
                        reflection_length, verify_gill, verify_main1, verify_main2)
 from singerlab import fixed_space, groupgen, matrix, reflect, singer
@@ -541,10 +543,11 @@ def test_verify_main2_full_mode_agrees(f3):
     assert len(full["exceptional_pairs"]) == 12 * 4 == full["exceptional_pairs_total"]
 
 
-def _main2_tests(n, q, swept):
+def _main2_tests(n, q, tables):
     """Closures run by the reduced main2 sweep: one per <c>-orbit of
-    reflections, q^(n-1)(q - 1) - 1 per swept Singer cycle."""
-    return swept * (q ** (n - 1) * (q - 1) - 1)
+    reflections, q^(n-1)(q - 1) - 1 per orbit table; classes mode builds
+    one table, full mode one per Singer cycle."""
+    return tables * (q ** (n - 1) * (q - 1) - 1)
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 3, 2),
@@ -553,7 +556,7 @@ def test_main2_orbit_reduction_matches_unreduced_sweep(n, p, k):
     field = make_field(p, k)
     report = verify_main2(n, field)
     assert without_counters(report) == unreduced_main2(n, field)
-    assert report["generation_tests"] == _main2_tests(n, field.q, report["singer_classes"])
+    assert report["generation_tests"] == _main2_tests(n, field.q, 1)
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
@@ -565,28 +568,110 @@ def test_main2_full_mode_matches_unreduced_sweep(n, p, k):
 
 
 def test_main2_generation_tests_pinned(f3):
-    assert verify_main2(2, make_field(7))["generation_tests"] == 328 == _main2_tests(2, 7, 8)
-    assert verify_main2(4, make_field(2))["generation_tests"] == 14 == _main2_tests(4, 2, 2)
+    # one orbit table decides every Singer class: 8 classes on GL_2(F_7), 2 on GL_4(F_2)
+    assert verify_main2(2, make_field(7))["generation_tests"] == 41 == _main2_tests(2, 7, 1)
+    assert verify_main2(4, make_field(2))["generation_tests"] == 7 == _main2_tests(4, 2, 1)
     assert verify_main2(2, f3, full=True)["generation_tests"] == 60 == _main2_tests(2, 3, 12)
 
 
 def test_main2_orbit_walk_checks_its_orbits(f3):
     c = singer_class_representatives(2, f3)[0]
     reflections = enumerate_reflections(2, f3)
-    verdicts, closures = groupgen._verdicts_by_orbit(c, reflections)
-    assert closures == 5 and verdicts == [generates_full([c, t]) for t in reflections]
+    orbit_of, orders = groupgen._orbit_table(c, reflections)
+    assert len(orders) == 5 and orbit_of.keys() == {t.entries for t in reflections}
+    assert ([orders[orbit_of[t.entries]] for t in reflections]
+            == [group_closure([c, t]).order for t in reflections])
     with pytest.raises(AssertionError, match="left the reflections"):
-        groupgen._verdicts_by_orbit(c, reflections[1:])
+        groupgen._orbit_table(c, reflections[1:])
     with pytest.raises(AssertionError, match="members"):  # c^2 splits each orbit in two
-        groupgen._verdicts_by_orbit(c @ c, reflections)
+        groupgen._orbit_table(c @ c, reflections)
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1)])
-def test_gill_matches_normalizer_scan(p, k):
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 7, 1), (3, 2, 1), (3, 3, 1),
+                                   (4, 2, 1)])
+def test_singer_conjugators_reach_every_class(n, p, k):
+    # from every Singer class representative c = C_g, each primitive f gets a
+    # P with P^-1 c^k P = C_f for some k prime to q^n - 1
     field = make_field(p, k)
-    report = verify_gill(2, field)
-    assert without_counters(report) == gill_by_normalizer_scan(2, field)
-    assert report["generation_tests"] == report["checked"]
+    m = field.q**n - 1
+    primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                  if is_primitive_poly(f)]
+    for c in map(companion, primitives):
+        conjugators = groupgen._singer_conjugators(c)
+        assert conjugators.keys() == set(primitives)
+        generators = [c**e for e in range(1, m + 1) if math.gcd(e, m) == 1]
+        for f, conjugator in conjugators.items():
+            assert companion(f) in {conjugator.inverse() @ d @ conjugator for d in generators}
+
+
+def test_singer_conjugators_need_a_singer_cycle(f3):
+    c = singer_class_representatives(2, f3)[0]
+    for not_singer in (c @ c, Matrix.identity(f3, 2), Matrix.from_text(f3, "1,1;0,1")):
+        with pytest.raises(ValueError, match="not a Singer cycle"):
+            groupgen._singer_conjugators(not_singer)
+
+
+def _conjugation_orbit(c, x):
+    """The orbit of the matrix x under conjugation by the powers of c."""
+    orbit = {x}
+    cinv = c.inverse()
+    y = c @ x @ cinv
+    while y != x:
+        orbit.add(y)
+        y = c @ y @ cinv
+    return frozenset(orbit)
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 7, 1), (2, 2, 3), (3, 3, 1), (3, 2, 2), (4, 2, 1)])
+def test_gill_reflections_are_a_transversal_of_the_orbits(n, p, k):
+    # for each primitive f, the q^(n-1)(q - 1) - 1 reflections C_f^-1 C_g,
+    # conjugated by f's P, meet each <c>-orbit of reflections exactly once
+    field = make_field(p, k)
+    q = field.q
+    primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                  if is_primitive_poly(f)]
+    c = companion(primitives[0])
+    orbits = {_conjugation_orbit(c, t) for t in enumerate_reflections(n, field)}
+    assert len(orbits) == q ** (n - 1) * (q - 1) - 1
+    conjugators = groupgen._singer_conjugators(c)
+    for f in primitives:
+        cf_inverse = companion(f).inverse()
+        conjugator = conjugators[f]
+        hit = [_conjugation_orbit(c, conjugator @ cf_inverse @ companion(g)
+                                  @ conjugator.inverse())
+               for g in enumerate_monic(n, field, nonzero_constant=True) if g != f]
+        assert set(hit) == orbits and len(hit) == len(orbits)
+
+
+def test_a_reflection_missing_from_the_table_is_a_violation(monkeypatch, f3):
+    # a table that lost one <c>-orbit: each pair that reads it is reported,
+    # once per reflection for main2's two classes, once per f for gill,
+    # whose reflections meet each orbit once
+    build = groupgen._orbit_table
+
+    def lossy(c, reflections):
+        orbit_of, orders = build(c, reflections)
+        return {x: i for x, i in orbit_of.items() if i != 0}, orders
+
+    monkeypatch.setattr(groupgen, "_orbit_table", lossy)
+    missing = lambda report: [v for v in report["violations"]
+                              if v.get("error") == "no verdict in the orbit table"]
+    main2 = verify_main2(2, f3)
+    assert main2["checked"] == 2 * 20 and len(missing(main2)) == 2 * 4
+    gill = verify_gill(2, f3)
+    assert gill["checked"] == 2 * 5 and len(missing(gill)) == 2
+
+
+_GILL_INSTANCES = [pytest.param(2, p, k, id=f"{p}-{k}") for p, k in [(3, 1), (2, 2), (5, 1), (7, 1)]]
+
+
+@pytest.mark.parametrize("n,p,k", _GILL_INSTANCES + [pytest.param(3, 3, 1, id="GL3F3"),
+                                                     pytest.param(4, 2, 1, id="GL4F2")])
+def test_gill_matches_normalizer_scan(n, p, k):
+    field = make_field(p, k)
+    report = verify_gill(n, field)
+    assert without_counters(report) == gill_by_normalizer_scan(n, field)
+    assert report["generation_tests"] == _main2_tests(n, field.q, 1)  # one orbit table
 
 
 def test_reports_are_deterministic(f3):

@@ -428,6 +428,25 @@ def test_inverse_is_computed_once(f5):
             singular.inverse()
 
 
+def test_enumerated_elements_keep_their_determinant(monkeypatch):
+    # singer-equiv on GL_2(F_8) eliminates once per candidate of enumerate_gl
+    # (8^4 = 4096); matrix_order and _permutation then read the kept value
+    from singerlab.singer import singer_equivalence_report
+
+    calls = []
+    rref = matrix._rref
+    monkeypatch.setattr(matrix, "_rref", lambda rows, field: calls.append(1) or rref(rows, field))
+    singer_equivalence_report(2, make_field(2, 3))
+    assert len(calls) == 4096
+    f5 = make_field(5)
+    singular = Matrix.from_text(f5, "1,2;2,4")
+    for m in (Matrix.from_text(f5, "1,2;3,4"), singular):
+        det = m.det()
+        calls.clear()
+        assert m.det() == det and calls == []
+    assert singular.det() == 0
+
+
 def _minus_identity_oracle(a):
     n, field = a.n, a.field
     return [[field.sub(a[i, j], int(i == j)) for j in range(n)] for i in range(n)]
