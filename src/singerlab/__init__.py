@@ -10,9 +10,9 @@ from .ff import FieldSpec, element_order, factorize, is_prime, make_field
 from .groupgen import (ClosureResult, classify_qc, generates_full,
                        group_closure, normalizer_of_cyclic, verify_gill,
                        verify_main1, verify_main2)
-from .matrix import (Matrix, Subspace, char_poly, common_fixed_space,
-                     enumerate_gl, enumerate_subspaces, fixed_space,
-                     gl_exponent, gl_order, kernel, matrix_order, stabilizes)
+from .matrix import (Matrix, Subspace, char_poly, enumerate_gl,
+                     enumerate_subspaces, fixed_space, gl_exponent, gl_order,
+                     matrix_order, stabilizes)
 from .poly import (FieldExtension, Poly, companion, enumerate_monic,
                    find_primitive_poly, gcd, invmod, is_irreducible,
                    is_primitive_poly, powmod)

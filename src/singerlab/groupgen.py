@@ -15,24 +15,28 @@ layer.  Closures, like every enumeration, honour the one budget
 matrix.ENUMERATION_BUDGET, checked from closed-form sizes before any work
 starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
 order or element set exceeds it either.  A generation cache serves one
-group, holds the empty factor set's verdict and counts the closures it
-runs.  verify_main1, verify_main2, verify_gill and verify_length_oracle
-sweep a full desk-scale instance and report violations; they are pure per
-element or pair, so reports are deterministic.  verify_main1 decides
-is_singer first and proves only what the theorem asks: a Singer element
-walks its minimal factorizations until one fails to generate, and a
-non-Singer element gets only its non-generating witness, searched
-lazily; classify_qc's full classification is left to the conjugation
-spot checks.  verify_main2 and verify_gill read their verdicts from one
-orbit table of one Singer cycle c: one closure per orbit of <c> on the
-reflections by conjugation, since the order of <c, t> is constant there.
-Every other Singer class is C_f = P^-1 c^k P with <c^k> = <c>, so its
-pairs read the table at P t P^-1; gill's pair (C_f, C_g) generates what
-(C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing x_n = 0.
-verify_main2(full=True) builds one table per Singer cycle.  verify_gill
-tests whether C_g normalizes <C_f> by the definition, against the powers
-of C_f, not by scanning GL_n(F_q) as normalizer_of_cyclic still does for
-the worked example.
+group, holds the empty factor set's verdict and the orbit table of each
+Singer subgroup it meets, and counts the closures it runs.  verify_main1,
+verify_main2, verify_gill and verify_length_oracle sweep a full
+desk-scale instance and report violations; they are pure per element or
+pair, so reports are deterministic.  verify_main1 decides is_singer first
+and proves only what the theorem asks.  A minimal factorization of a
+Singer cycle g generates a group containing <g, t_1>, so g is read off
+its subgroup's orbit table, and only the factorizations whose first
+factor lies in a proper orbit are walked.  A non-Singer element gets
+only its non-generating witness, searched lazily; the proper subgroup it
+stays in, a subspace stabilizer or det^-1(X) for a proper X < F_q^x,
+certifies it without a closure.  classify_qc's full classification is
+left to the conjugation spot checks.  verify_main2 and verify_gill read
+their verdicts from one orbit table of one Singer cycle c: one closure
+per orbit of <c> on the reflections by conjugation, since the order of
+<c, t> is constant there.  Every other Singer class is C_f = P^-1 c^k P
+with <c^k> = <c>, so its pairs read the table at P t P^-1; gill's pair
+(C_f, C_g) generates what (C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a
+reflection fixing x_n = 0.  verify_main2(full=True) builds one table per
+Singer cycle.  verify_gill tests whether C_g normalizes <C_f> by the
+definition, against the powers of C_f, not by scanning GL_n(F_q) as
+normalizer_of_cyclic still does for the worked example.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ import math
 import operator
 import random
 import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ff import FieldSpec, factorize
-from .matrix import (Matrix, _check_budget, char_poly, enumerate_gl, fixed_space, gl_order,
-                     invariant_subspace, mul_entries)
+from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, fixed_space,
+                     gl_order, invariant_subspace, mul_entries, stabilizes)
 from .poly import Poly, companion, enumerate_monic, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
@@ -383,12 +387,20 @@ def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
 
 
 class _GenerationCache:
-    """Memoizes generates_full verdicts on unordered factor sets in GL_n(F_q),
-    counting the closures it runs.  It starts with the empty set's, the
-    trivial group: all of GL_1(F_2), proper elsewhere."""
+    """Memoizes generates_full verdicts in GL_n(F_q), counting the closures
+    it runs: on unordered factor sets, starting with the empty set's, the
+    trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
+    (g, t) of a Singer cycle g and a reflection t, through one orbit table
+    (_orbit_table) per Singer subgroup.  A table is keyed by the entries
+    of each element of the subgroup, so every generator of <g> reads the
+    one table without a product; singer_failure decides a Singer cycle
+    from it.
+    """
 
     def __init__(self, n: int, q: int):
-        self._verdicts: dict[frozenset, bool] = {frozenset(): gl_order(n, q) == 1}
+        self._full = gl_order(n, q)
+        self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
+        self._tables: dict[tuple, tuple[dict[tuple, int], list[int], list[Matrix]]] = {}
         self.closures = 0
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
@@ -400,10 +412,67 @@ class _GenerationCache:
             self.closures += 1
         return verdict
 
-    def first_non_generating(self, factorizations: Iterable[FactorizationList]
+    def first_non_generating(self, factorizations: Iterable[FactorizationList],
+                             certified: Callable[[tuple], bool] | None = None
                              ) -> FactorizationList | None:
-        """The first factorization whose factors do not generate, or None."""
-        return next((fl for fl in factorizations if not self.generates(fl.factors)), None)
+        """The first factorization whose factors do not generate, or None.
+        certified(factors), when given and true, proves that they do not
+        without a closure; a factor set it does not certify runs one."""
+        return next((fl for fl in factorizations
+                     if certified is not None and certified(fl.factors)
+                     or not self.generates(fl.factors)), None)
+
+    def singer_table(self, g: Matrix) -> tuple[dict[tuple, int], list[int], list[Matrix]]:
+        """The orbit table of <g> for the Singer cycle g: each reflection's
+        orbit number, |<g, t>| by orbit number, and by orbit number the
+        inverse of its first member in enumerate_reflections order."""
+        table = self._tables.get(g.entries)
+        if table is None:
+            reflections = enumerate_reflections(g.n, g.field)
+            orbit_of, orders = _orbit_table(g, reflections)
+            self.closures += len(orders)
+            inverses = []  # orbits are numbered in the order of their first members
+            for t in reflections:
+                if orbit_of[t.entries] == len(inverses):
+                    inverses.append(t.inverse())
+            table = (orbit_of, orders, inverses)
+            self._tables.update(dict.fromkeys(_powers(g), table))
+        return table
+
+    def singer_failure(self, g: Matrix) -> FactorizationList | None:
+        """The first minimal factorization of the Singer cycle g, in
+        enumeration order, whose factors do not generate; None when all do.
+
+        A factorization (t_1, ..., t_l) multiplies to g, so it generates a
+        group containing <g, t_1>.  Its first factors, the t with
+        l(t^-1 g) = l(g) - 1, form a union of <g>-orbits, since conjugation
+        by a power of g fixes g (_first_factor_orbits).  Every factorization
+        whose first factor lies in an orbit of order |GL_n(F_q)| therefore
+        generates; only those with a first factor in a proper orbit are
+        enumerated, in order, and tested through the cache.  With no such
+        orbit, g is decided by its table alone.  The identity of GL_1(F_2),
+        of length 0, keeps the empty set's verdict.
+        """
+        if reflection_length(g) == 0:
+            return self.first_non_generating(enumerate_minimal_factorizations(g))
+        orbit_of, orders, inverses = self.singer_table(g)
+        proper = {number for number in _first_factor_orbits(g, inverses)
+                  if orders[number] != self._full}
+        return self.first_non_generating(
+            FactorizationList._unchecked((t,) + rest.factors, g)
+            for t in enumerate_reflections(g.n, g.field) if orbit_of[t.entries] in proper
+            for rest in enumerate_minimal_factorizations(t.inverse() @ g))
+
+
+def _first_factor_orbits(g: Matrix, inverses: Sequence[Matrix]) -> set[int]:
+    """The numbers of the <g>-orbits of reflections that hold the first
+    factors of g's minimal factorizations, the t with l(t^-1 g) = l(g) - 1,
+    given the inverse of one member of each orbit by number.  Conjugating
+    by h in <g> fixes g and maps t^-1 g to (h t h^-1)^-1 g, of the same
+    length, so one member decides its orbit."""
+    length = reflection_length(g) - 1
+    return {number for number, t_inverse in enumerate(inverses)
+            if reflection_length(t_inverse @ g) == length}
 
 
 def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
@@ -411,9 +480,15 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
 
     strong: every factorization generates GL_n(F_q); weak_only: some but
     not all; not_weak: none.  The empty factorization of the identity
-    generates the trivial subgroup.
+    generates the trivial subgroup.  A Singer cycle is read off its
+    subgroup's orbit table first (_GenerationCache.singer_failure), and is
+    strong there with no closure of its own; any other element, and a
+    Singer cycle with a non-generating factorization, walks its
+    factorizations.
     """
     cache = cache or _GenerationCache(g.n, g.field.q)
+    if is_singer(g) and cache.singer_failure(g) is None:
+        return STRONG
     any_gen = False
     all_gen = True
     seen_any = False
@@ -449,40 +524,66 @@ def conjugacy_classes(n: int, field: FieldSpec) -> list[tuple[Matrix, int]]:
 # --- theorem-level drivers ------------------------------------------------------
 
 
+def _stabilize_all(factors: Sequence[Matrix], w: Subspace) -> bool:
+    """True iff every factor stabilizes W."""
+    return all(stabilizes(t, w) for t in factors)
+
+
+def _dets_within(factors: Sequence[Matrix], x: frozenset[int]) -> bool:
+    """True iff every factor's determinant lies in X."""
+    return all(t.det() in x for t in factors)
+
+
 def _witness_for_non_singer(g: Matrix, cache: _GenerationCache
                             ) -> tuple[str, FactorizationList | None]:
     """A non-generating minimal factorization of a non-Singer element, or
     None if the search below finds none.
 
-    Reducible g: the factorization stabilizing an invariant subspace.
-    Irreducible g: the first factorization whose factor determinants stay
-    in the subgroup generated by det(g) and which does not generate, found
-    lazily; when that subgroup is the whole unit group the search is
-    unrestricted, and the non-generating entry promised by the
-    classification is located by direct search.
+    Reducible g: the factorization stabilizing an invariant subspace W,
+    which is nontrivial and proper.  Its factors, checked again to
+    stabilize W, generate a subgroup of W's stabilizer, a proper subgroup,
+    so no closure runs.  Irreducible g: the first factorization whose
+    factor determinants stay in the subgroup X generated by det(g) and
+    which does not generate, found lazily.  When X is proper, the first
+    such factorization is the witness: its factors, checked again to have
+    determinants in X, generate a subgroup of det^-1(X), a proper
+    subgroup.  When X is the whole unit group the search is unrestricted,
+    and the non-generating entry promised by the classification is
+    located by closures.  A factor set that fails its check runs a closure
+    instead.
     """
     if not is_irreducible_element(g):
-        fl = stabilizing_factorization(g, invariant_subspace(g))
-        return "reducible", None if cache.generates(fl.factors) else fl
+        w = invariant_subspace(g)
+        return "reducible", cache.first_non_generating(
+            [stabilizing_factorization(g, w)], lambda factors: _stabilize_all(factors, w))
     x = det_subgroup(g.field, g.det())
-    kind = "irreducible_proper_det" if len(x) < g.field.q - 1 else "irreducible_full_det"
-    return kind, cache.first_non_generating(_det_subgroup_search(g, x))
+    search = _det_subgroup_search(g, x)
+    if len(x) < g.field.q - 1:
+        return "irreducible_proper_det", cache.first_non_generating(
+            search, lambda factors: _dets_within(factors, x))
+    return "irreducible_full_det", cache.first_non_generating(search)
 
 
 def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
     Each element gets the work its verdict needs.  A Singer element must
-    have every minimal factorization generate; its walk stops at the first
-    that does not, which is reported as a violation.  A non-Singer element
-    is not strong as soon as one minimal factorization fails to generate,
-    so it is given only its explicit witness (_witness_for_non_singer);
-    finding none is a violation.  All closures go through one generation
-    cache, and generation_tests counts those it ran.  With classes=True
-    only one representative per conjugacy class is checked (the
-    classification is conjugation invariant); the default audits every
-    element.  The randomized conjugation spot checks compare full
-    classify_qc classifications.
+    have every minimal factorization generate.  It is decided from the
+    orbit table of its subgroup, one closure per <g>-orbit of reflections,
+    shared by every generator of the subgroup: only factorizations whose
+    first factor lies in a proper orbit are walked, and the first of them
+    that does not generate is reported as a violation
+    (_GenerationCache.singer_failure).  A non-Singer element is not
+    strong as soon as one minimal factorization fails to generate, so it
+    is given only its explicit witness (_witness_for_non_singer), which
+    the subgroup it stays in certifies unless its determinants generate
+    F_q^x; finding none is a violation.  All closures go through one
+    generation cache, and generation_tests counts those it ran, the
+    tables' among them.  With classes=True only one representative per
+    conjugacy class is checked (the classification is conjugation
+    invariant); the default audits every element, and never conjugates a
+    table from one Singer subgroup to another.  The randomized
+    conjugation spot checks compare full classify_qc classifications.
     """
     start = time.monotonic()
     q = field.q
@@ -502,7 +603,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
         checked += weight
         singer_count += weight * singer
         if singer:
-            fl = cache.first_non_generating(enumerate_minimal_factorizations(g))
+            fl = cache.singer_failure(g)
             if fl is not None:
                 violations.append({"matrix": g.to_text(), "is_singer": True,
                                    "non_generating": fl.serialize()})

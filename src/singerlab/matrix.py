@@ -354,11 +354,6 @@ def kernel_of_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> Subsp
     return Subspace(field, ncols, basis, free)
 
 
-def kernel(a: Matrix) -> Subspace:
-    """Canonical basis of {v : A v = 0}."""
-    return kernel_of_rows(a.field, a.rows(), a.n)
-
-
 def _minus_identity_rows(field: FieldSpec, n: int, e: tuple) -> list[list[int]]:
     """The rows of A - I for A's flat entries e, subtracting 1 on the diagonal only."""
     sub = field.sub
@@ -382,14 +377,6 @@ def fixed_space(a: Matrix) -> Subspace:
 @functools.lru_cache(maxsize=_FIXED_SPACE_CACHE_SIZE)
 def _fixed_space_of_entries(field: FieldSpec, n: int, entries: tuple) -> Subspace:
     return kernel_of_rows(field, _minus_identity_rows(field, n, entries), n)
-
-
-def common_fixed_space(mats: Sequence[Matrix]) -> Subspace:
-    """Intersection of the fixed spaces of the given matrices."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    rows = [row for a in mats for row in _minus_identity_rows(a.field, a.n, a.entries)]
-    return kernel_of_rows(mats[0].field, rows, mats[0].n)
 
 
 def stabilizes(a: Matrix, w: Subspace) -> bool:

@@ -10,6 +10,7 @@ from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumera
                        fixed_space, generates_full, gl_order, group_closure, is_primitive_poly,
                        is_singer, make_field, normalizer_of_cyclic)
 from singerlab.groupgen import singer_class_representatives
+from singerlab.matrix import kernel_of_rows
 from singerlab.singer import normalizing_reflections
 
 
@@ -60,6 +61,22 @@ def random_invertible(n: int, field, rng):
         m = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
         if m.det():
             return m
+
+
+def kernel(a):
+    """Oracle: the canonical basis of {v : A v = 0}, one elimination of A's rows."""
+    return kernel_of_rows(a.field, a.rows(), a.n)
+
+
+def common_fixed_space(mats):
+    """Oracle: the intersection of the fixed spaces of the given matrices,
+    one elimination of the stacked rows of every A - I."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    field, n = mats[0].field, mats[0].n
+    rows = [[field.sub(x, 1 if i == j else 0) for j, x in enumerate(row)]
+            for a in mats for i, row in enumerate(a.rows())]
+    return kernel_of_rows(field, rows, n)
 
 
 # F_2 .. F_9, as (p, k)

@@ -17,10 +17,11 @@ from singerlab import (Matrix, companion, enumerate_gl,
                        reflection_length, verify_gill, verify_main1,
                        verify_main2)
 from singerlab.cli import main as cli_main
-from singerlab.matrix import common_fixed_space
 from singerlab.reflect import det_subgroup, factorizations_in_det_subgroup
 from singerlab.groupgen import gl_order, group_closure, reflection_distances
 from singerlab.singer import singer_equivalence_report
+
+from conftest import common_fixed_space
 
 
 def _report(num: int, description: str, elapsed: float, limit: float) -> None:
@@ -223,3 +224,16 @@ def test_criterion_13_gl3f5_reach(capsys):
         assert report["exceptional_pairs"] == [] and report["violations"] == []
     _report(13, "main2 on all 61380 pairs and gill on all 1980 pairs of GL_3(F_5), "
                 "|G| = 1488000, through the CLI", elapsed, 20.0)
+
+
+def test_criterion_14_gl3f3_main1_full(capsys):
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "main1", "--n", "3", "--p", "3")
+    elapsed = time.monotonic() - start
+    assert code == 0 and report["mode"] == "full" and report["violations"] == []
+    assert report["checked"] == 11232 and report["singer_cycles"] == 1728
+    assert sum(report["witnesses"].values()) == 9504
+    # 144 Singer subgroups x 17 orbits of reflections, and 36 for the spot checks
+    assert report["generation_tests"] == 2484
+    _report(14, "strongly quasi-Coxeter iff Singer on every element of GL_3(F_3), "
+                "|G| = 11232, through the CLI", elapsed, 60.0)

@@ -453,7 +453,7 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
     assert info.misses == len(set(seen)) == 48
-    assert info.hits == len(seen) - info.misses == 455
+    assert info.hits == len(seen) - info.misses == 147
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
@@ -481,8 +481,44 @@ def test_main1_per_element_check_matches_classify_qc(n, p, k):
     assert lazy > 0 or (n, field.q) == (3, 2)
 
 
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
+def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k):
+    # oracle: generates_full on every minimal factorization of every Singer
+    # cycle and on every witness, with no cache and no orbit table; the
+    # empty factor set of the identity generates the trivial group
+    field = make_field(p, k)
+
+    def generates(factors):
+        return generates_full(factors) if factors else gl_order(n, field.q) == 1
+
+    cache = groupgen._GenerationCache(n, field.q)
+    certified = 0
+    for g in enumerate_gl(n, field):
+        if is_singer(g):
+            listed = list(enumerate_minimal_factorizations(g))
+            failing = [fl for fl in listed if not generates(fl.factors)]
+            assert cache.singer_failure(g) == next(iter(failing), None)
+            assert (cache.singer_failure(g) is None) == all(generates(fl.factors)
+                                                           for fl in listed)
+            orbit_of, _, inverses = cache.singer_table(g)
+            assert (groupgen._first_factor_orbits(g, inverses)
+                    == {orbit_of[fl.factors[0].entries] for fl in listed})
+            continue
+        closures = cache.closures
+        kind, fl = groupgen._witness_for_non_singer(g, cache)
+        assert fl.product == g and len(fl) == reflection_length(g)
+        assert not generates(fl.factors)
+        if kind != "irreducible_full_det":  # certified by the subgroup it stays in
+            assert cache.closures == closures
+            certified += 1
+    assert certified > 0
+
+
 def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypatch):
-    # every factor set generates: no non-Singer element has a witness
+    # no witness certificate holds and every factor set generates: no
+    # non-Singer element has a witness
+    monkeypatch.setattr(groupgen, "_stabilize_all", lambda factors, w: False)
+    monkeypatch.setattr(groupgen, "_dets_within", lambda factors, x: False)
     monkeypatch.setattr(groupgen._GenerationCache, "generates", lambda self, factors: True)
     report = verify_main1(2, f3)
     assert (report["checked"], report["singer_cycles"]) == (48, 12)
@@ -490,7 +526,16 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
     assert len(report["violations"]) == 36
     assert all(v["is_singer"] is False and v["error"] == "no non-generating witness found"
                for v in report["violations"])
-    # no factor set generates: each Singer element reports its first factorization
+    monkeypatch.undo()
+    # every orbit of every Singer table is proper and no factor set
+    # generates: each Singer element reports its first factorization
+    orbit_table = groupgen._orbit_table
+
+    def all_orbits_proper(c, reflections):
+        orbit_of, orders = orbit_table(c, reflections)
+        return orbit_of, [1] * len(orders)
+
+    monkeypatch.setattr(groupgen, "_orbit_table", all_orbits_proper)
     monkeypatch.setattr(groupgen._GenerationCache, "generates", lambda self, factors: False)
     report = verify_main1(2, f3)
     assert sum(report["witnesses"].values()) == 36
@@ -504,12 +549,20 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
 
 def test_main1_generation_tests_pinned(f2, f3, f4, f5):
     # seed 0: the closures main1's cache runs, the same on a second run with
-    # every module memo warm; a lost reduction fails here, not as a slow run
-    assert verify_main1(2, f3)["generation_tests"] == 83
-    assert verify_main1(2, f3)["generation_tests"] == 83
-    assert verify_main1(2, f4)["generation_tests"] == 519
-    assert verify_main1(2, f5)["generation_tests"] == 1392
-    assert verify_main1(3, f2)["generation_tests"] == 511
+    # every module memo warm; a lost reduction fails here, not as a slow run.
+    # Full mode builds one orbit table per Singer subgroup, |GL|/(n(q^n - 1))
+    # of them with q^(n-1)(q - 1) - 1 closures each; the rest are the
+    # irreducible_full_det witnesses' and the spot checks'.
+    def tables(n, q):
+        return gl_order(n, q) // (n * (q**n - 1)) * (q ** (n - 1) * (q - 1) - 1)
+
+    assert tables(2, 3) == 15 and tables(2, 4) == 66 and tables(2, 5) == 190
+    assert tables(3, 2) == 24
+    assert verify_main1(2, f3)["generation_tests"] == tables(2, 3) + 3 == 18
+    assert verify_main1(2, f3)["generation_tests"] == 18
+    assert verify_main1(2, f4)["generation_tests"] == tables(2, 4) + 36 == 102
+    assert verify_main1(2, f5)["generation_tests"] == tables(2, 5) + 76 == 266
+    assert verify_main1(3, f2)["generation_tests"] == tables(3, 2) == 24
 
 
 def test_verify_main1_classes_mode_agrees(f3):

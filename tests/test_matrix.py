@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from singerlab import (Matrix, Poly, Subspace, char_poly, common_fixed_space,
-                       companion, enumerate_gl, enumerate_subspaces,
-                       find_primitive_poly, fixed_space, gl_exponent, gl_order,
-                       kernel, make_field, matrix, matrix_order, stabilizes)
+from singerlab import (Matrix, Poly, Subspace, char_poly, companion, enumerate_gl,
+                       enumerate_subspaces, find_primitive_poly, fixed_space, gl_exponent,
+                       gl_order, make_field, matrix, matrix_order, stabilizes)
 from singerlab.matrix import _rref, kernel_of_rows
 
-from conftest import (gaussian_binomial, matrices, matrices_over, random_invertible,
-                      square_shapes)
+from conftest import (common_fixed_space, gaussian_binomial, kernel, matrices, matrices_over,
+                      random_invertible, square_shapes)
 
 
 def char_poly_cofactor(a):

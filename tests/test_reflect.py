@@ -12,11 +12,11 @@ from singerlab import (BudgetExceededError, Matrix, Subspace, companion,
                        reflection_length, stabilizing_factorization)
 from singerlab import matrix, reflect
 from singerlab.groupgen import reflection_distances
-from singerlab.matrix import common_fixed_space, enumerate_subspaces, stabilizes
+from singerlab.matrix import enumerate_subspaces, stabilizes
 from singerlab.reflect import (FactorizationList, det_subgroup, reflection_count,
                                reflection_from_params)
 
-from conftest import random_invertible
+from conftest import common_fixed_space, random_invertible
 
 
 def test_is_reflection_examples(f3, f5):
