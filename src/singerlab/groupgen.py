@@ -19,8 +19,10 @@ group, holds the empty factor set's verdict and the orbit table of each
 Singer subgroup it meets, and counts the closures it runs.  verify_main1,
 verify_main2, verify_gill and verify_length_oracle sweep a full
 desk-scale instance and report violations; they are pure per element or
-pair, so reports are deterministic.  verify_main1 decides is_singer first
-and proves only what the theorem asks.  A minimal factorization of a
+pair, so reports are deterministic.  verify_main1 decides Singer first,
+from the one characteristic polynomial per element that also tells a
+reducible witness from an irreducible one, and proves only what the
+theorem asks.  A minimal factorization of a
 Singer cycle g generates a group containing <g, t_1>, so g is read off
 its subgroup's orbit table, and only the factorizations whose first
 factor lies in a proper orbit are walked.  A non-Singer element gets
@@ -52,12 +54,11 @@ from typing import Callable, Iterable, Sequence
 from .ff import FieldSpec, factorize
 from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, fixed_space,
                      gl_order, invariant_subspace, mul_entries, stabilizes)
-from .poly import Poly, companion, enumerate_monic, is_primitive_poly
+from .poly import Poly, companion, enumerate_monic, is_irreducible, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
                       reflection_count, reflection_length, stabilizing_factorization)
-from .singer import (_cyclic_basis_change, is_irreducible_element, is_singer,
-                     normalizing_reflections)
+from .singer import _cyclic_basis_change, is_singer, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
 
@@ -534,10 +535,11 @@ def _dets_within(factors: Sequence[Matrix], x: frozenset[int]) -> bool:
     return all(t.det() in x for t in factors)
 
 
-def _witness_for_non_singer(g: Matrix, cache: _GenerationCache
+def _witness_for_non_singer(g: Matrix, f: Poly, cache: _GenerationCache
                             ) -> tuple[str, FactorizationList | None]:
-    """A non-generating minimal factorization of a non-Singer element, or
-    None if the search below finds none.
+    """A non-generating minimal factorization of a non-Singer element g
+    with characteristic polynomial f, or None if the search below finds
+    none.
 
     Reducible g: the factorization stabilizing an invariant subspace W,
     which is nontrivial and proper.  Its factors, checked again to
@@ -552,7 +554,7 @@ def _witness_for_non_singer(g: Matrix, cache: _GenerationCache
     located by closures.  A factor set that fails its check runs a closure
     instead.
     """
-    if not is_irreducible_element(g):
+    if not is_irreducible(f):
         w = invariant_subspace(g)
         return "reducible", cache.first_non_generating(
             [stabilizing_factorization(g, w)], lambda factors: _stabilize_all(factors, w))
@@ -599,7 +601,8 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     violations = []
     sample = []
     for g, weight in todo:
-        singer = is_singer(g)
+        f = char_poly(g)  # one per element: it decides both Singer and reducible
+        singer = is_primitive_poly(f)
         checked += weight
         singer_count += weight * singer
         if singer:
@@ -608,7 +611,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
                 violations.append({"matrix": g.to_text(), "is_singer": True,
                                    "non_generating": fl.serialize()})
             continue
-        kind, fl = _witness_for_non_singer(g, cache)
+        kind, fl = _witness_for_non_singer(g, f, cache)
         if fl is None:
             violations.append({"matrix": g.to_text(), "is_singer": False,
                                "error": "no non-generating witness found"})

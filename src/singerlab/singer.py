@@ -11,19 +11,26 @@ are checked to be constants before being cast down to F_q.
 
 The routes that depend on the characteristic polynomial f alone (the Rabin
 and primitivity tests in poly and _eigenvalues_primitive here) are memoized
-by f in bounded LRUs, so a sweep runs each once per distinct f; everything
-that depends on the matrix (char_poly, matrix_order, the orbit walk and the
-subspace scan) still runs per element, and the six routes stay independent.
+by f in bounded LRUs, so a sweep runs each once per distinct f.  The
+equivalence scan computes the matrix-dependent routes that are fixed by the
+cyclic subgroup <g> (the order, the orbit walk and the subspace scan) once
+per subgroup: g^k with gcd(k, ord g) = 1 generates <g>, so it has g's
+order, g's orbits on the nonzero vectors, and g's invariant subspaces
+(those of <g>).  Only char_poly runs per element.  The public oracles
+singer_oracles and irreducible_conditions still compute every route for
+the one element they are given, and the six routes stay independent.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .ff import FieldSpec
-from .matrix import (Matrix, char_poly, enumerate_gl, fixed_space, invariant_subspace,
-                     matrix_order)
+from .matrix import (Matrix, char_poly, enumerate_gl, fixed_space, gl_exponent,
+                     invariant_subspace, matrix_order, mul_entries)
 from .poly import (_POLY_VERDICT_CACHE_SIZE, FieldExtension, Poly, companion,
                    enumerate_monic, find_primitive_poly, is_irreducible, is_primitive_poly)
 
@@ -174,21 +181,23 @@ def _eigenvalues_primitive(f: Poly) -> bool:
 
 def singer_oracles(g: Matrix) -> SingerConditions:
     """Evaluate all six Singer characterizations by independent routes."""
-    return _singer_conditions(g, char_poly(g), is_irreducible_oracle(g))
+    return _singer_conditions(g, char_poly(g), matrix_order(g), _orbit_transitive(g),
+                              is_irreducible_oracle(g))
 
 
-def _singer_conditions(g: Matrix, f: Poly, no_invariant_subspace: bool) -> SingerConditions:
-    """singer_oracles(g) from g's characteristic polynomial f and the result
-    of its subspace scan."""
+def _singer_conditions(g: Matrix, f: Poly, order: int, transitive: bool,
+                       no_invariant_subspace: bool) -> SingerConditions:
+    """singer_oracles(g) from g's characteristic polynomial f, its order,
+    whether its orbit walk is transitive, and the result of its subspace
+    scan."""
     n, field = g.n, g.field
-    order = matrix_order(g)
     return SingerConditions(
         embeds_primitive_element=f in _primitive_minpolys(n, field),
         irreducible_max_order=(no_invariant_subspace
                                and order == max_irreducible_order(n, field)),
         order_full=order == field.q**n - 1,
         char_poly_primitive=is_primitive_poly(f),
-        transitive_on_nonzero=_orbit_transitive(g),
+        transitive_on_nonzero=transitive,
         eigenvalue_primitive=_eigenvalues_primitive(f),
     )
 
@@ -270,18 +279,69 @@ def normalizing_reflections(c: Matrix) -> list[Matrix]:
     return out
 
 
+def _cyclic_powers(g: Matrix) -> list[tuple]:
+    """The entries of g, g^2, ..., g^m = I, for m the order of g: the walk
+    around <g> by products of flat entry tuples."""
+    n, field = g.n, g.field
+    exponent = gl_exponent(n, field.q)
+    powers = [g.entries]
+    identity = Matrix.identity(field, n).entries
+    while powers[-1] != identity:
+        if len(powers) == exponent:
+            raise AssertionError(f"<g> has more than exp GL_{n}(F_{field.q}) = {exponent} "
+                                 f"elements")
+        powers.append(mul_entries(powers[-1], g.entries, n, field))
+    if exponent % len(powers):
+        raise AssertionError(f"the order {len(powers)} of g does not divide "
+                             f"exp GL_{n}(F_{field.q}) = {exponent}")
+    return powers
+
+
+def _subgroup_invariants(n: int, field: FieldSpec
+                         ) -> Iterator[tuple[Matrix, int, bool, bool]]:
+    """(g, order, transitive, no_invariant_subspace) for each g of GL_n(F_q),
+    in enumerate_gl order.
+
+    The three values are fixed by the cyclic subgroup <g>: the order is
+    |<g>|, the g-orbit of a vector is its <g>-orbit, and the subspaces g
+    stabilizes are those <g> stabilizes.  They are computed once, when the
+    scan meets the first generator of <g>, and filed under the entries of
+    the other generators g^k, gcd(k, ord g) = 1, which alone generate
+    <g>.  A visited element pops its entry, so the table holds only
+    subgroups walked but not yet visited, and is empty at the end.
+    """
+    shared: dict[tuple, tuple[int, bool, bool]] = {}
+    for g in enumerate_gl(n, field):
+        invariants = shared.pop(g.entries, None)
+        if invariants is None:
+            powers = _cyclic_powers(g)
+            order = len(powers)
+            invariants = (order, _orbit_transitive(g), is_irreducible_oracle(g))
+            for k in range(2, order):
+                if math.gcd(k, order) == 1:
+                    shared[powers[k - 1]] = invariants
+        yield (g, *invariants)
+    if shared:
+        raise AssertionError(f"{len(shared)} generators of walked subgroups were never visited")
+
+
 def singer_equivalence_report(n: int, field: FieldSpec) -> dict:
     """Scan GL_n(F_q) checking that all Singer and irreducibility
-    characterizations coincide elementwise."""
+    characterizations coincide elementwise.
+
+    Each element gets its own characteristic polynomial and the tests keyed
+    by it.  Its order, its orbit walk and its subspace scan are those of
+    its cyclic subgroup, which is walked once (_subgroup_invariants), so
+    the report equals the per-element scan of singer_oracles and
+    irreducible_conditions.
+    """
     checked = 0
     singer_count = 0
     irreducible_count = 0
     violations = []
-    for g in enumerate_gl(n, field):
-        # one characteristic polynomial and one subspace scan per element
+    for g, order, transitive, no_invariant_subspace in _subgroup_invariants(n, field):
         f = char_poly(g)
-        no_invariant_subspace = is_irreducible_oracle(g)
-        sc = _singer_conditions(g, f, no_invariant_subspace)
+        sc = _singer_conditions(g, f, order, transitive, no_invariant_subspace)
         ic = _irreducible_conditions(g, f, no_invariant_subspace)
         if not sc.consistent or not ic.consistent:
             violations.append({"matrix": g.to_text(),

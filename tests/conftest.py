@@ -11,7 +11,7 @@ from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumera
                        is_singer, make_field, normalizer_of_cyclic)
 from singerlab.groupgen import singer_class_representatives
 from singerlab.matrix import kernel_of_rows
-from singerlab.singer import normalizing_reflections
+from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
 
 
 @pytest.fixture(scope="session")
@@ -202,6 +202,33 @@ def gill_by_normalizer_scan(n: int, field) -> dict:
         "primitive_polynomials": len(primitives),
         "checked": pairs,
         "exceptional_pairs": exceptional,
+        "violations": violations,
+    }
+
+
+def unreduced_singer_equivalence_report(n: int, field) -> dict:
+    """singer_equivalence_report from the public per-element oracles: every
+    element's order, orbit walk and subspace scan computed afresh, with no
+    sharing across its cyclic subgroup."""
+    checked = 0
+    singer_count = 0
+    irreducible_count = 0
+    violations = []
+    for g in enumerate_gl(n, field):
+        sc = singer_oracles(g)
+        ic = irreducible_conditions(g)
+        if not sc.consistent or not ic.consistent:
+            violations.append({"matrix": g.to_text(),
+                               "singer": sc.as_tuple(), "irreducible": ic.as_tuple()})
+        checked += 1
+        singer_count += sc.order_full
+        irreducible_count += ic.char_poly_irreducible
+    return {
+        "n": n,
+        "q": field.q,
+        "checked": checked,
+        "singer_cycles": singer_count,
+        "irreducible_elements": irreducible_count,
         "violations": violations,
     }
 

@@ -237,3 +237,17 @@ def test_criterion_14_gl3f3_main1_full(capsys):
     assert report["generation_tests"] == 2484
     _report(14, "strongly quasi-Coxeter iff Singer on every element of GL_3(F_3), "
                 "|G| = 11232, through the CLI", elapsed, 60.0)
+
+
+def test_criterion_15_gl3f3_singer_equiv(capsys):
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "singer-equiv", "--n", "3", "--p", "3")
+    elapsed = time.monotonic() - start
+    assert code == 0 and report["violations"] == []
+    assert report["checked"] == 11232
+    # one class of |GL| / 26 = 432 elements per irreducible cubic, of which
+    # phi(26) / 3 = 4 of the 8 are primitive
+    assert report["singer_cycles"] == 1728
+    assert report["irreducible_elements"] == 3456
+    _report(15, "six Singer and three irreducibility characterizations coincide on "
+                "every element of GL_3(F_3), |G| = 11232, through the CLI", elapsed, 30.0)

@@ -19,7 +19,7 @@ from singerlab import fixed_space, groupgen, matrix, reflect, singer
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
                                 reflection_distances, singer_class_count,
                                 singer_class_representatives)
-from singerlab.matrix import mul_entries
+from singerlab.matrix import char_poly, mul_entries
 from singerlab.singer import normalizing_reflections
 
 from conftest import (gill_by_normalizer_scan, matrices_over, random_invertible, run_python,
@@ -456,6 +456,36 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
     assert info.hits == len(seen) - info.misses == 147
 
 
+@pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
+def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
+    # the main loop decides Singer and the witness kind from one
+    # characteristic polynomial per element; each classify_qc of the spot
+    # checks decides is_singer from one of its own, counted apart
+    calls = {"main": 0, "spot": 0, "classify_qc": 0}
+    in_spot_check = []
+
+    def counted_char_poly(a, _fn=char_poly):
+        calls["spot" if in_spot_check else "main"] += 1
+        return _fn(a)
+
+    def counted_classify_qc(g, cache=None, _fn=classify_qc):
+        calls["classify_qc"] += 1
+        in_spot_check.append(g)
+        try:
+            return _fn(g, cache)
+        finally:
+            in_spot_check.pop()
+
+    for module in (matrix, groupgen, singer):
+        monkeypatch.setattr(module, "char_poly", counted_char_poly)
+    monkeypatch.setattr(groupgen, "classify_qc", counted_classify_qc)
+    report = verify_main1(n, make_field(p, k))
+    assert report["mode"] == "full" and report["violations"] == []
+    assert calls["main"] == report["checked"] == gl_order(n, p**k)
+    assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
+    assert calls["spot"] == calls["classify_qc"]
+
+
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
 def test_main1_per_element_check_matches_classify_qc(n, p, k):
     # oracle: the full classification of every element, and for the
@@ -469,7 +499,7 @@ def test_main1_per_element_check_matches_classify_qc(n, p, k):
             assert strong == (cache.first_non_generating(
                 enumerate_minimal_factorizations(g)) is None)
             continue
-        kind, fl = groupgen._witness_for_non_singer(g, cache)
+        kind, fl = groupgen._witness_for_non_singer(g, char_poly(g), cache)
         assert fl is not None and not strong
         assert fl.product == g and len(fl) == reflection_length(g)
         assert not cache.generates(fl.factors)
@@ -505,7 +535,7 @@ def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k)
                     == {orbit_of[fl.factors[0].entries] for fl in listed})
             continue
         closures = cache.closures
-        kind, fl = groupgen._witness_for_non_singer(g, cache)
+        kind, fl = groupgen._witness_for_non_singer(g, char_poly(g), cache)
         assert fl.product == g and len(fl) == reflection_length(g)
         assert not generates(fl.factors)
         if kind != "irreducible_full_det":  # certified by the subgroup it stays in

@@ -429,7 +429,9 @@ def test_inverse_is_computed_once(f5):
 
 def test_enumerated_elements_keep_their_determinant(monkeypatch):
     # singer-equiv on GL_2(F_8) eliminates once per candidate of enumerate_gl
-    # (8^4 = 4096); matrix_order and _permutation then read the kept value
+    # (8^4 = 4096), for its determinant, and nowhere else: each cyclic
+    # subgroup is walked by entry products, and the subspace scans test
+    # membership in canonical bases
     from singerlab.singer import singer_equivalence_report
 
     calls = []

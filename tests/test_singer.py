@@ -1,8 +1,10 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import singerlab.matrix
 import singerlab.poly
 import singerlab.singer
 from singerlab import (Matrix, Poly, char_poly, companion, enumerate_gl,
@@ -11,10 +13,12 @@ from singerlab import (Matrix, Poly, char_poly, companion, enumerate_gl,
                        make_field, normalizer_reflection,
                        normalizing_reflections, singer_oracles)
 from singerlab.ff import element_order
-from singerlab.matrix import invariant_subspace, stabilizes
+from singerlab.matrix import invariant_subspace, matrix_order, stabilizes
 from singerlab.poly import FieldExtension
-from singerlab.singer import (irreducible_conditions, max_irreducible_order,
-                              singer_equivalence_report)
+from singerlab.singer import (_orbit_transitive, _subgroup_invariants, irreducible_conditions,
+                              max_irreducible_order, singer_equivalence_report)
+
+from conftest import trial_phi, unreduced_singer_equivalence_report
 
 
 def make_ext(field, n):
@@ -141,15 +145,22 @@ _POLY_MEMOS = (singerlab.poly.is_irreducible, singerlab.poly.is_primitive_poly,
 
 
 def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
-    # one characteristic polynomial and one subspace scan per element of
-    # GL_2(F_4); the Rabin, primitivity and eigenvalue tests run once per
-    # distinct characteristic polynomial, and a second report runs none
+    # one characteristic polynomial per element of GL_2(F_4), one subspace
+    # scan per cyclic subgroup, and no matrix_order at all; the Rabin,
+    # primitivity and eigenvalue tests run once per distinct characteristic
+    # polynomial, and a second report runs none
+    elements = list(enumerate_gl(2, f4))
+    # <g> has phi(ord g) generators, so it is counted once over its elements
+    subgroups = sum(Fraction(1, trial_phi(matrix_order(g))) for g in elements)
+    assert subgroups == 74
     singer_equivalence_report(2, f4)  # fills the cached minimal-polynomial sets
     for memo in _POLY_MEMOS:
         memo.cache_clear()
     calls = Counter()
     for module, name in ((singerlab.singer, "char_poly"),
                          (singerlab.singer, "invariant_subspace"),
+                         (singerlab.singer, "matrix_order"),
+                         (singerlab.matrix, "matrix_order"),
                          (singerlab.poly, "powmod")):
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -157,12 +168,29 @@ def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
         monkeypatch.setattr(module, name, counted)
     report = singer_equivalence_report(2, f4)
     assert report["checked"] == 180 and report["violations"] == []
-    assert calls["char_poly"] == 180 and calls["invariant_subspace"] == 180
-    distinct = len({char_poly(g) for g in enumerate_gl(2, f4)})
+    assert calls["char_poly"] == 180 and calls["invariant_subspace"] == subgroups
+    assert calls["matrix_order"] == 0
+    distinct = len({char_poly(g) for g in elements})
     assert [memo.cache_info().misses for memo in _POLY_MEMOS] == [distinct] * 3
     calls.clear()
     assert singer_equivalence_report(2, f4) == report
     assert calls["powmod"] == 0
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 2, 3), (3, 2, 1)])
+def test_equivalence_report_matches_unreduced_scan(n, p, k):
+    # oracle: the per-element scan of the public singer_oracles and
+    # irreducible_conditions; the order, orbit walk and subspace scan each
+    # element reads from its cyclic subgroup equal its own
+    field = make_field(p, k)
+    assert singer_equivalence_report(n, field) == unreduced_singer_equivalence_report(n, field)
+    visited = []
+    for g, order, transitive, no_invariant_subspace in _subgroup_invariants(n, field):
+        visited.append(g)
+        assert order == matrix_order(g), g
+        assert transitive == _orbit_transitive(g), g
+        assert no_invariant_subspace == is_irreducible_oracle(g), g
+    assert visited == list(enumerate_gl(n, field))
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
