@@ -10,10 +10,13 @@ Only the Matrix constructor validates entries; arithmetic results and
 enumerations build with the unchecked Matrix._raw.  A matrix computes its
 hash on first use and its inverse and determinant at most once, since
 all three are fixed by its entries; the elements enumerate_gl yields keep
-the determinant it tested them by.  _rref, on flat integer rows, is the
-one elimination: an inverse, a determinant, a canonical subspace and a
-kernel cost one each (the RREF of a system with its columns reversed
-yields the kernel's canonical basis directly).  Fixed spaces are
+the determinant it read off their last row's residue.  _rref, on flat
+integer rows, is the one elimination: an inverse, a determinant, a
+canonical subspace and a kernel cost one each (the RREF of a system with
+its columns reversed yields the kernel's canonical basis directly), and
+enumerate_gl runs one per linearly independent prefix of fewer than n rows,
+not one per candidate.  char_poly runs on coefficient lists and builds
+only its result as a Poly.  Fixed spaces are
 memoized by (field, n, entries) in a bounded LRU, so each distinct matrix
 costs one elimination however often its fixed space is asked for.
 _check_budget is the one closed-form guard of the one budget,
@@ -33,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .ff import FieldSpec, _multiplicative_order, factorize
-from .poly import Poly
+from .poly import Poly, _mul
 
 ENUMERATION_BUDGET = 10**8
 
@@ -392,9 +395,11 @@ def char_poly(a: Matrix) -> Poly:
     """Monic characteristic polynomial det(xI - A).
 
     Hessenberg reduction by exact similarity transforms, then the standard
-    leading-minor recurrence.
+    leading-minor recurrence on little-endian coefficient lists: the one
+    Poly built is the result.
     """
     n, fld = a.n, a.field
+    sub, mul, neg = fld.sub, fld.mul, fld.neg
     h = [list(a.entries[i * n:(i + 1) * n]) for i in range(n)]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
@@ -406,25 +411,26 @@ def char_poly(a: Matrix) -> Poly:
                 row[j + 1], row[piv] = row[piv], row[j + 1]
         inv = fld.inv(h[j + 1][j])
         for i in range(j + 2, n):
-            f = fld.mul(h[i][j], inv)
+            f = mul(h[i][j], inv)
             if f:
                 # row op R_i -= f*R_{j+1}, inverse column op C_{j+1} += f*C_i
-                h[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(h[i], h[j + 1])]
+                h[i] = [sub(x, mul(f, y)) for x, y in zip(h[i], h[j + 1])]
                 for row in h:
-                    row[j + 1] = fld.add(row[j + 1], fld.mul(f, row[i]))
+                    row[j + 1] = fld.add(row[j + 1], mul(f, row[i]))
     # p_m = (x - h[m-1][m-1]) p_{m-1} - sum_r h[r-1][m-1] (prod subdiag) p_{r-1}
-    polys = [Poly.one(fld)]
-    x = Poly.x(fld)
+    polys = [[1]]
     for m in range(1, n + 1):
-        term = (x - Poly(fld, (h[m - 1][m - 1],))) * polys[m - 1]
+        term = _mul((neg(h[m - 1][m - 1]), 1), polys[m - 1], fld)
         beta = 1
         for r in range(m - 1, 0, -1):
-            beta = fld.mul(beta, h[r][r - 1])
-            coef = fld.mul(h[r - 1][m - 1], beta)
+            beta = mul(beta, h[r][r - 1])
+            coef = mul(h[r - 1][m - 1], beta)
             if coef:
-                term = term - polys[r - 1].scale(coef)
+                for i, c in enumerate(polys[r - 1]):
+                    term[i] = sub(term[i], mul(coef, c))
         polys.append(term)
-    return polys[n]
+    # monic of degree n, so the list has no trailing zeros
+    return Poly._raw(fld, tuple(polys[n]))
 
 
 def gl_order(n: int, q: int) -> int:
@@ -507,10 +513,45 @@ def invariant_subspace(a: Matrix) -> Subspace | None:
 
 
 def enumerate_gl(n: int, field: FieldSpec) -> Iterator[Matrix]:
-    """All invertible n x n matrices over F_q, in entry-lex order."""
+    """All invertible n x n matrices over F_q, in entry-lex order, each
+    holding its determinant.
+
+    Row by row, depth first: each linearly independent prefix of k < n rows
+    gets one _rref, and a row v extends it iff v lies outside the prefix's
+    span.  A prefix of n - 1 rows has one free column f, and v completes an
+    invertible matrix iff its residue r = v[f] - sum_i v[p_i] R_i[f], after
+    clearing the pivots p_i of the prefix's RREF R, is nonzero.  Then
+    det = (the prefix's pivot product, negated per swap) * r, negated once
+    per pivot right of f: after the clearing, the last row is r e_f against
+    the identity on the pivot columns.
+    """
     q = field.q
     _check_budget(f"GL_{n}(F_{q}) enumeration", q ** (n * n), "candidate matrices")
-    for entries in itertools.product(range(q), repeat=n * n):
-        m = Matrix._raw(field, n, entries)
-        if m.det() != 0:
+    yield from _extend_gl((), n, field, list(itertools.product(range(q), repeat=n)))
+
+
+def _extend_gl(prefix: tuple, n: int, field: FieldSpec, vectors: list) -> Iterator[Matrix]:
+    """The invertible matrices whose leading rows are the linearly
+    independent flat prefix, in entry-lex order (enumerate_gl)."""
+    k = len(prefix) // n
+    basis, pivots, det = _rref([list(prefix[i * n:(i + 1) * n]) for i in range(k)], field)
+    if k < n - 1:
+        span = Subspace(field, n, basis, pivots)
+        for v in vectors:
+            if not span.contains(v):
+                yield from _extend_gl(prefix + v, n, field, vectors)
+        return
+    add, mul, neg = field.add, field.mul, field.neg
+    free = next(c for c in range(n) if c not in pivots)
+    if (n - 1 - free) % 2:
+        det = neg(det)
+    clear = [(p, neg(row[free])) for p, row in zip(pivots, basis) if row[free]]
+    for v in vectors:
+        r = v[free]
+        for p, c in clear:
+            if v[p]:
+                r = add(r, mul(c, v[p]))
+        if r:
+            m = Matrix._raw(field, n, prefix + v)
+            object.__setattr__(m, "_det", mul(det, r))
             yield m

@@ -7,9 +7,9 @@ list, e.g. "2,1,1" for x^2 + x + 2 over F_3.
 
 All products and reductions run on plain coefficient lists through one
 product kernel (_mul) and one long-division kernel (_reduce, which reads
-the divisor as its reduction rule, _tail): Poly arithmetic, powmod and
-FieldExtension.mul build a Poly only for their result, and only the Poly
-constructor validates coefficients.
+the divisor as its reduction rule, _tail): Poly arithmetic, powmod,
+FieldExtension.mul and matrix.char_poly build a Poly only for their result,
+and only the Poly constructor validates coefficients.
 
 The Rabin and primitivity verdicts are pure functions of the polynomial, so
 each is memoized by the Poly itself in a bounded LRU: a sweep over

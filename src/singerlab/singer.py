@@ -16,7 +16,8 @@ equivalence scan computes the matrix-dependent routes that are fixed by the
 cyclic subgroup <g> (the order, the orbit walk and the subspace scan) once
 per subgroup: g^k with gcd(k, ord g) = 1 generates <g>, so it has g's
 order, g's orbits on the nonzero vectors, and g's invariant subspaces
-(those of <g>).  Only char_poly runs per element.  The public oracles
+(those of <g>).  One walk of the powers of g serves both the order and the
+orbit of e_1.  Only char_poly runs per element.  The public oracles
 singer_oracles and irreducible_conditions still compute every route for
 the one element they are given, and the six routes stay independent.
 """
@@ -305,7 +306,9 @@ def _subgroup_invariants(n: int, field: FieldSpec
     The three values are fixed by the cyclic subgroup <g>: the order is
     |<g>|, the g-orbit of a vector is its <g>-orbit, and the subspaces g
     stabilizes are those <g> stabilizes.  They are computed once, when the
-    scan meets the first generator of <g>, and filed under the entries of
+    scan meets the first generator of <g>: the walk of its powers gives the
+    order and, in their first columns g^k e_1, the orbit of e_1, whose size
+    is the least k with g^k e_1 = e_1.  They are filed under the entries of
     the other generators g^k, gcd(k, ord g) = 1, which alone generate
     <g>.  A visited element pops its entry, so the table holds only
     subgroups walked but not yet visited, and is empty at the end.
@@ -316,7 +319,9 @@ def _subgroup_invariants(n: int, field: FieldSpec
         if invariants is None:
             powers = _cyclic_powers(g)
             order = len(powers)
-            invariants = (order, _orbit_transitive(g), is_irreducible_oracle(g))
+            e1 = powers[-1][::n]
+            orbit = next(k for k, power in enumerate(powers, 1) if power[::n] == e1)
+            invariants = (order, orbit == field.q**n - 1, is_irreducible_oracle(g))
             for k in range(2, order):
                 if math.gcd(k, order) == 1:
                     shared[powers[k - 1]] = invariants

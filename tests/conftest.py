@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -61,6 +62,13 @@ def random_invertible(n: int, field, rng):
         m = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
         if m.det():
             return m
+
+
+def gl_by_candidate_filter(n: int, field) -> list:
+    """Oracle: GL_n(F_q) as every candidate of M_n(F_q), in entry-lex order,
+    kept when its determinant is nonzero; one elimination per candidate."""
+    candidates = itertools.product(range(field.q), repeat=n * n)
+    return [m for m in (Matrix._raw(field, n, e) for e in candidates) if m.det() != 0]
 
 
 def kernel(a):

@@ -13,8 +13,8 @@ from singerlab import (Matrix, Poly, Subspace, char_poly, companion, enumerate_g
                        gl_order, make_field, matrix, matrix_order, stabilizes)
 from singerlab.matrix import _rref, kernel_of_rows
 
-from conftest import (common_fixed_space, gaussian_binomial, kernel, matrices, matrices_over,
-                      random_invertible, square_shapes)
+from conftest import (common_fixed_space, gaussian_binomial, gl_by_candidate_filter, kernel,
+                      matrices, matrices_over, random_invertible, square_shapes)
 
 
 def char_poly_cofactor(a):
@@ -131,11 +131,38 @@ def test_det_against_cofactor_oracle(f2, f4, f5):
             assert a.det() == det_cofactor(a)
 
 
-def test_char_poly_extension_field(f4):
-    rng = random.Random(23)
-    for _ in range(60):
-        a = Matrix(f4, 2, [rng.randrange(4) for _ in range(4)])
+def test_char_poly_extension_field(f2, f4, f5, f9):
+    # every matrix of M_2(F_4), seeded samples of M_2(F_8), M_2(F_9) and
+    # M_3(F_4), and every 1 x 1 matrix over F_5 and F_8
+    f8 = make_field(2, 3)
+    for m in itertools.product(range(4), repeat=4):
+        a = Matrix(f4, 2, m)
         assert char_poly(a) == char_poly_cofactor(a)
+    rng = random.Random(23)
+    for field, n, count in [(f8, 2, 200), (f9, 2, 200), (f4, 3, 150)]:
+        for _ in range(count):
+            a = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
+            assert char_poly(a) == char_poly_cofactor(a)
+    for field in (f5, f8):
+        for c in range(field.q):
+            assert char_poly(Matrix(field, 1, (c,))).coeffs == (field.neg(c), 1)
+
+
+def test_char_poly_builds_one_poly(monkeypatch, f3, f4):
+    # the recurrence runs on coefficient lists; the result is the only Poly
+    built = []
+    init, raw = Poly.__init__, Poly._raw.__func__
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    monkeypatch.setattr(Poly, "_raw", classmethod(
+        lambda cls, *args: built.append(1) or raw(cls, *args)))
+    rng = random.Random(31)
+    for field, n in [(f3, 1), (f3, 3), (f4, 2), (f4, 4)]:
+        for _ in range(10):
+            a = Matrix(field, n, [rng.randrange(field.q) for _ in range(n * n)])
+            built.clear()
+            f = char_poly(a)
+            assert len(built) == 1 and f.degree == n and f.is_monic
 
 
 def test_char_poly_similarity_invariant(f5):
@@ -428,17 +455,18 @@ def test_inverse_is_computed_once(f5):
 
 
 def test_enumerated_elements_keep_their_determinant(monkeypatch):
-    # singer-equiv on GL_2(F_8) eliminates once per candidate of enumerate_gl
-    # (8^4 = 4096), for its determinant, and nowhere else: each cyclic
-    # subgroup is walked by entry products, and the subspace scans test
-    # membership in canonical bases
+    # singer-equiv on GL_2(F_8) eliminates once per linearly independent
+    # prefix of k < n rows that enumerate_gl extends, for the determinants,
+    # and nowhere else: each cyclic subgroup is walked by entry products,
+    # and the subspace scans test membership in canonical bases
     from singerlab.singer import singer_equivalence_report
 
     calls = []
     rref = matrix._rref
     monkeypatch.setattr(matrix, "_rref", lambda rows, field: calls.append(1) or rref(rows, field))
     singer_equivalence_report(2, make_field(2, 3))
-    assert len(calls) == 4096
+    n, q = 2, 8
+    assert len(calls) == sum(math.prod(q**n - q**i for i in range(k)) for k in range(n)) == 64
     f5 = make_field(5)
     singular = Matrix.from_text(f5, "1,2;2,4")
     for m in (Matrix.from_text(f5, "1,2;3,4"), singular):
@@ -446,6 +474,31 @@ def test_enumerated_elements_keep_their_determinant(monkeypatch):
         calls.clear()
         assert m.det() == det and calls == []
     assert singular.det() == 0
+
+
+@pytest.mark.parametrize("n,p,k", [(1, 2, 1), (1, 5, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2),
+                                   (2, 5, 1), (2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 1)])
+def test_enumerate_gl_matches_candidate_filter(n, p, k):
+    # oracle: every candidate of M_n(F_q), in entry-lex order, kept when its
+    # own elimination finds it invertible; each element holds the determinant
+    # that cofactor expansion gives
+    field = make_field(p, k)
+    elements = list(enumerate_gl(n, field))
+    assert [g.entries for g in elements] == [g.entries for g in gl_by_candidate_filter(n, field)]
+    assert len(elements) == gl_order(n, field.q)
+    assert all(g._det == det_cofactor(g) for g in elements)
+
+
+def test_enumerate_gl_is_lazy(monkeypatch, f2, f5):
+    # the first element costs one elimination per prefix on the way down
+    calls = []
+    rref = matrix._rref
+    monkeypatch.setattr(matrix, "_rref", lambda rows, field: calls.append(1) or rref(rows, field))
+    first = next(enumerate_gl(4, make_field(3)))
+    assert len(calls) <= 4 and first.det() != 0
+    assert list(enumerate_gl(1, f2)) == [Matrix.identity(f2, 1)]
+    assert [g.entries for g in enumerate_gl(1, f5)] == [(c,) for c in range(1, 5)]
+    assert [g._det for g in enumerate_gl(1, f5)] == [1, 2, 3, 4]
 
 
 def _minus_identity_oracle(a):

@@ -146,9 +146,10 @@ _POLY_MEMOS = (singerlab.poly.is_irreducible, singerlab.poly.is_primitive_poly,
 
 def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
     # one characteristic polynomial per element of GL_2(F_4), one subspace
-    # scan per cyclic subgroup, and no matrix_order at all; the Rabin,
-    # primitivity and eigenvalue tests run once per distinct characteristic
-    # polynomial, and a second report runs none
+    # scan per cyclic subgroup, and no matrix_order or _orbit_transitive at
+    # all (the walk of the powers gives the order and the orbit of e_1); the
+    # Rabin, primitivity and eigenvalue tests run once per distinct
+    # characteristic polynomial, and a second report runs none
     elements = list(enumerate_gl(2, f4))
     # <g> has phi(ord g) generators, so it is counted once over its elements
     subgroups = sum(Fraction(1, trial_phi(matrix_order(g))) for g in elements)
@@ -160,6 +161,7 @@ def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
     for module, name in ((singerlab.singer, "char_poly"),
                          (singerlab.singer, "invariant_subspace"),
                          (singerlab.singer, "matrix_order"),
+                         (singerlab.singer, "_orbit_transitive"),
                          (singerlab.matrix, "matrix_order"),
                          (singerlab.poly, "powmod")):
         def counted(*args, _fn=getattr(module, name), _name=name):
@@ -169,7 +171,7 @@ def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
     report = singer_equivalence_report(2, f4)
     assert report["checked"] == 180 and report["violations"] == []
     assert calls["char_poly"] == 180 and calls["invariant_subspace"] == subgroups
-    assert calls["matrix_order"] == 0
+    assert calls["matrix_order"] == 0 and calls["_orbit_transitive"] == 0
     distinct = len({char_poly(g) for g in elements})
     assert [memo.cache_info().misses for memo in _POLY_MEMOS] == [distinct] * 3
     calls.clear()
