@@ -33,12 +33,17 @@ left to the conjugation spot checks.  verify_main2 and verify_gill read
 their verdicts from one orbit table of one Singer cycle c: one closure
 per orbit of <c> on the reflections by conjugation, since the order of
 <c, t> is constant there.  Every other Singer class is C_f = P^-1 c^k P
-with <c^k> = <c>, so its pairs read the table at P t P^-1; gill's pair
-(C_f, C_g) generates what (C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a
-reflection fixing x_n = 0.  verify_main2(full=True) builds one table per
-Singer cycle.  verify_gill tests whether C_g normalizes <C_f> by the
-definition, against the powers of C_f, not by scanning GL_n(F_q) as
-normalizer_of_cyclic still does for the worked example.
+with <c^k> = <c>, so (C_f, t) has the verdict of (c, P t P^-1); as
+t -> P t P^-1 permutes the reflections, the pairs of C_f that do not
+generate are (C_f, P^-1 x P) for the members x of the table's proper
+orbits, and the drivers conjugate only those, once per class: every
+other pair generates.  gill's pair (C_f, C_g) generates what
+(C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing x_n = 0,
+so C_f P^-1 x P = C_g names its non-generating partners.
+verify_main2(full=True) builds one table per Singer cycle and reads its
+proper orbits directly.  verify_gill tests whether C_g normalizes <C_f>
+by the definition, against the powers of C_f, not by scanning
+GL_n(F_q) as normalizer_of_cyclic still does for the worked example.
 """
 
 from __future__ import annotations
@@ -667,13 +672,6 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
-def _conjugator(p: Matrix):
-    """x -> the entries of p x p^-1, on the entries x of a matrix."""
-    n, field = p.n, p.field
-    pe, p_inverse = p.entries, p.inverse().entries
-    return lambda x: mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field)
-
-
 def _orbit_table(c: Matrix, reflections: Sequence[Matrix]) -> tuple[dict[tuple, int], list[int]]:
     """The <c>-orbit of every reflection, as a map from its entries to an
     orbit number, and |<c, t>| for the first member t of each orbit, by
@@ -685,10 +683,10 @@ def _orbit_table(c: Matrix, reflections: Sequence[Matrix]) -> tuple[dict[tuple, 
     hyperplanes regularly, so every orbit has exactly one member per
     hyperplane.
     """
-    q = c.field.q
-    orbit_size = (q**c.n - 1) // (q - 1)
+    n, field = c.n, c.field
+    orbit_size = (field.q**n - 1) // (field.q - 1)
     known = {t.entries for t in reflections}
-    conjugate = _conjugator(c)
+    ce, c_inverse = c.entries, c.inverse().entries
     orbit_of: dict[tuple, int] = {}
     orders = []
     for t in reflections:
@@ -702,13 +700,37 @@ def _orbit_table(c: Matrix, reflections: Sequence[Matrix]) -> tuple[dict[tuple, 
                 raise AssertionError("a <c>-orbit left the reflections or met another orbit")
             orbit_of[x] = number
             members += 1
-            x = conjugate(x)
+            x = mul_entries(mul_entries(ce, x, n, field), c_inverse, n, field)
             if x == t.entries:
                 break
         if members != orbit_size:
             raise AssertionError(f"a <c>-orbit of reflections has {members} members, "
                                  f"expected {orbit_size}")
     return orbit_of, orders
+
+
+def _non_generating(orbit_of: dict[tuple, int], orders: Sequence[int],
+                    reflections: Sequence[Matrix], full: int) -> list[tuple[tuple, int | None]]:
+    """The reflections x whose pair (c, x) does not generate, or has no
+    verdict, in the orbit table of c: the entries of each member of an
+    orbit of order other than full with its orbit number, then of each
+    reflection missing from the table with None.  Every other reflection
+    generates with c."""
+    exceptions = [(x, number) for x, number in orbit_of.items() if orders[number] != full]
+    exceptions += [(t.entries, None) for t in reflections if t.entries not in orbit_of]
+    return exceptions
+
+
+def _conjugated_back(p: Matrix, exceptions: Sequence[tuple[tuple, int | None]]
+                     ) -> list[tuple[tuple, int | None]]:
+    """(P^-1 x P, number) for each (x, number) of exceptions, on entries.
+
+    (C_f, t) reads the table of c at P t P^-1, so the pairs of C_f that do
+    not generate, or have no verdict, are those of exactly these t."""
+    n, field = p.n, p.field
+    pe, p_inverse = p.entries, p.inverse().entries
+    return [(mul_entries(mul_entries(p_inverse, x, n, field), pe, n, field), number)
+            for x, number in exceptions]
 
 
 def _singer_conjugators(c: Matrix) -> dict[Poly, Matrix]:
@@ -750,8 +772,14 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     counted in generation_tests, while every pair is still reported on.
     By default one table, of c = C_f for the first primitive f, serves
     every class: C_f = P^-1 c^k P (_singer_conjugators), so the pair
-    (C_f, t) reads the table at P t P^-1.  full=True builds each Singer
-    cycle's own table.  Before any polynomial is tested for primitivity,
+    (C_f, t) has the verdict of (c, P t P^-1).  The table's proper orbits
+    and the reflections missing from it are listed once
+    (_non_generating); each class conjugates only those back to P^-1 x P
+    (_conjugated_back), q + 1 reflections for n = 2 and q > 2 and none
+    otherwise, and every other pair generates.  full=True builds each
+    Singer cycle's own table, where P = I, so nothing is conjugated.
+    Pairs are reported in enumerate_reflections order.  Before any
+    polynomial is tested for primitivity,
     |GL_n(F_q)| is checked against ENUMERATION_BUDGET as every closure
     would be, and so is the sweep, from the closed-form class count
     phi(q^n - 1)/n.
@@ -785,35 +813,40 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     violations = []
     exceptional = []
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
-    pairs = 0
+    index = {t.entries: i for i, t in enumerate(reflections)}
     tests = 0
     if not full:
         orbit_of, orders = _orbit_table(reps[0], reflections)
         tests = len(orders)
+        exceptions = _non_generating(orbit_of, orders, reflections, group_order)
         conjugators = _singer_conjugators(reps[0])
     for i, c in enumerate(singers):
         if full:  # c's own table, where P = I
             orbit_of, orders = _orbit_table(c, reflections)
             tests += len(orders)
-            p = Matrix.identity(field, n)
+            decided = _non_generating(orbit_of, orders, reflections, group_order)
         else:
-            p = conjugators[primitives[i]]
-        conjugate = _conjugator(p)
-        normalizers = set(normalizing_reflections(c)) if n == 2 else set()
+            decided = _conjugated_back(conjugators[primitives[i]], exceptions)
+        verdicts = {}  # reflection index -> orbit number, None for no verdict
+        for x, number in decided:
+            if x not in index:
+                raise AssertionError("an orbit table member, conjugated back, is not a reflection")
+            verdicts[index[x]] = number
+        normalizing = ({index[t.entries] for t in normalizing_reflections(c)}
+                       if n == 2 else set())
+        expected_fails = normalizing if per_cycle_expected else set()
         exceptional_here = 0
-        for t in reflections:
-            pairs += 1
-            number = orbit_of.get(conjugate(t.entries))
-            if number is None:
+        for j in sorted(verdicts.keys() | expected_fails):  # every other pair generates
+            t = reflections[j]
+            if j in verdicts and verdicts[j] is None:
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
                                    "error": "no verdict in the orbit table"})
                 continue
-            generated = orders[number] == group_order
-            expected_fail = n == 2 and q > 2 and t in normalizers
-            if generated == expected_fail:
+            generated = j not in verdicts
+            if generated == (j in expected_fails):
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
                                    "generated": generated,
-                                   "normalizing": t in normalizers})
+                                   "normalizing": j in normalizing})
             if not generated:
                 exceptional_here += 1
                 exceptional.append({"singer": c.to_text(), "reflection": t.to_text()})
@@ -829,7 +862,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
         "singer_cycles": singer_cycle_count,
         "singer_checked": len(singers),
         "reflections": len(reflections),
-        "checked": pairs,
+        "checked": len(singers) * len(reflections),
         "generation_tests": tests,
         "exceptional_per_cycle": per_cycle_expected,
         "exceptional_pairs_total": singer_cycle_count * per_cycle_expected,
@@ -850,7 +883,11 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     and the order of the pair, the exceptional order too, is read from
     main2's orbit table of one Singer cycle, as verify_main2 reads it: the
     q^(n-1)(q - 1) - 1 closures of that table, counted in
-    generation_tests, decide every pair.  C_g normalizes <C_f> iff
+    generation_tests, decide every pair.  Per f, only the proper orbits'
+    members and the missing reflections x are conjugated back, and
+    C_f P^-1 x P = C_g names the partner g; every other pair whose side
+    condition holds generates, and one that fails it has no verdict, since
+    C_f^-1 C_g is then not a reflection.  C_g normalizes <C_f> iff
     C_g C_f C_g^-1 is a power of C_f, tested against the powers of C_f.
     |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before any
     polynomial is tested for primitivity.
@@ -861,15 +898,23 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     primitives = _primitive_polys(n, field)
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
     c = companion(primitives[0])
-    orbit_of, orders = _orbit_table(c, enumerate_reflections(n, field))
+    reflections = enumerate_reflections(n, field)
+    orbit_of, orders = _orbit_table(c, reflections)
+    exceptions = _non_generating(orbit_of, orders, reflections, full)
     conjugators = _singer_conjugators(c)
+    partners = {companion(g).entries: g for g in targets}
     violations = []
     exceptional = []
     pairs = 0
     for f in primitives:
         cf = companion(f)
-        cf_inverse = cf.inverse()
-        conjugate = _conjugator(conjugators[f])
+        # <C_f, C_g> = <C_f, t> for the reflection t = C_f^-1 C_g, which
+        # reads the table at P t P^-1: C_f t names g
+        verdicts = {}  # g -> orbit number, None for no verdict
+        for t, number in _conjugated_back(conjugators[f], exceptions):
+            g = partners.get(mul_entries(cf.entries, t, n, field))
+            if g is not None:
+                verdicts[g] = number
         powers = _powers(cf) if n == 2 else frozenset()
         for g in targets:
             if g == f:
@@ -877,16 +922,17 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
             cg = companion(g)
             cg_inverse = cg.inverse()
             pairs += 1
-            if fixed_space(cf @ cg_inverse).dim != n - 1:
+            # dim fix(C_f C_g^-1) = n - 1 makes C_f^-1 C_g a reflection, one
+            # of the pairs the table decides
+            reflection = fixed_space(cf @ cg_inverse).dim == n - 1
+            if not reflection:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
-            # <C_f, C_g> = <C_f, C_f^-1 C_g> = P^-1 <c, P C_f^-1 C_g P^-1> P
-            number = orbit_of.get(conjugate((cf_inverse @ cg).entries))
-            if number is None:
+            if not reflection or g in verdicts and verdicts[g] is None:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "no verdict in the orbit table"})
                 continue
-            order = orders[number]
+            order = orders[verdicts[g]] if g in verdicts else full
             generated = order == full
             expected_fail = n == 2 and (cg @ cf @ cg_inverse).entries in powers
             if not generated:

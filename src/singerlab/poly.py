@@ -39,9 +39,10 @@ _POLY_VERDICT_CACHE_SIZE = 2**12
 
 
 class Poly:
-    """An immutable polynomial over a fixed F_q, hashable by value."""
+    """An immutable polynomial over a fixed F_q, hashable by value; the
+    hash is computed on first use and kept."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: FieldSpec, coeffs=()):
         cs = []
@@ -54,6 +55,7 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -65,6 +67,7 @@ class Poly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "coeffs", coeffs)
+        object.__setattr__(poly, "_hash", None)
         return poly
 
     # -- constructors --------------------------------------------------------
@@ -116,7 +119,9 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.field, self.coeffs)))
+        return self._hash
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -10,8 +10,9 @@ import singerlab
 from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumerate_reflections,
                        fixed_space, generates_full, gl_order, group_closure, is_primitive_poly,
                        is_singer, make_field, normalizer_of_cyclic)
+from singerlab import groupgen
 from singerlab.groupgen import singer_class_representatives
-from singerlab.matrix import kernel_of_rows
+from singerlab.matrix import kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
 
 
@@ -200,6 +201,120 @@ def gill_by_normalizer_scan(n: int, field) -> dict:
             if not generated:
                 exceptional.append({"f": f.to_text(), "g": g.to_text(),
                                     "order": group_closure([cf, cg]).order})
+            if generated == expected_fail:
+                violations.append({"f": f.to_text(), "g": g.to_text(),
+                                   "generated": generated, "in_normalizer": expected_fail})
+    exceptional.sort(key=lambda e: (e["f"], e["g"]))
+    return {
+        "theorem": "companion matrices of primitive + nonzero-constant polynomials generate",
+        "params": {"n": n, "q": field.q},
+        "primitive_polynomials": len(primitives),
+        "checked": pairs,
+        "exceptional_pairs": exceptional,
+        "violations": violations,
+    }
+
+
+def _conjugate(p, x):
+    """The entries of P x P^-1, for the entries x of a matrix."""
+    n, field = p.n, p.field
+    return mul_entries(mul_entries(p.entries, x, n, field), p.inverse().entries, n, field)
+
+
+def main2_by_pair_lookup(n: int, field, full: bool = False) -> dict:
+    """verify_main2's report without elapsed_ms and generation_tests, with
+    every pair (C_f, t) read from groupgen._orbit_table at P t P^-1, pair by
+    pair; in full mode each Singer cycle reads its own table, P = I."""
+    q = field.q
+    group_order = gl_order(n, q)
+    primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                  if is_primitive_poly(f)]
+    reps = [companion(f) for f in primitives]
+    singers = [g for g in enumerate_gl(n, field) if is_singer(g)] if full else reps
+    reflections = enumerate_reflections(n, field)
+    per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
+    singer_cycles = len(reps) * group_order // (q**n - 1)
+    if not full:
+        orbit_of, orders = groupgen._orbit_table(reps[0], reflections)
+        conjugators = groupgen._singer_conjugators(reps[0])
+    violations = []
+    exceptional = []
+    for i, c in enumerate(singers):
+        if full:
+            orbit_of, orders = groupgen._orbit_table(c, reflections)
+            p = Matrix.identity(field, n)
+        else:
+            p = conjugators[primitives[i]]
+        normalizers = set(normalizing_reflections(c)) if n == 2 else set()
+        exceptional_here = 0
+        for t in reflections:
+            number = orbit_of.get(_conjugate(p, t.entries))
+            if number is None:
+                violations.append({"singer": c.to_text(), "reflection": t.to_text(),
+                                   "error": "no verdict in the orbit table"})
+                continue
+            generated = orders[number] == group_order
+            if generated == (n == 2 and q > 2 and t in normalizers):
+                violations.append({"singer": c.to_text(), "reflection": t.to_text(),
+                                   "generated": generated,
+                                   "normalizing": t in normalizers})
+            if not generated:
+                exceptional_here += 1
+                exceptional.append({"singer": c.to_text(), "reflection": t.to_text()})
+        if exceptional_here != per_cycle_expected:
+            violations.append({"singer": c.to_text(), "exceptional_count": exceptional_here,
+                               "expected": per_cycle_expected})
+    return {
+        "theorem": "Singer cycle and non-normalizing reflection generate",
+        "params": {"n": n, "q": q},
+        "mode": "full" if full else "classes",
+        "singer_classes": len(reps),
+        "singer_cycles": singer_cycles,
+        "singer_checked": len(singers),
+        "reflections": len(reflections),
+        "checked": len(singers) * len(reflections),
+        "exceptional_per_cycle": per_cycle_expected,
+        "exceptional_pairs_total": singer_cycles * per_cycle_expected,
+        "exceptional_pairs": exceptional,
+        "violations": violations,
+    }
+
+
+def gill_by_pair_lookup(n: int, field) -> dict:
+    """verify_gill's report without elapsed_ms and generation_tests, with
+    every pair (C_f, C_g) read from groupgen._orbit_table at
+    P C_f^-1 C_g P^-1, pair by pair."""
+    full = gl_order(n, field.q)
+    primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                  if is_primitive_poly(f)]
+    targets = list(enumerate_monic(n, field, nonzero_constant=True))
+    c = companion(primitives[0])
+    orbit_of, orders = groupgen._orbit_table(c, enumerate_reflections(n, field))
+    conjugators = groupgen._singer_conjugators(c)
+    violations = []
+    exceptional = []
+    pairs = 0
+    for f in primitives:
+        cf = companion(f)
+        powers = {(cf ** k).entries for k in range(field.q**n - 1)} if n == 2 else set()
+        for g in targets:
+            if g == f:
+                continue
+            cg = companion(g)
+            pairs += 1
+            if fixed_space(cf @ cg.inverse()).dim != n - 1:
+                violations.append({"f": f.to_text(), "g": g.to_text(),
+                                   "error": "fix-dimension side condition failed"})
+            number = orbit_of.get(_conjugate(conjugators[f], (cf.inverse() @ cg).entries))
+            if number is None:
+                violations.append({"f": f.to_text(), "g": g.to_text(),
+                                   "error": "no verdict in the orbit table"})
+                continue
+            order = orders[number]
+            generated = order == full
+            expected_fail = n == 2 and (cg @ cf @ cg.inverse()).entries in powers
+            if not generated:
+                exceptional.append({"f": f.to_text(), "g": g.to_text(), "order": order})
             if generated == expected_fail:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "generated": generated, "in_normalizer": expected_fail})

@@ -251,3 +251,15 @@ def test_criterion_15_gl3f3_singer_equiv(capsys):
     assert report["irreducible_elements"] == 3456
     _report(15, "six Singer and three irreducibility characterizations coincide on "
                 "every element of GL_3(F_3), |G| = 11232, through the CLI", elapsed, 30.0)
+
+
+def test_criterion_16_gl3f7_reach(capsys):
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "main2", "--n", "3", "--p", "7")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert report["checked"] == 601236  # 36 Singer classes x 16701 reflections
+    assert report["generation_tests"] == 293  # one orbit table: 7^2 * 6 - 1 closures
+    assert report["exceptional_pairs"] == [] and report["violations"] == []
+    _report(16, "main2 on all 601236 pairs of GL_3(F_7), |G| = 33784128, through the CLI",
+            elapsed, 30.0)

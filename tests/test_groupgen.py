@@ -22,8 +22,9 @@ from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
 from singerlab.matrix import char_poly, mul_entries
 from singerlab.singer import normalizing_reflections
 
-from conftest import (gill_by_normalizer_scan, matrices_over, random_invertible, run_python,
-                      square_shapes, trial_phi, unreduced_main2, without_counters)
+from conftest import (gill_by_normalizer_scan, gill_by_pair_lookup, main2_by_pair_lookup,
+                      matrices_over, random_invertible, run_python, square_shapes, trial_phi,
+                      unreduced_main2, without_counters)
 
 
 def test_gl_order_examples():
@@ -743,6 +744,110 @@ def test_a_reflection_missing_from_the_table_is_a_violation(monkeypatch, f3):
     assert main2["checked"] == 2 * 20 and len(missing(main2)) == 2 * 4
     gill = verify_gill(2, f3)
     assert gill["checked"] == 2 * 5 and len(missing(gill)) == 2
+
+
+def _tamper_orbit_orders(monkeypatch, retag):
+    """Make groupgen._orbit_table pass each table's orders through
+    retag(orders, |GL_n(F_q)|), for the drivers and the oracles alike."""
+    build = groupgen._orbit_table
+
+    def tampered(c, reflections):
+        orbit_of, orders = build(c, reflections)
+        return orbit_of, retag(list(orders), gl_order(c.n, c.field.q))
+
+    monkeypatch.setattr(groupgen, "_orbit_table", tampered)
+
+
+def _first_generating_orbit_proper(orders, full):
+    i = orders.index(full)
+    orders[i] = full // 2  # |GL_n(F_q)| is even on every instance below
+    return orders
+
+
+def _every_orbit_generates(orders, full):
+    return [full] * len(orders)  # n = 2: the normalizing orbit now generates
+
+
+_TAMPERS = [pytest.param(_first_generating_orbit_proper, id="generating-orbit-proper"),
+            pytest.param(_every_orbit_generates, id="normalizing-orbit-generates")]
+_TAMPERED_INSTANCES = [pytest.param(2, 3, id="GL2F3"), pytest.param(2, 5, id="GL2F5"),
+                       pytest.param(3, 2, id="GL3F2")]
+
+
+@pytest.mark.parametrize("retag", _TAMPERS)
+@pytest.mark.parametrize("n,p", _TAMPERED_INSTANCES)
+def test_main2_per_orbit_reads_match_pair_lookup_on_tampered_tables(monkeypatch, retag, n, p):
+    # a wrong order on one orbit must show up in exactly the pairs that
+    # read it, as the pair-by-pair lookup reports them; GL_3(F_2) has no
+    # proper orbit, so every orbit generating changes nothing there
+    field = make_field(p)
+    _tamper_orbit_orders(monkeypatch, retag)
+    for full in (False, True):
+        report = verify_main2(n, field, full=full)
+        assert bool(report["violations"]) == (retag is _first_generating_orbit_proper or n == 2)
+        assert without_counters(report) == main2_by_pair_lookup(n, field, full=full)
+
+
+@pytest.mark.parametrize("retag", _TAMPERS)
+@pytest.mark.parametrize("n,p", _TAMPERED_INSTANCES)
+def test_gill_per_orbit_reads_match_pair_lookup_on_tampered_tables(monkeypatch, retag, n, p):
+    field = make_field(p)
+    _tamper_orbit_orders(monkeypatch, retag)
+    report = verify_gill(n, field)
+    assert bool(report["violations"]) == (retag is _first_generating_orbit_proper or n == 2)
+    assert without_counters(report) == gill_by_pair_lookup(n, field)
+
+
+def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
+    # the table decides only pairs whose C_f^-1 C_g is a reflection, which
+    # the side condition certifies: a pair that fails it gets no verdict
+    clean = verify_gill(2, f3)
+    f, g = "2,1,1", "1,0,1"  # the worked-example pair, exceptional
+    target = companion(Poly.from_text(f3, f)) @ companion(Poly.from_text(f3, g)).inverse()
+    real = groupgen.fixed_space
+    failed = []
+
+    def fails_once(a):  # (2,2,1), (1,1,1), later in the sweep, has the same C_f C_g^-1
+        if a == target and not failed:
+            failed.append(a)
+            a = Matrix.identity(a.field, a.n)
+        return real(a)
+
+    monkeypatch.setattr(groupgen, "fixed_space", fails_once)
+    report = verify_gill(2, f3)
+    assert report["violations"] == [
+        {"f": f, "g": g, "error": "fix-dimension side condition failed"},
+        {"f": f, "g": g, "error": "no verdict in the orbit table"}]
+    assert {"f": f, "g": g, "order": 16} in clean["exceptional_pairs"]
+    assert report["exceptional_pairs"] == [e for e in clean["exceptional_pairs"]
+                                           if (e["f"], e["g"]) != (f, g)]
+
+
+def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatch, f2, f3):
+    # each class conjugates back only the members of the table's proper
+    # orbits: the q + 1 normalizing reflections for n = 2, q > 2, else
+    # none; full mode reads each cycle's own table and conjugates nothing.
+    # Reading every pair conjugates 2624, 210, 240 and 328 matrices.
+    conjugated = []
+    conjugated_back = groupgen._conjugated_back
+
+    def counted(p, exceptions):
+        conjugated.append(len(exceptions))
+        return conjugated_back(p, exceptions)
+
+    monkeypatch.setattr(groupgen, "_conjugated_back", counted)
+
+    def count(report):
+        total = sum(conjugated)
+        conjugated.clear()
+        assert report["violations"] == []
+        return total
+
+    f7 = make_field(7)
+    assert count(verify_main2(2, f7)) == 8 * 8 == 64  # 8 Singer classes
+    assert count(verify_main2(4, f2)) == 0
+    assert count(verify_main2(2, f3, full=True)) == 0
+    assert count(verify_gill(2, f7)) == 64  # 8 primitive quadratics
 
 
 _GILL_INSTANCES = [pytest.param(2, p, k, id=f"{p}-{k}") for p, k in [(3, 1), (2, 2), (5, 1), (7, 1)]]

@@ -35,6 +35,25 @@ def test_poly_normalization_and_text(f3):
     assert Poly(f3).is_zero and Poly(f3).degree == -1
 
 
+def test_poly_hash_is_computed_once(f3, monkeypatch):
+    from singerlab.ff import FieldSpec
+
+    built, raw = Poly(f3, (2, 1, 1, 0)), Poly._raw(f3, (2, 1, 1))
+    assert built == raw and hash(built) == hash(raw) == hash((f3, (2, 1, 1)))
+    assert len({built, raw, Poly.from_text(f3, "2,1,1")}) == 1
+    field_hashes = []
+    field_hash = FieldSpec.__hash__
+    monkeypatch.setattr(FieldSpec, "__hash__",
+                        lambda self: field_hashes.append(self) or field_hash(self))
+    fresh = Poly._raw(f3, (1, 0, 1))
+    for _ in range(3):
+        hash(fresh)
+    assert len(field_hashes) == 1  # the field is hashed on first use only
+    for name in ("coeffs", "field", "_hash"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(built, name, None)
+
+
 def test_ops_examples(f2, f3):
     x = Poly.x(f3)
     one = Poly.one(f3)
