@@ -14,34 +14,50 @@ reads each element's Cayley-graph distance over all reflections off its
 layer.  Closures, like every enumeration, honour the one budget
 matrix.ENUMERATION_BUDGET, checked from closed-form sizes before any work
 starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
-order or element set exceeds it either.  A generation cache serves one
-group, holds the empty factor set's verdict and the orbit table of each
-Singer subgroup it meets, and counts the closures it runs.  verify_main1,
-verify_main2, verify_gill and verify_length_oracle sweep a full
-desk-scale instance and report violations; they are pure per element or
-pair, so reports are deterministic.  verify_main1 decides Singer first,
-from the one characteristic polynomial per element that also tells a
-reducible witness from an irreducible one, and proves only what the
-theorem asks.  A minimal factorization of a
-Singer cycle g generates a group containing <g, t_1>, so g is read off
-its subgroup's orbit table, and only the factorizations whose first
-factor lies in a proper orbit are walked.  A non-Singer element gets
-only its non-generating witness, searched lazily; the proper subgroup it
-stays in, a subspace stabilizer or det^-1(X) for a proper X < F_q^x,
-certifies it without a closure.  classify_qc's full classification is
-left to the conjugation spot checks.  verify_main2 and verify_gill read
-their verdicts from one orbit table of one Singer cycle c: one closure
-per orbit of <c> on the reflections by conjugation, since the order of
-<c, t> is constant there.  Every other Singer class is C_f = P^-1 c^k P
-with <c^k> = <c>, so (C_f, t) has the verdict of (c, P t P^-1); as
-t -> P t P^-1 permutes the reflections, the pairs of C_f that do not
-generate are (C_f, P^-1 x P) for the members x of the table's proper
-orbits, and the drivers conjugate only those, once per class: every
-other pair generates.  gill's pair (C_f, C_g) generates what
-(C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing x_n = 0,
-so C_f P^-1 x P = C_g names its non-generating partners.
-verify_main2(full=True) builds one table per Singer cycle and reads its
-proper orbits directly.  verify_gill tests whether C_g normalizes <C_f>
+order or element set exceeds it either.
+
+An orbit table of a Singer cycle c splits the reflections into their
+orbits under conjugation by <c>, on which the order of <c, t> is
+constant, and keys each orbit by char_poly(gamma) for its sum
+gamma = sum_x (x - I), an element of F_q[c].  The order depends only on
+that key, over every Singer cycle of the group: orbits whose gamma are
+Frobenius conjugates are conjugate under normalizers of Singer
+subgroups, which are all conjugate.  So one dict from key to order
+serves every table of a driver call, and a closure runs once per key,
+one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n),
+not once per orbit.  A generation cache serves one group, holds the
+empty factor set's verdict, the orbit table of each Singer subgroup it
+meets and the tables' one key dict, and counts the closures it runs.
+
+verify_main1, verify_main2, verify_gill and verify_length_oracle sweep
+a full desk-scale instance and report violations; they are pure per
+element or pair, so reports are deterministic.  verify_main1 decides
+Singer first, from the one characteristic polynomial per element that
+also tells a reducible witness from an irreducible one, and proves only
+what the theorem asks.  A Singer element g with characteristic
+polynomial f has the verdict of its class: its cyclic basis P, checked
+to give P^-1 g P = C_f, maps the minimal factorizations of C_f onto
+those of g, and C_f is decided once per f.  A minimal factorization of
+C_f generates a group containing <C_f, t_1>, so C_f is read off its
+subgroup's orbit table, and only the factorizations whose first factor
+lies in a proper orbit are walked.  Only when the class has a
+non-generating factorization does g walk its own, to report the first.
+A non-Singer element gets only its non-generating witness, searched
+lazily; the proper subgroup it stays in, a subspace stabilizer or
+det^-1(X) for a proper X < F_q^x, certifies it without a closure.
+classify_qc's full classification is left to the conjugation spot
+checks.  verify_main2 and verify_gill read their verdicts from one
+orbit table of one Singer cycle c.  Every other Singer class is
+C_f = P^-1 c^k P with <c^k> = <c>, so (C_f, t) has the verdict of
+(c, P t P^-1); as t -> P t P^-1 permutes the reflections, the pairs of
+C_f that do not generate are (C_f, P^-1 x P) for the members x of the
+table's proper orbits, and the drivers conjugate only those, once per
+class: every other pair generates.  gill's pair (C_f, C_g) generates
+what (C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing
+x_n = 0, so C_f P^-1 x P = C_g names its non-generating partners.
+verify_main2(full=True) walks one table per Singer cycle and reads its
+proper orbits directly; the tables share their keys, so it runs the
+closures of one table.  verify_gill tests whether C_g normalizes <C_f>
 by the definition, against the powers of C_f, not by scanning
 GL_n(F_q) as normalizer_of_cyclic still does for the worked example.
 """
@@ -396,17 +412,19 @@ class _GenerationCache:
     """Memoizes generates_full verdicts in GL_n(F_q), counting the closures
     it runs: on unordered factor sets, starting with the empty set's, the
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
-    (g, t) of a Singer cycle g and a reflection t, through one orbit table
-    (_orbit_table) per Singer subgroup.  A table is keyed by the entries
-    of each element of the subgroup, so every generator of <g> reads the
-    one table without a product; singer_failure decides a Singer cycle
-    from it.
+    (g, t) of a Singer cycle g and a reflection t, through the orbit table
+    (_orbit_table) of each Singer subgroup it meets.  A table is keyed by
+    the entries of each element of the subgroup, so every generator of <g>
+    reads the one table without a product; singer_failure decides a
+    Singer cycle from it.  All tables share one dict from an orbit's key
+    to its order, so a closure runs once per key, not once per orbit.
     """
 
     def __init__(self, n: int, q: int):
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
         self._tables: dict[tuple, tuple[dict[tuple, int], list[int], list[Matrix]]] = {}
+        self._orders_by_key: dict[Poly, int] = {}
         self.closures = 0
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
@@ -435,8 +453,9 @@ class _GenerationCache:
         table = self._tables.get(g.entries)
         if table is None:
             reflections = enumerate_reflections(g.n, g.field)
-            orbit_of, orders = _orbit_table(g, reflections)
-            self.closures += len(orders)
+            keys = len(self._orders_by_key)
+            orbit_of, orders = _orbit_table(g, reflections, self._orders_by_key)
+            self.closures += len(self._orders_by_key) - keys
             inverses = []  # orbits are numbered in the order of their first members
             for t in reflections:
                 if orbit_of[t.entries] == len(inverses):
@@ -574,23 +593,27 @@ def _witness_for_non_singer(g: Matrix, f: Poly, cache: _GenerationCache
 def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
-    Each element gets the work its verdict needs.  A Singer element must
-    have every minimal factorization generate.  It is decided from the
-    orbit table of its subgroup, one closure per <g>-orbit of reflections,
-    shared by every generator of the subgroup: only factorizations whose
-    first factor lies in a proper orbit are walked, and the first of them
-    that does not generate is reported as a violation
-    (_GenerationCache.singer_failure).  A non-Singer element is not
-    strong as soon as one minimal factorization fails to generate, so it
-    is given only its explicit witness (_witness_for_non_singer), which
-    the subgroup it stays in certifies unless its determinants generate
-    F_q^x; finding none is a violation.  All closures go through one
-    generation cache, and generation_tests counts those it ran, the
+    Each element gets the work its verdict needs.  A Singer element g,
+    with characteristic polynomial f, must have every minimal
+    factorization generate.  Its cyclic basis P = _cyclic_basis_change(g)
+    is checked to satisfy P^-1 g P = C_f, so conjugation by P maps the
+    minimal factorizations of C_f onto those of g and g has C_f's
+    verdict.  C_f is decided once per f from the orbit table of its
+    subgroup (_GenerationCache.singer_failure): only factorizations whose
+    first factor lies in a proper orbit are walked.  Only when C_f has a
+    non-generating factorization does g walk its own, and the first of
+    them that does not generate is reported as a violation.  A non-Singer
+    element is not strong as soon as one minimal factorization fails to
+    generate, so it is given only its explicit witness
+    (_witness_for_non_singer), which the subgroup it stays in certifies
+    unless its determinants generate F_q^x; finding none is a violation.
+    All closures go through one generation cache, whose tables share one
+    closure per key, and generation_tests counts those it ran, the
     tables' among them.  With classes=True only one representative per
     conjugacy class is checked (the classification is conjugation
-    invariant); the default audits every element, and never conjugates a
-    table from one Singer subgroup to another.  The randomized
-    conjugation spot checks compare full classify_qc classifications.
+    invariant); the default audits every element, each Singer one through
+    its own checked conjugator.  The randomized conjugation spot checks
+    compare full classify_qc classifications.
     """
     start = time.monotonic()
     q = field.q
@@ -605,13 +628,22 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
                      "irreducible_full_det": 0}
     violations = []
     sample = []
+    singer_classes: dict[Poly, tuple[Matrix, bool]] = {}  # f -> (C_f, C_f all generate)
     for g, weight in todo:
         f = char_poly(g)  # one per element: it decides both Singer and reducible
         singer = is_primitive_poly(f)
         checked += weight
         singer_count += weight * singer
         if singer:
-            fl = cache.singer_failure(g)
+            if f not in singer_classes:
+                cf = companion(f)
+                singer_classes[f] = cf, cache.singer_failure(cf) is None
+            cf, strong = singer_classes[f]
+            # g P = P C_f with P invertible is P^-1 g P = C_f, without an inverse
+            p = _cyclic_basis_change(g)
+            if p.det() == 0 or g @ p != p @ cf:
+                raise AssertionError("cyclic basis does not conjugate g to C_f")
+            fl = None if strong else cache.singer_failure(g)
             if fl is not None:
                 violations.append({"matrix": g.to_text(), "is_singer": True,
                                    "non_generating": fl.serialize()})
@@ -672,40 +704,63 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
-def _orbit_table(c: Matrix, reflections: Sequence[Matrix]) -> tuple[dict[tuple, int], list[int]]:
+def _orbit_table(c: Matrix, reflections: Sequence[Matrix], orders_by_key: dict[Poly, int]
+                  ) -> tuple[dict[tuple, int], list[int]]:
     """The <c>-orbit of every reflection, as a map from its entries to an
-    orbit number, and |<c, t>| for the first member t of each orbit, by
-    orbit number: one closure per orbit.
+    orbit number, and |<c, t>| for the members t of each orbit, by orbit
+    number: one closure per key missing from orders_by_key.
 
     For h in <c>, h <c, t> h^-1 = <c, h t h^-1>, so the order is constant
     on each orbit of <c> acting on the reflections by conjugation.  Modulo
-    the scalars, which centralize t, <c> permutes the (q^n - 1)/(q - 1)
+    the scalars, which centralize t, <c> permutes the N = (q^n - 1)/(q - 1)
     hyperplanes regularly, so every orbit has exactly one member per
-    hyperplane.
+    hyperplane.  The orbit's key is char_poly(gamma) for its sum
+    gamma = sum_x (x - I) = sum_x x - I, as N = 1 mod p.  gamma lies in
+    K = F_q[c], so it commutes with c, and its trace is N (det t - 1) =
+    det t - 1; both are checked.  The order of <c, t> depends only on that
+    key, over every Singer cycle of GL_n(F_q): pairs (K, gamma) whose gamma
+    have the same characteristic polynomial are conjugate, through the
+    normalizer of K^x, which acts on gamma by the Frobenius.  So one
+    orders_by_key serves every table of a driver call, and a key's closure
+    runs on the first orbit that meets it; the caller counts them by the
+    keys added.
     """
     n, field = c.n, c.field
     orbit_size = (field.q**n - 1) // (field.q - 1)
     known = {t.entries for t in reflections}
     ce, c_inverse = c.entries, c.inverse().entries
+    fadd, fsub = field.add, field.sub
+    diagonal = range(0, n * n, n + 1)
     orbit_of: dict[tuple, int] = {}
     orders = []
     for t in reflections:
         if t.entries in orbit_of:
             continue
         number = len(orders)
-        orders.append(group_closure([c, t]).order)
-        x, members = t.entries, 0
+        x, members, total = t.entries, 0, (0,) * (n * n)
         while True:
             if x not in known or x in orbit_of:
                 raise AssertionError("a <c>-orbit left the reflections or met another orbit")
             orbit_of[x] = number
             members += 1
+            total = tuple(map(fadd, total, x))
             x = mul_entries(mul_entries(ce, x, n, field), c_inverse, n, field)
             if x == t.entries:
                 break
         if members != orbit_size:
             raise AssertionError(f"a <c>-orbit of reflections has {members} members, "
                                  f"expected {orbit_size}")
+        gamma = tuple(fsub(v, 1) if i in diagonal else v for i, v in enumerate(total))
+        if mul_entries(ce, gamma, n, field) != mul_entries(gamma, ce, n, field):
+            raise AssertionError("an orbit sum does not commute with c")
+        trace = functools.reduce(fadd, (gamma[i] for i in diagonal), 0)
+        if trace != fsub(t.det(), 1):
+            raise AssertionError("an orbit sum's trace is not det t - 1")
+        key = char_poly(Matrix._raw(field, n, gamma))
+        order = orders_by_key.get(key)
+        if order is None:
+            order = orders_by_key[key] = group_closure([c, t]).order
+        orders.append(order)
     return orbit_of, orders
 
 
@@ -767,17 +822,19 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class, the companion matrices C_f;
     full=True audits every Singer cycle (feasible only on the smaller
-    instances).  Every verdict is read from an orbit table (_orbit_table),
-    one closure per <c>-orbit of reflections, q^(n-1)(q - 1) - 1 in all,
-    counted in generation_tests, while every pair is still reported on.
+    instances).  Every verdict is read from an orbit table (_orbit_table)
+    of q^(n-1)(q - 1) - 1 <c>-orbits of reflections, with one closure per
+    key of the orbits, counted in generation_tests, while every pair is
+    still reported on.
     By default one table, of c = C_f for the first primitive f, serves
     every class: C_f = P^-1 c^k P (_singer_conjugators), so the pair
     (C_f, t) has the verdict of (c, P t P^-1).  The table's proper orbits
     and the reflections missing from it are listed once
     (_non_generating); each class conjugates only those back to P^-1 x P
     (_conjugated_back), q + 1 reflections for n = 2 and q > 2 and none
-    otherwise, and every other pair generates.  full=True builds each
-    Singer cycle's own table, where P = I, so nothing is conjugated.
+    otherwise, and every other pair generates.  full=True walks each
+    Singer cycle's own table, where P = I, so nothing is conjugated; the
+    tables share one key dict, so the closures are those of one table.
     Pairs are reported in enumerate_reflections order.  Before any
     polynomial is tested for primitivity,
     |GL_n(F_q)| is checked against ENUMERATION_BUDGET as every closure
@@ -814,16 +871,14 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     exceptional = []
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     index = {t.entries: i for i, t in enumerate(reflections)}
-    tests = 0
+    orders_by_key: dict[Poly, int] = {}  # shared by every table: one closure per key
     if not full:
-        orbit_of, orders = _orbit_table(reps[0], reflections)
-        tests = len(orders)
+        orbit_of, orders = _orbit_table(reps[0], reflections, orders_by_key)
         exceptions = _non_generating(orbit_of, orders, reflections, group_order)
         conjugators = _singer_conjugators(reps[0])
     for i, c in enumerate(singers):
         if full:  # c's own table, where P = I
-            orbit_of, orders = _orbit_table(c, reflections)
-            tests += len(orders)
+            orbit_of, orders = _orbit_table(c, reflections, orders_by_key)
             decided = _non_generating(orbit_of, orders, reflections, group_order)
         else:
             decided = _conjugated_back(conjugators[primitives[i]], exceptions)
@@ -863,7 +918,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
         "singer_checked": len(singers),
         "reflections": len(reflections),
         "checked": len(singers) * len(reflections),
-        "generation_tests": tests,
+        "generation_tests": len(orders_by_key),
         "exceptional_per_cycle": per_cycle_expected,
         "exceptional_pairs_total": singer_cycle_count * per_cycle_expected,
         "exceptional_pairs": exceptional,
@@ -882,13 +937,14 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     So t = C_f^-1 C_g is a reflection fixing x_n = 0, <C_f, C_g> = <C_f, t>,
     and the order of the pair, the exceptional order too, is read from
     main2's orbit table of one Singer cycle, as verify_main2 reads it: the
-    q^(n-1)(q - 1) - 1 closures of that table, counted in
-    generation_tests, decide every pair.  Per f, only the proper orbits'
-    members and the missing reflections x are conjugated back, and
+    closures of that table, one per key, counted in generation_tests,
+    decide every pair.  Per f, only the proper orbits' members and the
+    missing reflections x are conjugated back, and
     C_f P^-1 x P = C_g names the partner g; every other pair whose side
     condition holds generates, and one that fails it has no verdict, since
     C_f^-1 C_g is then not a reflection.  C_g normalizes <C_f> iff
     C_g C_f C_g^-1 is a power of C_f, tested against the powers of C_f.
+    Each partner's C_g and its inverse are built once, not once per f.
     |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before any
     polynomial is tested for primitivity.
     """
@@ -899,10 +955,13 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
     c = companion(primitives[0])
     reflections = enumerate_reflections(n, field)
-    orbit_of, orders = _orbit_table(c, reflections)
+    orders_by_key: dict[Poly, int] = {}
+    orbit_of, orders = _orbit_table(c, reflections, orders_by_key)
     exceptions = _non_generating(orbit_of, orders, reflections, full)
     conjugators = _singer_conjugators(c)
-    partners = {companion(g).entries: g for g in targets}
+    companions = {g: companion(g) for g in targets}
+    inverses = {g: cg.inverse() for g, cg in companions.items()}  # once per partner
+    partners = {cg.entries: g for g, cg in companions.items()}
     violations = []
     exceptional = []
     pairs = 0
@@ -919,8 +978,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
         for g in targets:
             if g == f:
                 continue
-            cg = companion(g)
-            cg_inverse = cg.inverse()
+            cg, cg_inverse = companions[g], inverses[g]
             pairs += 1
             # dim fix(C_f C_g^-1) = n - 1 makes C_f^-1 C_g a reflection, one
             # of the pairs the table decides
@@ -947,7 +1005,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
         "params": {"n": n, "q": q},
         "primitive_polynomials": len(primitives),
         "checked": pairs,
-        "generation_tests": len(orders),
+        "generation_tests": len(orders_by_key),
         "exceptional_pairs": exceptional,
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - start) * 1000),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -132,6 +133,47 @@ def run_python(code: str, *options: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def orbit_table_by_closures(c, reflections) -> tuple[dict, list]:
+    """Oracle: groupgen._orbit_table with no keys, one closure per
+    <c>-orbit of reflections under conjugation.  The orbit of every
+    reflection, as a map from its entries to an orbit number, and |<c, t>|
+    for the first member t of each orbit, by orbit number."""
+    n, field = c.n, c.field
+    c_inverse = c.inverse().entries
+    orbit_of = {}
+    orders = []
+    for t in reflections:
+        if t.entries in orbit_of:
+            continue
+        x = t.entries
+        while x not in orbit_of:
+            orbit_of[x] = len(orders)
+            x = mul_entries(mul_entries(c.entries, x, n, field), c_inverse, n, field)
+        orders.append(group_closure([c, t]).order)
+    return orbit_of, orders
+
+
+def galois_key_count(n: int, p: int, k: int = 1) -> int:
+    """Oracle: the number of orbits of the Frobenius gamma -> gamma^q on
+    the gamma != 0 of F_(q^n) with Tr(gamma) != -1, q = p^k, by brute force
+    in make_field(p, k n); the trace is the sum of the n conjugates."""
+    big = make_field(p, k * n)
+    q = p**k
+    minus_one = big.neg(1)
+
+    def trace(x):
+        return functools.reduce(big.add, (big.pow(x, q**i) for i in range(n)), 0)
+
+    remaining = {x for x in range(1, big.q) if trace(x) != minus_one}
+    orbits = 0
+    while remaining:
+        x = y = remaining.pop()
+        while (y := big.pow(y, q)) != x:
+            remaining.remove(y)
+        orbits += 1
+    return orbits
+
+
 def unreduced_main2(n: int, field, full: bool = False) -> dict:
     """verify_main2's report without elapsed_ms and generation_tests, from
     one generates_full per (Singer cycle, reflection) pair: the sweep with
@@ -234,14 +276,15 @@ def main2_by_pair_lookup(n: int, field, full: bool = False) -> dict:
     reflections = enumerate_reflections(n, field)
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     singer_cycles = len(reps) * group_order // (q**n - 1)
+    orders_by_key = {}
     if not full:
-        orbit_of, orders = groupgen._orbit_table(reps[0], reflections)
+        orbit_of, orders = groupgen._orbit_table(reps[0], reflections, orders_by_key)
         conjugators = groupgen._singer_conjugators(reps[0])
     violations = []
     exceptional = []
     for i, c in enumerate(singers):
         if full:
-            orbit_of, orders = groupgen._orbit_table(c, reflections)
+            orbit_of, orders = groupgen._orbit_table(c, reflections, orders_by_key)
             p = Matrix.identity(field, n)
         else:
             p = conjugators[primitives[i]]
@@ -289,7 +332,7 @@ def gill_by_pair_lookup(n: int, field) -> dict:
                   if is_primitive_poly(f)]
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
     c = companion(primitives[0])
-    orbit_of, orders = groupgen._orbit_table(c, enumerate_reflections(n, field))
+    orbit_of, orders = groupgen._orbit_table(c, enumerate_reflections(n, field), {})
     conjugators = groupgen._singer_conjugators(c)
     violations = []
     exceptional = []

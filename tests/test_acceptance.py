@@ -192,6 +192,7 @@ def test_criterion_11_gl5f2_reach(capsys):
     elapsed = time.monotonic() - start
     assert code == 0
     assert report["checked"] == 2790  # 6 Singer classes x 465 reflections
+    assert report["generation_tests"] == 3  # one per key: Frobenius orbits in F_32
     assert report["exceptional_pairs"] == [] and report["violations"] == []
     gill = verify_gill(5, make_field(2))
     assert gill["checked"] == 90 and gill["violations"] == []
@@ -205,7 +206,8 @@ def test_criterion_12_gl4f3_reach(capsys):
     elapsed = time.monotonic() - start
     assert code == 0
     assert report["checked"] == 16960  # 8 Singer classes x 2120 reflections
-    assert report["generation_tests"] == 53  # one table: one per <c>-orbit of reflections
+    # one table of 53 <c>-orbits of reflections, one closure per key: 15 Frobenius orbits
+    assert report["generation_tests"] == 15
     assert report["exceptional_pairs"] == [] and report["violations"] == []
     _report(12, "Singer x reflection generation on all 16960 pairs of GL_4(F_3), "
                 "|G| = 24261120, through the CLI", elapsed, 30.0)
@@ -220,7 +222,7 @@ def test_criterion_13_gl3f5_reach(capsys):
     assert main2["checked"] == 61380  # 20 Singer classes x 3069 reflections
     assert gill["checked"] == 1980  # 20 primitive cubics x 99 partners
     for report in (main2, gill):
-        assert report["generation_tests"] == 99  # one orbit table: 5^2 * 4 - 1 closures
+        assert report["generation_tests"] == 35  # 5^2 * 4 - 1 = 99 orbits, 35 keys
         assert report["exceptional_pairs"] == [] and report["violations"] == []
     _report(13, "main2 on all 61380 pairs and gill on all 1980 pairs of GL_3(F_5), "
                 "|G| = 1488000, through the CLI", elapsed, 20.0)
@@ -233,8 +235,9 @@ def test_criterion_14_gl3f3_main1_full(capsys):
     assert code == 0 and report["mode"] == "full" and report["violations"] == []
     assert report["checked"] == 11232 and report["singer_cycles"] == 1728
     assert sum(report["witnesses"].values()) == 9504
-    # 144 Singer subgroups x 17 orbits of reflections, and 36 for the spot checks
-    assert report["generation_tests"] == 2484
+    # 7 keys shared by the orbit tables of the 4 Singer classes, and 36 for
+    # the spot checks
+    assert report["generation_tests"] == 7 + 36
     _report(14, "strongly quasi-Coxeter iff Singer on every element of GL_3(F_3), "
                 "|G| = 11232, through the CLI", elapsed, 60.0)
 
@@ -259,7 +262,21 @@ def test_criterion_16_gl3f7_reach(capsys):
     elapsed = time.monotonic() - start
     assert code == 0
     assert report["checked"] == 601236  # 36 Singer classes x 16701 reflections
-    assert report["generation_tests"] == 293  # one orbit table: 7^2 * 6 - 1 closures
+    assert report["generation_tests"] == 101  # 7^2 * 6 - 1 = 293 orbits, 101 keys
     assert report["exceptional_pairs"] == [] and report["violations"] == []
     _report(16, "main2 on all 601236 pairs of GL_3(F_7), |G| = 33784128, through the CLI",
             elapsed, 30.0)
+
+
+def test_criterion_17_gl2f7_main2_full(capsys):
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "main2", "--full", "--n", "2", "--p", "7")
+    elapsed = time.monotonic() - start
+    assert code == 0 and report["mode"] == "full"
+    assert report["checked"] == 110208  # 336 Singer cycles x 328 reflections
+    # 336 orbit tables of 41 <c>-orbits each share one closure per key
+    assert report["generation_tests"] == 23
+    assert report["exceptional_pairs_total"] == len(report["exceptional_pairs"]) == 336 * 8
+    assert report["violations"] == []
+    _report(17, "main2 on every Singer cycle and reflection of GL_2(F_7), 110208 pairs, "
+                "through the CLI", elapsed, 10.0)

@@ -22,9 +22,10 @@ from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
 from singerlab.matrix import char_poly, mul_entries
 from singerlab.singer import normalizing_reflections
 
-from conftest import (gill_by_normalizer_scan, gill_by_pair_lookup, main2_by_pair_lookup,
-                      matrices_over, random_invertible, run_python, square_shapes, trial_phi,
-                      unreduced_main2, without_counters)
+from conftest import (galois_key_count, gill_by_normalizer_scan, gill_by_pair_lookup,
+                      main2_by_pair_lookup, matrices_over, orbit_table_by_closures,
+                      random_invertible, run_python, square_shapes, trial_phi, unreduced_main2,
+                      without_counters)
 
 
 def test_gl_order_examples():
@@ -453,21 +454,32 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
         monkeypatch.setattr(module, "fixed_space", recorded)
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
-    assert info.misses == len(set(seen)) == 48
-    assert info.hits == len(seen) - info.misses == 147
+    assert info.misses == len(set(seen)) == 42
+    assert info.hits == len(seen) - info.misses == 83
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
 def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     # the main loop decides Singer and the witness kind from one
     # characteristic polynomial per element; each classify_qc of the spot
-    # checks decides is_singer from one of its own, counted apart
-    calls = {"main": 0, "spot": 0, "classify_qc": 0}
+    # checks decides is_singer from one of its own, and each orbit an
+    # orbit table walks is keyed by one, both counted apart
+    calls = {"main": 0, "spot": 0, "classify_qc": 0, "key": 0, "orbits": 0}
     in_spot_check = []
+    in_table = []
 
     def counted_char_poly(a, _fn=char_poly):
-        calls["spot" if in_spot_check else "main"] += 1
+        calls["key" if in_table else "spot" if in_spot_check else "main"] += 1
         return _fn(a)
+
+    def counted_orbit_table(c, reflections, orders_by_key, _fn=groupgen._orbit_table):
+        in_table.append(c)
+        try:
+            orbit_of, orders = _fn(c, reflections, orders_by_key)
+        finally:
+            in_table.pop()
+        calls["orbits"] += len(orders)
+        return orbit_of, orders
 
     def counted_classify_qc(g, cache=None, _fn=classify_qc):
         calls["classify_qc"] += 1
@@ -480,11 +492,13 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     for module in (matrix, groupgen, singer):
         monkeypatch.setattr(module, "char_poly", counted_char_poly)
     monkeypatch.setattr(groupgen, "classify_qc", counted_classify_qc)
+    monkeypatch.setattr(groupgen, "_orbit_table", counted_orbit_table)
     report = verify_main1(n, make_field(p, k))
     assert report["mode"] == "full" and report["violations"] == []
     assert calls["main"] == report["checked"] == gl_order(n, p**k)
     assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
     assert calls["spot"] == calls["classify_qc"]
+    assert calls["key"] == calls["orbits"] > 0
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
@@ -562,8 +576,8 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
     # generates: each Singer element reports its first factorization
     orbit_table = groupgen._orbit_table
 
-    def all_orbits_proper(c, reflections):
-        orbit_of, orders = orbit_table(c, reflections)
+    def all_orbits_proper(c, reflections, orders_by_key):
+        orbit_of, orders = orbit_table(c, reflections, orders_by_key)
         return orbit_of, [1] * len(orders)
 
     monkeypatch.setattr(groupgen, "_orbit_table", all_orbits_proper)
@@ -578,22 +592,29 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
         assert v["non_generating"] == minimal_factorization(g).serialize()
 
 
+def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
+    # a Singer element reads its class's verdict only through a checked
+    # P^-1 g P = C_f; the identity is no such P for the Singer cycles that
+    # are not companion matrices
+    monkeypatch.setattr(groupgen, "_cyclic_basis_change", lambda g: Matrix.identity(f3, 2))
+    with pytest.raises(AssertionError, match="does not conjugate g to C_f"):
+        verify_main1(2, f3)
+
+
 def test_main1_generation_tests_pinned(f2, f3, f4, f5):
     # seed 0: the closures main1's cache runs, the same on a second run with
     # every module memo warm; a lost reduction fails here, not as a slow run.
-    # Full mode builds one orbit table per Singer subgroup, |GL|/(n(q^n - 1))
-    # of them with q^(n-1)(q - 1) - 1 closures each; the rest are the
+    # The orbit tables of all Singer subgroups share one closure per key,
+    # one per Frobenius orbit of orbit sums gamma; the rest are the
     # irreducible_full_det witnesses' and the spot checks'.
-    def tables(n, q):
-        return gl_order(n, q) // (n * (q**n - 1)) * (q ** (n - 1) * (q - 1) - 1)
-
-    assert tables(2, 3) == 15 and tables(2, 4) == 66 and tables(2, 5) == 190
-    assert tables(3, 2) == 24
-    assert verify_main1(2, f3)["generation_tests"] == tables(2, 3) + 3 == 18
-    assert verify_main1(2, f3)["generation_tests"] == 18
-    assert verify_main1(2, f4)["generation_tests"] == tables(2, 4) + 36 == 102
-    assert verify_main1(2, f5)["generation_tests"] == tables(2, 5) + 76 == 266
-    assert verify_main1(3, f2)["generation_tests"] == tables(3, 2) == 24
+    keys = {(2, 3): 3, (2, 4): 7, (2, 5): 11, (3, 2): 1}
+    assert keys == {(n, p**k): galois_key_count(n, p, k)
+                    for n, p, k in [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)]}
+    assert verify_main1(2, f3)["generation_tests"] == keys[2, 3] + 3 == 6
+    assert verify_main1(2, f3)["generation_tests"] == 6
+    assert verify_main1(2, f4)["generation_tests"] == keys[2, 4] + 36 == 43
+    assert verify_main1(2, f5)["generation_tests"] == keys[2, 5] + 76 == 87
+    assert verify_main1(3, f2)["generation_tests"] == keys[3, 2] == 1
 
 
 def test_verify_main1_classes_mode_agrees(f3):
@@ -627,20 +648,13 @@ def test_verify_main2_full_mode_agrees(f3):
     assert len(full["exceptional_pairs"]) == 12 * 4 == full["exceptional_pairs_total"]
 
 
-def _main2_tests(n, q, tables):
-    """Closures run by the reduced main2 sweep: one per <c>-orbit of
-    reflections, q^(n-1)(q - 1) - 1 per orbit table; classes mode builds
-    one table, full mode one per Singer cycle."""
-    return tables * (q ** (n - 1) * (q - 1) - 1)
-
-
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 3, 2),
                                    (3, 2, 1), (3, 3, 1), (4, 2, 1)])
 def test_main2_orbit_reduction_matches_unreduced_sweep(n, p, k):
     field = make_field(p, k)
     report = verify_main2(n, field)
     assert without_counters(report) == unreduced_main2(n, field)
-    assert report["generation_tests"] == _main2_tests(n, field.q, 1)
+    assert report["generation_tests"] == galois_key_count(n, p, k)
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
@@ -648,27 +662,114 @@ def test_main2_full_mode_matches_unreduced_sweep(n, p, k):
     field = make_field(p, k)
     report = verify_main2(n, field, full=True)
     assert without_counters(report) == unreduced_main2(n, field, full=True)
-    assert report["generation_tests"] == _main2_tests(n, field.q, report["singer_cycles"])
+    assert report["generation_tests"] == galois_key_count(n, p, k)  # one key dict for all
 
 
 def test_main2_generation_tests_pinned(f3):
-    # one orbit table decides every Singer class: 8 classes on GL_2(F_7), 2 on GL_4(F_2)
-    assert verify_main2(2, make_field(7))["generation_tests"] == 41 == _main2_tests(2, 7, 1)
-    assert verify_main2(4, make_field(2))["generation_tests"] == 7 == _main2_tests(4, 2, 1)
-    assert verify_main2(2, f3, full=True)["generation_tests"] == 60 == _main2_tests(2, 3, 12)
+    # one orbit table decides every Singer class: 8 classes on GL_2(F_7), 2 on
+    # GL_4(F_2), with one closure per key; full mode's 12 tables share the keys
+    assert verify_main2(2, make_field(7))["generation_tests"] == 23 == galois_key_count(2, 7)
+    assert verify_main2(4, make_field(2))["generation_tests"] == 3 == galois_key_count(4, 2)
+    assert verify_main2(2, f3, full=True)["generation_tests"] == 3 == galois_key_count(2, 3)
 
 
 def test_main2_orbit_walk_checks_its_orbits(f3):
     c = singer_class_representatives(2, f3)[0]
     reflections = enumerate_reflections(2, f3)
-    orbit_of, orders = groupgen._orbit_table(c, reflections)
+    orbit_of, orders = groupgen._orbit_table(c, reflections, {})
     assert len(orders) == 5 and orbit_of.keys() == {t.entries for t in reflections}
     assert ([orders[orbit_of[t.entries]] for t in reflections]
             == [group_closure([c, t]).order for t in reflections])
     with pytest.raises(AssertionError, match="left the reflections"):
-        groupgen._orbit_table(c, reflections[1:])
+        groupgen._orbit_table(c, reflections[1:], {})
     with pytest.raises(AssertionError, match="members"):  # c^2 splits each orbit in two
-        groupgen._orbit_table(c @ c, reflections)
+        groupgen._orbit_table(c @ c, reflections, {})
+
+
+_EVERY_SINGER_CYCLE = [pytest.param(2, 3, 1, id="GL2F3"), pytest.param(2, 2, 2, id="GL2F4"),
+                       pytest.param(2, 5, 1, id="GL2F5"), pytest.param(3, 2, 1, id="GL3F2")]
+
+
+@pytest.mark.parametrize("n,p,k,every_cycle",
+                         [pytest.param(*case.values, True, id=case.id)
+                          for case in _EVERY_SINGER_CYCLE]
+                         + [pytest.param(2, 7, 1, False, id="GL2F7"),
+                            pytest.param(2, 2, 3, False, id="GL2F8"),
+                            pytest.param(3, 3, 1, False, id="GL3F3"),
+                            pytest.param(4, 2, 1, False, id="GL4F2")])
+def test_keyed_orbit_orders_match_one_closure_per_orbit(n, p, k, every_cycle):
+    # one key dict serves every table of the group, as in a driver call;
+    # each orbit's order equals its own closure's, orbit by orbit
+    field = make_field(p, k)
+    reflections = enumerate_reflections(n, field)
+    singers = ([g for g in enumerate_gl(n, field) if is_singer(g)] if every_cycle
+               else singer_class_representatives(n, field))
+    orders_by_key = {}
+    for c in singers:
+        assert groupgen._orbit_table(c, reflections, orders_by_key) == \
+            orbit_table_by_closures(c, reflections)
+    assert len(orders_by_key) == galois_key_count(n, p, k)
+
+
+@pytest.mark.parametrize("n,p,k", _EVERY_SINGER_CYCLE)
+def test_singer_elements_share_their_class_verdict(n, p, k):
+    # main1 reads a Singer element's verdict off its class, C_f = P^-1 g P
+    field = make_field(p, k)
+    q = field.q
+    cache = groupgen._GenerationCache(n, q)
+    classes = groupgen._GenerationCache(n, q)
+    singers = [g for g in enumerate_gl(n, field) if is_singer(g)]
+    assert len(singers) == singer_class_count(n, q) * gl_order(n, q) // (q**n - 1)
+    for g in singers:
+        assert ((cache.singer_failure(g) is None)
+                == (classes.singer_failure(companion(char_poly(g))) is None))
+
+
+@pytest.mark.parametrize("n,p,k,keys", [(2, 3, 1, 3), (2, 2, 2, 7), (2, 5, 1, 11),
+                                        (2, 7, 1, 23), (2, 2, 3, 31), (2, 3, 2, 39),
+                                        (3, 2, 1, 1), (3, 3, 1, 7), (4, 2, 1, 3),
+                                        (4, 3, 1, 15), (5, 2, 1, 3)])
+def test_orbit_table_keys_count_the_frobenius_orbits(n, p, k, keys):
+    # the keys of one table are the N(C)-orbits of reflections: Frobenius
+    # orbits on {gamma != 0 : Tr gamma != -1} in F_(q^n), while the table
+    # has q^(n-1)(q - 1) - 1 orbits of <c>
+    field = make_field(p, k)
+    q = field.q
+    orders_by_key = {}
+    c = singer_class_representatives(n, field)[0]
+    _, orders = groupgen._orbit_table(c, enumerate_reflections(n, field), orders_by_key)
+    assert len(orders) == q ** (n - 1) * (q - 1) - 1
+    assert len(orders_by_key) == galois_key_count(n, p, k) == keys
+
+
+def test_orbit_table_checks_the_orbit_sum(f3):
+    # the <c>-orbit of a non-reflection m with N = 4 members sums to a
+    # gamma whose trace, N (tr m - 2), is not det m - 1
+    c = singer_class_representatives(2, f3)[0]
+    c_inverse = c.inverse()
+    for m in enumerate_gl(2, f3):
+        orbit = [m]
+        while (x := c @ orbit[-1] @ c_inverse) != m:
+            orbit.append(x)
+        trace = f3.sub(f3.add(m[0, 0], m[1, 1]), 2)
+        if len(orbit) == 4 and trace != f3.sub(m.det(), 1):
+            break
+    with pytest.raises(AssertionError, match="trace"):
+        groupgen._orbit_table(c, orbit, {})
+
+
+def test_gill_inverts_each_partner_once(monkeypatch):
+    # 42 partners, one P per class twice (8 + 8), and c once, on GL_2(F_7)
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    assert verify_gill(2, make_field(7))["violations"] == []
+    assert len(calls) == 42 + 8 + 8 + 1 == 59
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 7, 1), (3, 2, 1), (3, 3, 1),
@@ -733,8 +834,8 @@ def test_a_reflection_missing_from_the_table_is_a_violation(monkeypatch, f3):
     # whose reflections meet each orbit once
     build = groupgen._orbit_table
 
-    def lossy(c, reflections):
-        orbit_of, orders = build(c, reflections)
+    def lossy(c, reflections, orders_by_key):
+        orbit_of, orders = build(c, reflections, orders_by_key)
         return {x: i for x, i in orbit_of.items() if i != 0}, orders
 
     monkeypatch.setattr(groupgen, "_orbit_table", lossy)
@@ -751,8 +852,8 @@ def _tamper_orbit_orders(monkeypatch, retag):
     retag(orders, |GL_n(F_q)|), for the drivers and the oracles alike."""
     build = groupgen._orbit_table
 
-    def tampered(c, reflections):
-        orbit_of, orders = build(c, reflections)
+    def tampered(c, reflections, orders_by_key):
+        orbit_of, orders = build(c, reflections, orders_by_key)
         return orbit_of, retag(list(orders), gl_order(c.n, c.field.q))
 
     monkeypatch.setattr(groupgen, "_orbit_table", tampered)
@@ -859,7 +960,7 @@ def test_gill_matches_normalizer_scan(n, p, k):
     field = make_field(p, k)
     report = verify_gill(n, field)
     assert without_counters(report) == gill_by_normalizer_scan(n, field)
-    assert report["generation_tests"] == _main2_tests(n, field.q, 1)  # one orbit table
+    assert report["generation_tests"] == galois_key_count(n, p, k)  # one orbit table
 
 
 def test_reports_are_deterministic(f3):
