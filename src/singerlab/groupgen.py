@@ -20,14 +20,18 @@ An orbit table of a Singer cycle c splits the reflections into their
 orbits under conjugation by <c>, on which the order of <c, t> is
 constant, and keys each orbit by char_poly(gamma) for its sum
 gamma = sum_x (x - I), an element of F_q[c].  The order depends only on
-that key, over every Singer cycle of the group: orbits whose gamma are
-Frobenius conjugates are conjugate under normalizers of Singer
-subgroups, which are all conjugate.  So one dict from key to order
-serves every table of a driver call, and a closure runs once per key,
-one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n),
-not once per orbit.  A generation cache serves one group, holds the
-empty factor set's verdict, the orbit table of each Singer subgroup it
-meets and the tables' one key dict, and counts the closures it runs.
+that key, so a closure runs once per key, one per Frobenius orbit of
+{gamma != 0 : Tr gamma != -1} in F_(q^n), not once per orbit.  A
+driver call walks one table, of c0 = C_f0 for the first primitive f0,
+held by its one generation cache, which also holds the empty factor
+set's verdict and counts the closures it runs.  Every Singer cycle c
+reads that table: with f = char_poly(c), P_f from _singer_conjugators(c0)
+and c's cyclic basis P_c, checked to give P_c^-1 c P_c = C_f (P_c = I for
+c = C_f), c = Q^-1 c0^k Q with <c0^k> = <c0> for Q = P_f P_c^-1.  So
+(c, t) has the verdict of (c0, Q t Q^-1); as t -> Q t Q^-1 permutes the
+reflections, the pairs of c that do not generate are (c, Q^-1 x Q) for
+the members x of the table's proper orbits, and only those are
+conjugated, once per Singer cycle: every other pair generates.
 
 verify_main1, verify_main2, verify_gill and verify_length_oracle sweep
 a full desk-scale instance and report violations; they are pure per
@@ -38,28 +42,23 @@ what the theorem asks.  A Singer element g with characteristic
 polynomial f has the verdict of its class: its cyclic basis P, checked
 to give P^-1 g P = C_f, maps the minimal factorizations of C_f onto
 those of g, and C_f is decided once per f.  A minimal factorization of
-C_f generates a group containing <C_f, t_1>, so C_f is read off its
-subgroup's orbit table, and only the factorizations whose first factor
-lies in a proper orbit are walked.  Only when the class has a
-non-generating factorization does g walk its own, to report the first.
-A non-Singer element gets only its non-generating witness, searched
-lazily; the proper subgroup it stays in, a subspace stabilizer or
-det^-1(X) for a proper X < F_q^x, certifies it without a closure.
-classify_qc's full classification is left to the conjugation spot
-checks.  verify_main2 and verify_gill read their verdicts from one
-orbit table of one Singer cycle c.  Every other Singer class is
-C_f = P^-1 c^k P with <c^k> = <c>, so (C_f, t) has the verdict of
-(c, P t P^-1); as t -> P t P^-1 permutes the reflections, the pairs of
-C_f that do not generate are (C_f, P^-1 x P) for the members x of the
-table's proper orbits, and the drivers conjugate only those, once per
-class: every other pair generates.  gill's pair (C_f, C_g) generates
-what (C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing
-x_n = 0, so C_f P^-1 x P = C_g names its non-generating partners.
-verify_main2(full=True) walks one table per Singer cycle and reads its
-proper orbits directly; the tables share their keys, so it runs the
-closures of one table.  verify_gill tests whether C_g normalizes <C_f>
-by the definition, against the powers of C_f, not by scanning
-GL_n(F_q) as normalizer_of_cyclic still does for the worked example.
+C_f generates a group containing <C_f, t_1>, so only the factorizations
+whose first factor t_1 has a proper <C_f, t_1> are walked; the orbit
+numbers carry over, so one conjugated member decides whether its orbit
+holds first factors.  Only when the class has a non-generating
+factorization does g walk its own, to report the first.  A non-Singer
+element gets only its non-generating witness, searched lazily; the
+proper subgroup it stays in, a subspace stabilizer or det^-1(X) for a
+proper X < F_q^x, certifies it without a closure.  classify_qc's full
+classification is left to the conjugation spot checks, which share the
+cache.  verify_main2 reads every Singer cycle, a class representative
+C_f by default and each one with full=True, and verify_gill each C_f,
+from the one table.  gill's pair (C_f, C_g) generates what
+(C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing x_n = 0,
+so C_f Q^-1 x Q = C_g names its non-generating partners.  verify_gill
+tests whether C_g normalizes <C_f> by the definition, against the powers
+of C_f, not by scanning GL_n(F_q) as normalizer_of_cyclic still does for
+the worked example.
 """
 
 from __future__ import annotations
@@ -412,19 +411,22 @@ class _GenerationCache:
     """Memoizes generates_full verdicts in GL_n(F_q), counting the closures
     it runs: on unordered factor sets, starting with the empty set's, the
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
-    (g, t) of a Singer cycle g and a reflection t, through the orbit table
-    (_orbit_table) of each Singer subgroup it meets.  A table is keyed by
-    the entries of each element of the subgroup, so every generator of <g>
-    reads the one table without a product; singer_failure decides a
-    Singer cycle from it.  All tables share one dict from an orbit's key
-    to its order, so a closure runs once per key, not once per orbit.
+    (c, t) of a Singer cycle c and a reflection t, through one orbit table
+    (_orbit_table) of c0 = C_f0, f0 the first primitive polynomial, built
+    on first use with one closure per key.  A Singer cycle c with
+    characteristic polynomial f is c = Q^-1 c0^k Q with <c0^k> = <c0>, for
+    Q = P_f P_c^-1: P_f = _singer_conjugators(c0)[f] and P_c is c's
+    checked cyclic basis (_cyclic_basis), I for c = C_f.  So (c, t) has
+    the verdict of (c0, Q t Q^-1), and the orbit numbers carry over:
+    non_generating lists the pairs of c that do not generate from the
+    table's, and singer_failure decides a Singer cycle from them.
     """
 
     def __init__(self, n: int, q: int):
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
-        self._tables: dict[tuple, tuple[dict[tuple, int], list[int], list[Matrix]]] = {}
-        self._orders_by_key: dict[Poly, int] = {}
+        self._table: tuple[list[tuple[tuple, int | None]], dict[Poly, Matrix]] | None = None
+        self.orders: list[int] = []  # |<c0, t>| by orbit number, once the table is built
         self.closures = 0
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
@@ -446,58 +448,67 @@ class _GenerationCache:
                      if certified is not None and certified(fl.factors)
                      or not self.generates(fl.factors)), None)
 
-    def singer_table(self, g: Matrix) -> tuple[dict[tuple, int], list[int], list[Matrix]]:
-        """The orbit table of <g> for the Singer cycle g: each reflection's
-        orbit number, |<g, t>| by orbit number, and by orbit number the
-        inverse of its first member in enumerate_reflections order."""
-        table = self._tables.get(g.entries)
-        if table is None:
-            reflections = enumerate_reflections(g.n, g.field)
-            keys = len(self._orders_by_key)
-            orbit_of, orders = _orbit_table(g, reflections, self._orders_by_key)
-            self.closures += len(self._orders_by_key) - keys
-            inverses = []  # orbits are numbered in the order of their first members
-            for t in reflections:
-                if orbit_of[t.entries] == len(inverses):
-                    inverses.append(t.inverse())
-            table = (orbit_of, orders, inverses)
-            self._tables.update(dict.fromkeys(_powers(g), table))
-        return table
+    def non_generating(self, c: Matrix, f: Poly) -> list[tuple[tuple, int | None]]:
+        """The reflections t whose pair (c, t) does not generate, or has no
+        verdict, for the Singer cycle c with characteristic polynomial f:
+        the entries Q^-1 x Q of each, with the orbit number of x in the
+        table, None for no verdict (_non_generating).  Every other
+        reflection generates with c."""
+        if self._table is None:
+            n, field = c.n, c.field
+            c0 = companion(_primitive_polys(n, field)[0])
+            reflections = enumerate_reflections(n, field)
+            orders_by_key: dict[Poly, int] = {}
+            orbit_of, self.orders = _orbit_table(c0, reflections, orders_by_key)
+            self.closures += len(orders_by_key)
+            self._table = (_non_generating(orbit_of, self.orders, reflections, self._full),
+                           _singer_conjugators(c0))
+        exceptions, conjugators = self._table
+        return _conjugated_back(conjugators[f] @ _cyclic_basis(c, f).inverse(), exceptions)
 
-    def singer_failure(self, g: Matrix) -> FactorizationList | None:
-        """The first minimal factorization of the Singer cycle g, in
-        enumeration order, whose factors do not generate; None when all do.
+    def singer_failure(self, g: Matrix, f: Poly) -> FactorizationList | None:
+        """The first minimal factorization of the Singer cycle g, with
+        characteristic polynomial f, in enumeration order, whose factors do
+        not generate; None when all do.
 
         A factorization (t_1, ..., t_l) multiplies to g, so it generates a
         group containing <g, t_1>.  Its first factors, the t with
-        l(t^-1 g) = l(g) - 1, form a union of <g>-orbits, since conjugation
-        by a power of g fixes g (_first_factor_orbits).  Every factorization
-        whose first factor lies in an orbit of order |GL_n(F_q)| therefore
-        generates; only those with a first factor in a proper orbit are
-        enumerated, in order, and tested through the cache.  With no such
-        orbit, g is decided by its table alone.  The identity of GL_1(F_2),
-        of length 0, keeps the empty set's verdict.
+        l(t^-1 g) = l(g) - 1, form a union of <g>-orbits: conjugating by h
+        in <g> fixes g and maps t^-1 g to (h t h^-1)^-1 g, of the same
+        length.  Every factorization whose first factor generates with g
+        therefore generates; only those with a first factor among
+        non_generating's are enumerated, in order, and tested through the
+        cache.  One member decides whether its orbit holds first factors; a
+        reflection without a verdict is decided alone.  With no such first
+        factor, g is decided by the table alone.  The identity of
+        GL_1(F_2), of length 0, keeps the empty set's verdict.
         """
         if reflection_length(g) == 0:
             return self.first_non_generating(enumerate_minimal_factorizations(g))
-        orbit_of, orders, inverses = self.singer_table(g)
-        proper = {number for number in _first_factor_orbits(g, inverses)
-                  if orders[number] != self._full}
+        length = reflection_length(g) - 1
+        holds_first: dict = {}  # orbit number, or a reflection without one -> holds a first factor
+        first = set()
+        for x, number in self.non_generating(g, f):
+            orbit = x if number is None else number
+            if orbit not in holds_first:
+                t_inverse = Matrix._raw(g.field, g.n, x).inverse()
+                holds_first[orbit] = reflection_length(t_inverse @ g) == length
+            if holds_first[orbit]:
+                first.add(x)
         return self.first_non_generating(
             FactorizationList._unchecked((t,) + rest.factors, g)
-            for t in enumerate_reflections(g.n, g.field) if orbit_of[t.entries] in proper
+            for t in enumerate_reflections(g.n, g.field) if t.entries in first
             for rest in enumerate_minimal_factorizations(t.inverse() @ g))
 
 
-def _first_factor_orbits(g: Matrix, inverses: Sequence[Matrix]) -> set[int]:
-    """The numbers of the <g>-orbits of reflections that hold the first
-    factors of g's minimal factorizations, the t with l(t^-1 g) = l(g) - 1,
-    given the inverse of one member of each orbit by number.  Conjugating
-    by h in <g> fixes g and maps t^-1 g to (h t h^-1)^-1 g, of the same
-    length, so one member decides its orbit."""
-    length = reflection_length(g) - 1
-    return {number for number, t_inverse in enumerate(inverses)
-            if reflection_length(t_inverse @ g) == length}
+def _cyclic_basis(g: Matrix, f: Poly) -> Matrix:
+    """P = _cyclic_basis_change(g) for g with characteristic polynomial f,
+    checked to give P^-1 g P = C_f: det P != 0 and g P = P C_f, without an
+    inverse.  P = I for g = C_f."""
+    p = _cyclic_basis_change(g)
+    if p.det() == 0 or g @ p != p @ companion(f):
+        raise AssertionError("cyclic basis does not conjugate g to C_f")
+    return p
 
 
 def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
@@ -505,14 +516,15 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
 
     strong: every factorization generates GL_n(F_q); weak_only: some but
     not all; not_weak: none.  The empty factorization of the identity
-    generates the trivial subgroup.  A Singer cycle is read off its
-    subgroup's orbit table first (_GenerationCache.singer_failure), and is
-    strong there with no closure of its own; any other element, and a
-    Singer cycle with a non-generating factorization, walks its
-    factorizations.
+    generates the trivial subgroup.  A Singer cycle is read off the
+    cache's one orbit table first, through its checked cyclic basis
+    (_GenerationCache.singer_failure), and is strong there with no closure
+    of its own; any other element, and a Singer cycle with a
+    non-generating factorization, walks its factorizations.
     """
     cache = cache or _GenerationCache(g.n, g.field.q)
-    if is_singer(g) and cache.singer_failure(g) is None:
+    f = char_poly(g)
+    if is_primitive_poly(f) and cache.singer_failure(g, f) is None:
         return STRONG
     any_gen = False
     all_gen = True
@@ -595,25 +607,26 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
 
     Each element gets the work its verdict needs.  A Singer element g,
     with characteristic polynomial f, must have every minimal
-    factorization generate.  Its cyclic basis P = _cyclic_basis_change(g)
-    is checked to satisfy P^-1 g P = C_f, so conjugation by P maps the
+    factorization generate.  Its cyclic basis P = _cyclic_basis(g, f) is
+    checked to satisfy P^-1 g P = C_f, so conjugation by P maps the
     minimal factorizations of C_f onto those of g and g has C_f's
-    verdict.  C_f is decided once per f from the orbit table of its
-    subgroup (_GenerationCache.singer_failure): only factorizations whose
-    first factor lies in a proper orbit are walked.  Only when C_f has a
+    verdict.  C_f is decided once per f from the cache's one orbit table
+    (_GenerationCache.singer_failure): only factorizations whose first
+    factor t has a proper <C_f, t> are walked.  Only when C_f has a
     non-generating factorization does g walk its own, and the first of
     them that does not generate is reported as a violation.  A non-Singer
     element is not strong as soon as one minimal factorization fails to
     generate, so it is given only its explicit witness
     (_witness_for_non_singer), which the subgroup it stays in certifies
     unless its determinants generate F_q^x; finding none is a violation.
-    All closures go through one generation cache, whose tables share one
-    closure per key, and generation_tests counts those it ran, the
-    tables' among them.  With classes=True only one representative per
-    conjugacy class is checked (the classification is conjugation
-    invariant); the default audits every element, each Singer one through
-    its own checked conjugator.  The randomized conjugation spot checks
-    compare full classify_qc classifications.
+    All closures go through one generation cache, which walks one orbit
+    table with one closure per key, and generation_tests counts those it
+    ran, the table's among them.  With classes=True only one
+    representative per conjugacy class is checked (the classification is
+    conjugation invariant); the default audits every element, each Singer
+    one through its own checked conjugator.  The randomized conjugation
+    spot checks compare full classify_qc classifications, through the
+    same cache and table.
     """
     start = time.monotonic()
     q = field.q
@@ -628,7 +641,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
                      "irreducible_full_det": 0}
     violations = []
     sample = []
-    singer_classes: dict[Poly, tuple[Matrix, bool]] = {}  # f -> (C_f, C_f all generate)
+    singer_classes: dict[Poly, bool] = {}  # f -> every factorization of C_f generates
     for g, weight in todo:
         f = char_poly(g)  # one per element: it decides both Singer and reducible
         singer = is_primitive_poly(f)
@@ -636,14 +649,9 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
         singer_count += weight * singer
         if singer:
             if f not in singer_classes:
-                cf = companion(f)
-                singer_classes[f] = cf, cache.singer_failure(cf) is None
-            cf, strong = singer_classes[f]
-            # g P = P C_f with P invertible is P^-1 g P = C_f, without an inverse
-            p = _cyclic_basis_change(g)
-            if p.det() == 0 or g @ p != p @ cf:
-                raise AssertionError("cyclic basis does not conjugate g to C_f")
-            fl = None if strong else cache.singer_failure(g)
+                singer_classes[f] = cache.singer_failure(companion(f), f) is None
+            _cyclic_basis(g, f)  # g has C_f's verdict through its checked cyclic basis
+            fl = None if singer_classes[f] else cache.singer_failure(g, f)
             if fl is not None:
                 violations.append({"matrix": g.to_text(), "is_singer": True,
                                    "non_generating": fl.serialize()})
@@ -721,9 +729,9 @@ def _orbit_table(c: Matrix, reflections: Sequence[Matrix], orders_by_key: dict[P
     key, over every Singer cycle of GL_n(F_q): pairs (K, gamma) whose gamma
     have the same characteristic polynomial are conjugate, through the
     normalizer of K^x, which acts on gamma by the Frobenius.  So one
-    orders_by_key serves every table of a driver call, and a key's closure
-    runs on the first orbit that meets it; the caller counts them by the
-    keys added.
+    orders_by_key may serve tables of several Singer cycles, and a key's
+    closure runs on the first orbit that meets it; the caller counts them
+    by the keys added.
     """
     n, field = c.n, c.field
     orbit_size = (field.q**n - 1) // (field.q - 1)
@@ -780,7 +788,7 @@ def _conjugated_back(p: Matrix, exceptions: Sequence[tuple[tuple, int | None]]
                      ) -> list[tuple[tuple, int | None]]:
     """(P^-1 x P, number) for each (x, number) of exceptions, on entries.
 
-    (C_f, t) reads the table of c at P t P^-1, so the pairs of C_f that do
+    (c, t) reads the table of c0 at P t P^-1, so the pairs of c that do
     not generate, or have no verdict, are those of exactly these t."""
     n, field = p.n, p.field
     pe, p_inverse = p.entries, p.inverse().entries
@@ -793,8 +801,8 @@ def _singer_conjugators(c: Matrix) -> dict[Poly, Matrix]:
     primitive f of degree n, keyed by f.
 
     Every such f is the characteristic polynomial of some c^k with
-    gcd(k, q^n - 1) = 1, and then <c^k> = <c>; P is the cyclic basis change
-    of the first such power, so <C_f, t> = P^-1 <c, P t P^-1> P.
+    gcd(k, q^n - 1) = 1, and then <c^k> = <c>; P is the checked cyclic
+    basis of the first such power, so <C_f, t> = P^-1 <c, P t P^-1> P.
     """
     if not is_singer(c):
         raise ValueError("input is not a Singer cycle")
@@ -805,10 +813,7 @@ def _singer_conjugators(c: Matrix) -> dict[Poly, Matrix]:
         if math.gcd(k, m) == 1:
             f = char_poly(power)
             if f not in conjugators:
-                p = _cyclic_basis_change(power)
-                if p.inverse() @ power @ p != companion(f):
-                    raise AssertionError("cyclic basis does not conjugate c^k to C_f")
-                conjugators[f] = p
+                conjugators[f] = _cyclic_basis(power, f)
         power = power @ c
     if len(conjugators) != singer_class_count(c.n, c.field.q):
         raise AssertionError("the powers of c missed a primitive polynomial")
@@ -822,24 +827,20 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class, the companion matrices C_f;
     full=True audits every Singer cycle (feasible only on the smaller
-    instances).  Every verdict is read from an orbit table (_orbit_table)
-    of q^(n-1)(q - 1) - 1 <c>-orbits of reflections, with one closure per
-    key of the orbits, counted in generation_tests, while every pair is
-    still reported on.
-    By default one table, of c = C_f for the first primitive f, serves
-    every class: C_f = P^-1 c^k P (_singer_conjugators), so the pair
-    (C_f, t) has the verdict of (c, P t P^-1).  The table's proper orbits
-    and the reflections missing from it are listed once
-    (_non_generating); each class conjugates only those back to P^-1 x P
+    instances).  Every verdict is read from one orbit table (_orbit_table)
+    of q^(n-1)(q - 1) - 1 <c0>-orbits of reflections, c0 = C_f for the
+    first primitive f, with one closure per key of the orbits, counted in
+    generation_tests, while every pair is still reported on.  A Singer
+    cycle c is c = Q^-1 c0^k Q (_GenerationCache), so the pair (c, t) has
+    the verdict of (c0, Q t Q^-1).  The table's proper orbits and the
+    reflections missing from it are listed once (_non_generating); each
+    Singer cycle conjugates only those back to Q^-1 x Q
     (_conjugated_back), q + 1 reflections for n = 2 and q > 2 and none
-    otherwise, and every other pair generates.  full=True walks each
-    Singer cycle's own table, where P = I, so nothing is conjugated; the
-    tables share one key dict, so the closures are those of one table.
-    Pairs are reported in enumerate_reflections order.  Before any
-    polynomial is tested for primitivity,
-    |GL_n(F_q)| is checked against ENUMERATION_BUDGET as every closure
-    would be, and so is the sweep, from the closed-form class count
-    phi(q^n - 1)/n.
+    otherwise, and every other pair generates.  Pairs are reported in
+    enumerate_reflections order.  Before any polynomial is tested for
+    primitivity, |GL_n(F_q)| is checked against ENUMERATION_BUDGET as
+    every closure would be, and so is the sweep, from the closed-form
+    class count phi(q^n - 1)/n.
     """
     start = time.monotonic()
     q = field.q
@@ -850,11 +851,13 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     _check_budget(f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections",
                   swept * reflection_count(n, q), "pairs")
     primitives = _primitive_polys(n, field)
-    reps = [companion(f) for f in primitives]
-    if len(reps) != classes:
-        raise AssertionError(f"{len(reps)} primitive polynomials, expected phi(q^n - 1)/n "
-                             f"= {classes}")
-    singers = [g for g in enumerate_gl(n, field) if is_singer(g)] if full else reps
+    if len(primitives) != classes:
+        raise AssertionError(f"{len(primitives)} primitive polynomials, expected "
+                             f"phi(q^n - 1)/n = {classes}")
+    if full:
+        singers = [(g, f) for g in enumerate_gl(n, field) if is_primitive_poly(f := char_poly(g))]
+    else:
+        singers = [(companion(f), f) for f in primitives]
     reflections = enumerate_reflections(n, field)
     if full and len(singers) != singer_cycle_count:
         return {
@@ -871,19 +874,10 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     exceptional = []
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     index = {t.entries: i for i, t in enumerate(reflections)}
-    orders_by_key: dict[Poly, int] = {}  # shared by every table: one closure per key
-    if not full:
-        orbit_of, orders = _orbit_table(reps[0], reflections, orders_by_key)
-        exceptions = _non_generating(orbit_of, orders, reflections, group_order)
-        conjugators = _singer_conjugators(reps[0])
-    for i, c in enumerate(singers):
-        if full:  # c's own table, where P = I
-            orbit_of, orders = _orbit_table(c, reflections, orders_by_key)
-            decided = _non_generating(orbit_of, orders, reflections, group_order)
-        else:
-            decided = _conjugated_back(conjugators[primitives[i]], exceptions)
+    cache = _GenerationCache(n, q)
+    for c, f in singers:
         verdicts = {}  # reflection index -> orbit number, None for no verdict
-        for x, number in decided:
+        for x, number in cache.non_generating(c, f):
             if x not in index:
                 raise AssertionError("an orbit table member, conjugated back, is not a reflection")
             verdicts[index[x]] = number
@@ -913,12 +907,12 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
         "theorem": "Singer cycle and non-normalizing reflection generate",
         "params": {"n": n, "q": q},
         "mode": "full" if full else "classes",
-        "singer_classes": len(reps),
+        "singer_classes": len(primitives),
         "singer_cycles": singer_cycle_count,
         "singer_checked": len(singers),
         "reflections": len(reflections),
         "checked": len(singers) * len(reflections),
-        "generation_tests": len(orders_by_key),
+        "generation_tests": cache.closures,
         "exceptional_per_cycle": per_cycle_expected,
         "exceptional_pairs_total": singer_cycle_count * per_cycle_expected,
         "exceptional_pairs": exceptional,
@@ -936,11 +930,11 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     because the two companion matrices differ only in the last column.
     So t = C_f^-1 C_g is a reflection fixing x_n = 0, <C_f, C_g> = <C_f, t>,
     and the order of the pair, the exceptional order too, is read from
-    main2's orbit table of one Singer cycle, as verify_main2 reads it: the
+    the one orbit table of c0 = C_f0, as verify_main2 reads it: the
     closures of that table, one per key, counted in generation_tests,
     decide every pair.  Per f, only the proper orbits' members and the
     missing reflections x are conjugated back, and
-    C_f P^-1 x P = C_g names the partner g; every other pair whose side
+    C_f Q^-1 x Q = C_g names the partner g; every other pair whose side
     condition holds generates, and one that fails it has no verdict, since
     C_f^-1 C_g is then not a reflection.  C_g normalizes <C_f> iff
     C_g C_f C_g^-1 is a power of C_f, tested against the powers of C_f.
@@ -953,12 +947,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     full = _closure_budget(n, q)
     primitives = _primitive_polys(n, field)
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
-    c = companion(primitives[0])
-    reflections = enumerate_reflections(n, field)
-    orders_by_key: dict[Poly, int] = {}
-    orbit_of, orders = _orbit_table(c, reflections, orders_by_key)
-    exceptions = _non_generating(orbit_of, orders, reflections, full)
-    conjugators = _singer_conjugators(c)
+    cache = _GenerationCache(n, q)
     companions = {g: companion(g) for g in targets}
     inverses = {g: cg.inverse() for g, cg in companions.items()}  # once per partner
     partners = {cg.entries: g for g, cg in companions.items()}
@@ -967,10 +956,9 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     pairs = 0
     for f in primitives:
         cf = companion(f)
-        # <C_f, C_g> = <C_f, t> for the reflection t = C_f^-1 C_g, which
-        # reads the table at P t P^-1: C_f t names g
+        # <C_f, C_g> = <C_f, t> for the reflection t = C_f^-1 C_g: C_f t names g
         verdicts = {}  # g -> orbit number, None for no verdict
-        for t, number in _conjugated_back(conjugators[f], exceptions):
+        for t, number in cache.non_generating(cf, f):
             g = partners.get(mul_entries(cf.entries, t, n, field))
             if g is not None:
                 verdicts[g] = number
@@ -990,7 +978,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "no verdict in the orbit table"})
                 continue
-            order = orders[verdicts[g]] if g in verdicts else full
+            order = cache.orders[verdicts[g]] if g in verdicts else full
             generated = order == full
             expected_fail = n == 2 and (cg @ cf @ cg_inverse).entries in powers
             if not generated:
@@ -1005,7 +993,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
         "params": {"n": n, "q": q},
         "primitive_polynomials": len(primitives),
         "checked": pairs,
-        "generation_tests": len(orders_by_key),
+        "generation_tests": cache.closures,
         "exceptional_pairs": exceptional,
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - start) * 1000),

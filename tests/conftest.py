@@ -13,8 +13,9 @@ from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumera
                        is_singer, make_field, normalizer_of_cyclic)
 from singerlab import groupgen
 from singerlab.groupgen import singer_class_representatives
-from singerlab.matrix import kernel_of_rows, mul_entries
+from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
+from singerlab.singer import _cyclic_basis_change as cyclic_basis_change
 
 
 @pytest.fixture(scope="session")
@@ -263,10 +264,13 @@ def _conjugate(p, x):
     return mul_entries(mul_entries(p.entries, x, n, field), p.inverse().entries, n, field)
 
 
-def main2_by_pair_lookup(n: int, field, full: bool = False) -> dict:
+def main2_by_pair_lookup(n: int, field, full: bool = False, own_tables: bool = False) -> dict:
     """verify_main2's report without elapsed_ms and generation_tests, with
-    every pair (C_f, t) read from groupgen._orbit_table at P t P^-1, pair by
-    pair; in full mode each Singer cycle reads its own table, P = I."""
+    every pair (c, t) read pair by pair from groupgen._orbit_table: the
+    table of c0 = C_f0 at Q t Q^-1, Q = P_f P_c^-1 for c's characteristic
+    polynomial f (P_f from groupgen._singer_conjugators, P_c c's cyclic
+    basis, I for c = C_f); with own_tables each Singer cycle reads its own
+    table instead, Q = I."""
     q = field.q
     group_order = gl_order(n, q)
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
@@ -277,17 +281,16 @@ def main2_by_pair_lookup(n: int, field, full: bool = False) -> dict:
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     singer_cycles = len(reps) * group_order // (q**n - 1)
     orders_by_key = {}
-    if not full:
-        orbit_of, orders = groupgen._orbit_table(reps[0], reflections, orders_by_key)
-        conjugators = groupgen._singer_conjugators(reps[0])
+    orbit_of, orders = groupgen._orbit_table(reps[0], reflections, orders_by_key)
+    conjugators = groupgen._singer_conjugators(reps[0])
     violations = []
     exceptional = []
-    for i, c in enumerate(singers):
-        if full:
+    for c in singers:
+        if own_tables:
             orbit_of, orders = groupgen._orbit_table(c, reflections, orders_by_key)
             p = Matrix.identity(field, n)
         else:
-            p = conjugators[primitives[i]]
+            p = conjugators[char_poly(c)] @ cyclic_basis_change(c).inverse()
         normalizers = set(normalizing_reflections(c)) if n == 2 else set()
         exceptional_here = 0
         for t in reflections:

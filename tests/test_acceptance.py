@@ -274,9 +274,28 @@ def test_criterion_17_gl2f7_main2_full(capsys):
     elapsed = time.monotonic() - start
     assert code == 0 and report["mode"] == "full"
     assert report["checked"] == 110208  # 336 Singer cycles x 328 reflections
-    # 336 orbit tables of 41 <c>-orbits each share one closure per key
+    # one orbit table of 41 <c>-orbits, one closure per key, read by all 336
     assert report["generation_tests"] == 23
     assert report["exceptional_pairs_total"] == len(report["exceptional_pairs"]) == 336 * 8
     assert report["violations"] == []
     _report(17, "main2 on every Singer cycle and reflection of GL_2(F_7), 110208 pairs, "
                 "through the CLI", elapsed, 10.0)
+
+
+def test_criterion_18_main2_full_gl2f9_gl3f3(capsys):
+    # every Singer cycle reads one orbit table through its cyclic basis
+    start = time.monotonic()
+    runs = [_run_cli_json(capsys, "verify", "main2", "--full", "--n", n, "--p", "3", "--k", k)
+            for n, k in (("2", "2"), ("3", "1"))]
+    elapsed = time.monotonic() - start
+    # GL_2(F_9): 1152 Singer cycles x 710 reflections, 10 exceptional each;
+    # GL_3(F_3): 1728 x 221, none
+    for (code, report), checked, keys, exceptional in zip(runs, (817920, 381888), (39, 7),
+                                                           (11520, 0)):
+        assert code == 0 and report["mode"] == "full"
+        assert report["checked"] == checked
+        assert report["generation_tests"] == keys
+        assert report["exceptional_pairs_total"] == len(report["exceptional_pairs"]) == exceptional
+        assert report["violations"] == []
+    _report(18, "main2 on every Singer cycle and reflection of GL_2(F_9) and GL_3(F_3), "
+                "1199808 pairs, through the CLI", elapsed, 10.0)

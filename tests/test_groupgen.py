@@ -454,23 +454,34 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
         monkeypatch.setattr(module, "fixed_space", recorded)
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
-    assert info.misses == len(set(seen)) == 42
-    assert info.hits == len(seen) - info.misses == 83
+    assert info.misses == len(set(seen)) == 39
+    assert info.hits == len(seen) - info.misses == 70
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
 def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     # the main loop decides Singer and the witness kind from one
     # characteristic polynomial per element; each classify_qc of the spot
-    # checks decides is_singer from one of its own, and each orbit an
-    # orbit table walks is keyed by one, both counted apart
-    calls = {"main": 0, "spot": 0, "classify_qc": 0, "key": 0, "orbits": 0}
+    # checks decides is_singer from one of its own, each orbit the one
+    # orbit table walks is keyed by one, and _singer_conjugators takes one
+    # per power c0^k prime to q^n - 1 and one to check c0, all counted apart
+    calls = {"main": 0, "spot": 0, "classify_qc": 0, "key": 0, "orbits": 0,
+             "conjugators": 0}
     in_spot_check = []
     in_table = []
+    in_conjugators = []
 
     def counted_char_poly(a, _fn=char_poly):
-        calls["key" if in_table else "spot" if in_spot_check else "main"] += 1
+        calls["key" if in_table else "conjugators" if in_conjugators
+              else "spot" if in_spot_check else "main"] += 1
         return _fn(a)
+
+    def counted_conjugators(c, _fn=groupgen._singer_conjugators):
+        in_conjugators.append(c)
+        try:
+            return _fn(c)
+        finally:
+            in_conjugators.pop()
 
     def counted_orbit_table(c, reflections, orders_by_key, _fn=groupgen._orbit_table):
         in_table.append(c)
@@ -493,12 +504,14 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
         monkeypatch.setattr(module, "char_poly", counted_char_poly)
     monkeypatch.setattr(groupgen, "classify_qc", counted_classify_qc)
     monkeypatch.setattr(groupgen, "_orbit_table", counted_orbit_table)
+    monkeypatch.setattr(groupgen, "_singer_conjugators", counted_conjugators)
     report = verify_main1(n, make_field(p, k))
     assert report["mode"] == "full" and report["violations"] == []
     assert calls["main"] == report["checked"] == gl_order(n, p**k)
     assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
     assert calls["spot"] == calls["classify_qc"]
     assert calls["key"] == calls["orbits"] > 0
+    assert calls["conjugators"] == trial_phi(p ** (k * n) - 1) + 1
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
@@ -529,25 +542,35 @@ def test_main1_per_element_check_matches_classify_qc(n, p, k):
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
 def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k):
     # oracle: generates_full on every minimal factorization of every Singer
-    # cycle and on every witness, with no cache and no orbit table; the
-    # empty factor set of the identity generates the trivial group
+    # cycle, on every pair of a Singer cycle and a reflection, and on every
+    # witness, with no cache and no orbit table; the empty factor set of the
+    # identity generates the trivial group
     field = make_field(p, k)
 
     def generates(factors):
         return generates_full(factors) if factors else gl_order(n, field.q) == 1
 
     cache = groupgen._GenerationCache(n, field.q)
+    reflections = enumerate_reflections(n, field)
     certified = 0
     for g in enumerate_gl(n, field):
-        if is_singer(g):
+        f = char_poly(g)
+        if is_primitive_poly(f):
             listed = list(enumerate_minimal_factorizations(g))
             failing = [fl for fl in listed if not generates(fl.factors)]
-            assert cache.singer_failure(g) == next(iter(failing), None)
-            assert (cache.singer_failure(g) is None) == all(generates(fl.factors)
-                                                           for fl in listed)
-            orbit_of, _, inverses = cache.singer_table(g)
-            assert (groupgen._first_factor_orbits(g, inverses)
-                    == {orbit_of[fl.factors[0].entries] for fl in listed})
+            assert cache.singer_failure(g, f) == next(iter(failing), None)
+            assert (cache.singer_failure(g, f) is None) == all(generates(fl.factors)
+                                                              for fl in listed)
+            # the one table, read through g's cyclic basis: the pairs of g
+            # that do not generate, numbered by <g>-orbit
+            read = cache.non_generating(g, f)
+            assert {x for x, _ in read} == {t.entries for t in reflections
+                                            if not generates([g, t])}
+            members = {}
+            for x, number in read:
+                members.setdefault(number, set()).add(Matrix._raw(field, n, x))
+            assert all(orbit == _conjugation_orbit(g, next(iter(orbit)))
+                       for orbit in members.values())
             continue
         closures = cache.closures
         kind, fl = groupgen._witness_for_non_singer(g, char_poly(g), cache)
@@ -592,13 +615,37 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
         assert v["non_generating"] == minimal_factorization(g).serialize()
 
 
+def _identity_cyclic_bases(monkeypatch, field, n):
+    """Make every cyclic basis the identity, which is no P with
+    P^-1 g P = C_f for the Singer cycles that are not companion matrices;
+    the conjugators of the one table's c0 are computed before, so a check
+    that fails is a Singer cycle's own."""
+    conjugators = groupgen._singer_conjugators(singer_class_representatives(n, field)[0])
+    monkeypatch.setattr(groupgen, "_singer_conjugators", lambda c: conjugators)
+    monkeypatch.setattr(groupgen, "_cyclic_basis_change", lambda g: Matrix.identity(field, n))
+
+
 def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
     # a Singer element reads its class's verdict only through a checked
-    # P^-1 g P = C_f; the identity is no such P for the Singer cycles that
-    # are not companion matrices
-    monkeypatch.setattr(groupgen, "_cyclic_basis_change", lambda g: Matrix.identity(f3, 2))
+    # P^-1 g P = C_f; without spot checks, whose Singer cycles read the
+    # table through their own, only the main loop's check can fail
+    _identity_cyclic_bases(monkeypatch, f3, 2)
+    monkeypatch.setattr(groupgen, "SPOT_CHECKS", 0)
     with pytest.raises(AssertionError, match="does not conjugate g to C_f"):
         verify_main1(2, f3)
+
+
+def test_main2_full_and_classify_qc_check_each_cyclic_basis(f3, monkeypatch):
+    # every Singer cycle reads the one orbit table only through a checked
+    # P_c^-1 c P_c = C_f; a companion matrix has P_c = I
+    _identity_cyclic_bases(monkeypatch, f3, 2)
+    with pytest.raises(AssertionError, match="does not conjugate"):
+        verify_main2(2, f3, full=True)
+    assert verify_main2(2, f3)["violations"] == []
+    g = next(g for g in enumerate_gl(2, f3) if is_singer(g) and g != companion(char_poly(g)))
+    assert classify_qc(companion(char_poly(g))) == STRONG
+    with pytest.raises(AssertionError, match="does not conjugate"):
+        classify_qc(g)
 
 
 def test_main1_generation_tests_pinned(f2, f3, f4, f5):
@@ -665,9 +712,41 @@ def test_main2_full_mode_matches_unreduced_sweep(n, p, k):
     assert report["generation_tests"] == galois_key_count(n, p, k)  # one key dict for all
 
 
+def test_main2_full_mode_matches_each_cycles_own_table():
+    # beyond the brute-force instances: each of the 336 Singer cycles of
+    # GL_2(F_7) reads the one table through its cyclic basis, against its
+    # own orbit table read pair by pair
+    f7 = make_field(7)
+    report = verify_main2(2, f7, full=True)
+    assert report["singer_checked"] == 336 and report["violations"] == []
+    assert without_counters(report) == main2_by_pair_lookup(2, f7, full=True, own_tables=True)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
+def test_each_driver_call_walks_one_orbit_table(monkeypatch, n, p):
+    # the table of c0 = C_f0, once per call: main1's classes and spot
+    # checks, main2's full mode and gill read every Singer cycle through it
+    field = make_field(p)
+    c0 = singer_class_representatives(n, field)[0]
+    walked = []
+    build = groupgen._orbit_table
+
+    def counted(c, reflections, orders_by_key):
+        walked.append(c)
+        return build(c, reflections, orders_by_key)
+
+    monkeypatch.setattr(groupgen, "_orbit_table", counted)
+    for run in (lambda: verify_main1(n, field), lambda: verify_main1(n, field, classes=True),
+                lambda: verify_main2(n, field), lambda: verify_main2(n, field, full=True),
+                lambda: verify_gill(n, field)):
+        assert run()["violations"] == []
+        assert walked == [c0]
+        walked.clear()
+
+
 def test_main2_generation_tests_pinned(f3):
     # one orbit table decides every Singer class: 8 classes on GL_2(F_7), 2 on
-    # GL_4(F_2), with one closure per key; full mode's 12 tables share the keys
+    # GL_4(F_2), with one closure per key; full mode's 12 cycles read it too
     assert verify_main2(2, make_field(7))["generation_tests"] == 23 == galois_key_count(2, 7)
     assert verify_main2(4, make_field(2))["generation_tests"] == 3 == galois_key_count(4, 2)
     assert verify_main2(2, f3, full=True)["generation_tests"] == 3 == galois_key_count(2, 3)
@@ -721,8 +800,9 @@ def test_singer_elements_share_their_class_verdict(n, p, k):
     singers = [g for g in enumerate_gl(n, field) if is_singer(g)]
     assert len(singers) == singer_class_count(n, q) * gl_order(n, q) // (q**n - 1)
     for g in singers:
-        assert ((cache.singer_failure(g) is None)
-                == (classes.singer_failure(companion(char_poly(g))) is None))
+        f = char_poly(g)
+        assert ((cache.singer_failure(g, f) is None)
+                == (classes.singer_failure(companion(f), f) is None))
 
 
 @pytest.mark.parametrize("n,p,k,keys", [(2, 3, 1, 3), (2, 2, 2, 7), (2, 5, 1, 11),
@@ -925,9 +1005,10 @@ def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
 
 
 def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatch, f2, f3):
-    # each class conjugates back only the members of the table's proper
-    # orbits: the q + 1 normalizing reflections for n = 2, q > 2, else
-    # none; full mode reads each cycle's own table and conjugates nothing.
+    # each Singer cycle conjugates back only the members of the one
+    # table's proper orbits: the q + 1 normalizing reflections for n = 2,
+    # q > 2, else none, also in full mode, where every cycle reads the
+    # table through its cyclic basis: 12 cycles x 4 on GL_2(F_3).
     # Reading every pair conjugates 2624, 210, 240 and 328 matrices.
     conjugated = []
     conjugated_back = groupgen._conjugated_back
@@ -947,7 +1028,7 @@ def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatc
     f7 = make_field(7)
     assert count(verify_main2(2, f7)) == 8 * 8 == 64  # 8 Singer classes
     assert count(verify_main2(4, f2)) == 0
-    assert count(verify_main2(2, f3, full=True)) == 0
+    assert count(verify_main2(2, f3, full=True)) == 12 * 4 == 48
     assert count(verify_gill(2, f7)) == 64  # 8 primitive quadratics
 
 
