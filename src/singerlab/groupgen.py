@@ -16,25 +16,27 @@ matrix.ENUMERATION_BUDGET, checked from closed-form sizes before any work
 starts: no closure runs in a GL_n(F_q) larger than it, so no subgroup
 order or element set exceeds it either.
 
-An orbit table of a Singer cycle c splits the reflections into their
-orbits under conjugation by <c>, on which the order of <c, t> is
-constant, and keys each orbit by char_poly(gamma) for its sum
-gamma = sum_x (x - I), an element of F_q[c].  The order depends only on
-that key, so a closure runs once per key, one per Frobenius orbit of
-{gamma != 0 : Tr gamma != -1} in F_(q^n), not once per orbit.  A
-driver call walks one table, of c0 = C_f0 for the first primitive f0,
-held by its one generation cache, which also holds the empty factor
-set's verdict and counts the closures it runs.  Every Singer cycle c
-reads that table: with f = char_poly(c), P_f from _singer_conjugators(c0)
-and c's cyclic basis P_c, checked to give P_c^-1 c P_c = C_f (P_c = I for
-c = C_f), c = Q^-1 c0^k Q with <c0^k> = <c0> for Q = P_f P_c^-1.  So
-(c, t) has the verdict of (c0, Q t Q^-1); as t -> Q t Q^-1 permutes the
-reflections, the pairs of c that do not generate are (c, Q^-1 x Q) for
-the members x of the table's proper orbits, and only those are
-conjugated, once per Singer cycle: every other pair generates.
+A Singer class, the Singer cycles with one primitive characteristic
+polynomial f, is decided by one row: |<C_f, C_g>| for each partner g, a
+monic g != f of degree n with g(0) != 0.  <C_f, C_g> = <C_f, t_g> for the
+reflection t_g = C_f^-1 C_g, and the t_g meet each orbit of the
+reflections under conjugation by <C_f> exactly once, so the row decides
+every pair (C_f, t).  The order is constant on an orbit and depends only
+on its key, char_poly(gamma) for the orbit sum gamma = sum_x (x - I) in
+F_q[C_f] = F_q[x]/(f), which is (f - g)(alpha) / (alpha f'(alpha)) for
+alpha = x mod f by Euler's dual basis.  So a closure runs once per key,
+one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n), and
+the rows of a driver call share them through its one generation cache,
+which also holds the empty factor set's verdict and counts the closures
+it runs.  A Singer cycle c with characteristic polynomial f is
+P C_f P^-1 for its cyclic basis P, checked (P = I for c = C_f), so the
+pairs of c that do not generate are (c, P x P^-1) for the members x of
+the <C_f>-orbits of the t_g with a proper order, walked once per class:
+q + 1 reflections for n = 2 and q > 2, none otherwise.  Every other pair
+generates.
 
-verify_main1, verify_main2, verify_gill and verify_length_oracle sweep
-a full desk-scale instance and report violations; they are pure per
+verify_main1, verify_main2, verify_gill and verify_length_oracle sweep a
+full desk-scale instance and report violations; they are pure per
 element or pair, so reports are deterministic.  verify_main1 decides
 Singer first, from the one characteristic polynomial per element that
 also tells a reducible witness from an irreducible one, and proves only
@@ -43,22 +45,19 @@ polynomial f has the verdict of its class: its cyclic basis P, checked
 to give P^-1 g P = C_f, maps the minimal factorizations of C_f onto
 those of g, and C_f is decided once per f.  A minimal factorization of
 C_f generates a group containing <C_f, t_1>, so only the factorizations
-whose first factor t_1 has a proper <C_f, t_1> are walked; the orbit
-numbers carry over, so one conjugated member decides whether its orbit
-holds first factors.  Only when the class has a non-generating
-factorization does g walk its own, to report the first.  A non-Singer
-element gets only its non-generating witness, searched lazily; the
-proper subgroup it stays in, a subspace stabilizer or det^-1(X) for a
-proper X < F_q^x, certifies it without a closure.  classify_qc's full
-classification is left to the conjugation spot checks, which share the
-cache.  verify_main2 reads every Singer cycle, a class representative
-C_f by default and each one with full=True, and verify_gill each C_f,
-from the one table.  gill's pair (C_f, C_g) generates what
-(C_f, C_f^-1 C_g) does, and C_f^-1 C_g is a reflection fixing x_n = 0,
-so C_f Q^-1 x Q = C_g names its non-generating partners.  verify_gill
-tests whether C_g normalizes <C_f> by the definition, against the powers
-of C_f, not by scanning GL_n(F_q) as normalizer_of_cyclic still does for
-the worked example.
+whose first factor t_1 has a proper <C_f, t_1> are walked, and one
+member decides whether its orbit holds first factors.  Only when the
+class has a non-generating factorization does g walk its own, to report
+the first.  A non-Singer element gets only its non-generating witness,
+searched lazily; the proper subgroup it stays in, a subspace stabilizer
+or det^-1(X) for a proper X < F_q^x, certifies it without a closure.
+classify_qc's full classification is left to the conjugation spot
+checks, which share the cache.  verify_main2 reads every Singer cycle, a
+class representative C_f by default and each one with full=True, from
+its class's row, and verify_gill reads the pair (C_f, C_g) off it
+directly.  verify_gill tests whether C_g normalizes <C_f> by the
+definition, against the powers of C_f, not by scanning GL_n(F_q) as
+normalizer_of_cyclic still does for the worked example.
 """
 
 from __future__ import annotations
@@ -69,16 +68,16 @@ import math
 import operator
 import random
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ff import FieldSpec, factorize
 from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, fixed_space,
                      gl_order, invariant_subspace, mul_entries, stabilizes)
-from .poly import Poly, companion, enumerate_monic, is_irreducible, is_primitive_poly
+from .poly import Poly, companion, enumerate_monic, invmod, is_irreducible, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
                       reflection_count, reflection_length, stabilizing_factorization)
-from .singer import _cyclic_basis_change, is_singer, normalizing_reflections
+from .singer import _cyclic_basis_change, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
 
@@ -411,22 +410,19 @@ class _GenerationCache:
     """Memoizes generates_full verdicts in GL_n(F_q), counting the closures
     it runs: on unordered factor sets, starting with the empty set's, the
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
-    (c, t) of a Singer cycle c and a reflection t, through one orbit table
-    (_orbit_table) of c0 = C_f0, f0 the first primitive polynomial, built
-    on first use with one closure per key.  A Singer cycle c with
-    characteristic polynomial f is c = Q^-1 c0^k Q with <c0^k> = <c0>, for
-    Q = P_f P_c^-1: P_f = _singer_conjugators(c0)[f] and P_c is c's
-    checked cyclic basis (_cyclic_basis), I for c = C_f.  So (c, t) has
-    the verdict of (c0, Q t Q^-1), and the orbit numbers carry over:
-    non_generating lists the pairs of c that do not generate from the
-    table's, and singer_failure decides a Singer cycle from them.
+    (c, t) of a Singer cycle c and a reflection t, through one row per
+    Singer class (row), built on first use with one closure per key
+    missing from the keys of every row before it.  non_generating lists
+    the pairs of c that do not generate, and singer_failure decides a
+    Singer cycle from them.
     """
 
     def __init__(self, n: int, q: int):
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
-        self._table: tuple[list[tuple[tuple, int | None]], dict[Poly, Matrix]] | None = None
-        self.orders: list[int] = []  # |<c0, t>| by orbit number, once the table is built
+        self._orders_by_key: dict[Poly, int] = {}
+        self._rows: dict[Poly, dict[Poly, int]] = {}
+        self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits
         self.closures = 0
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
@@ -448,23 +444,36 @@ class _GenerationCache:
                      if certified is not None and certified(fl.factors)
                      or not self.generates(fl.factors)), None)
 
-    def non_generating(self, c: Matrix, f: Poly) -> list[tuple[tuple, int | None]]:
-        """The reflections t whose pair (c, t) does not generate, or has no
-        verdict, for the Singer cycle c with characteristic polynomial f:
-        the entries Q^-1 x Q of each, with the orbit number of x in the
-        table, None for no verdict (_non_generating).  Every other
-        reflection generates with c."""
-        if self._table is None:
-            n, field = c.n, c.field
-            c0 = companion(_primitive_polys(n, field)[0])
-            reflections = enumerate_reflections(n, field)
-            orders_by_key: dict[Poly, int] = {}
-            orbit_of, self.orders = _orbit_table(c0, reflections, orders_by_key)
-            self.closures += len(orders_by_key)
-            self._table = (_non_generating(orbit_of, self.orders, reflections, self._full),
-                           _singer_conjugators(c0))
-        exceptions, conjugators = self._table
-        return _conjugated_back(conjugators[f] @ _cyclic_basis(c, f).inverse(), exceptions)
+    def row(self, f: Poly) -> dict[Poly, int]:
+        """|<C_f, C_g>| for each partner g of the primitive f, keyed by g
+        (_partner_keys): one closure per key that no earlier row met."""
+        row = self._rows.get(f)
+        if row is None:
+            cf = companion(f)
+            row = {}
+            for g, key in _partner_keys(f):
+                order = self._orders_by_key.get(key)
+                if order is None:
+                    order = self._orders_by_key[key] = group_closure([cf, companion(g)]).order
+                    self.closures += 1
+                row[g] = order
+            self._rows[f] = row
+        return row
+
+    def non_generating(self, c: Matrix, f: Poly) -> list[tuple[tuple, Poly]]:
+        """The reflections t whose pair (c, t) does not generate, for the
+        Singer cycle c with characteristic polynomial f: the entries
+        P x P^-1 of each, for c's checked cyclic basis P and the members x
+        of f's proper orbits (_proper_orbits), with the partner g labelling
+        the orbit of x.  Every other reflection generates with c."""
+        members = self._proper.get(f)
+        if members is None:
+            members = self._proper[f] = _proper_orbits(f, self.row(f), self._full)
+        p = _cyclic_basis(c, f)
+        n, field = c.n, c.field
+        pe, p_inverse = p.entries, p.inverse().entries
+        return [(mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field), g)
+                for x, g in members]
 
     def singer_failure(self, g: Matrix, f: Poly) -> FactorizationList | None:
         """The first minimal factorization of the Singer cycle g, with
@@ -478,22 +487,21 @@ class _GenerationCache:
         length.  Every factorization whose first factor generates with g
         therefore generates; only those with a first factor among
         non_generating's are enumerated, in order, and tested through the
-        cache.  One member decides whether its orbit holds first factors; a
-        reflection without a verdict is decided alone.  With no such first
-        factor, g is decided by the table alone.  The identity of
-        GL_1(F_2), of length 0, keeps the empty set's verdict.
+        cache.  One member decides whether its orbit holds first factors.
+        With no such first factor, g is decided by its class's row alone.
+        The identity of GL_1(F_2), of length 0, keeps the empty set's
+        verdict.
         """
         if reflection_length(g) == 0:
             return self.first_non_generating(enumerate_minimal_factorizations(g))
         length = reflection_length(g) - 1
-        holds_first: dict = {}  # orbit number, or a reflection without one -> holds a first factor
+        holds_first: dict[Poly, bool] = {}  # the partner labelling an orbit -> it holds one
         first = set()
-        for x, number in self.non_generating(g, f):
-            orbit = x if number is None else number
-            if orbit not in holds_first:
+        for x, partner in self.non_generating(g, f):
+            if partner not in holds_first:
                 t_inverse = Matrix._raw(g.field, g.n, x).inverse()
-                holds_first[orbit] = reflection_length(t_inverse @ g) == length
-            if holds_first[orbit]:
+                holds_first[partner] = reflection_length(t_inverse @ g) == length
+            if holds_first[partner]:
                 first.add(x)
         return self.first_non_generating(
             FactorizationList._unchecked((t,) + rest.factors, g)
@@ -516,9 +524,9 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
 
     strong: every factorization generates GL_n(F_q); weak_only: some but
     not all; not_weak: none.  The empty factorization of the identity
-    generates the trivial subgroup.  A Singer cycle is read off the
-    cache's one orbit table first, through its checked cyclic basis
-    (_GenerationCache.singer_failure), and is strong there with no closure
+    generates the trivial subgroup.  A Singer cycle is read off its
+    class's row first (_GenerationCache.singer_failure), and is strong
+    there with no closure
     of its own; any other element, and a Singer cycle with a
     non-generating factorization, walks its factorizations.
     """
@@ -610,7 +618,7 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     factorization generate.  Its cyclic basis P = _cyclic_basis(g, f) is
     checked to satisfy P^-1 g P = C_f, so conjugation by P maps the
     minimal factorizations of C_f onto those of g and g has C_f's
-    verdict.  C_f is decided once per f from the cache's one orbit table
+    verdict.  C_f is decided once per f from the cache's row of f
     (_GenerationCache.singer_failure): only factorizations whose first
     factor t has a proper <C_f, t> are walked.  Only when C_f has a
     non-generating factorization does g walk its own, and the first of
@@ -619,14 +627,14 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     generate, so it is given only its explicit witness
     (_witness_for_non_singer), which the subgroup it stays in certifies
     unless its determinants generate F_q^x; finding none is a violation.
-    All closures go through one generation cache, which walks one orbit
-    table with one closure per key, and generation_tests counts those it
-    ran, the table's among them.  With classes=True only one
+    All closures go through one generation cache, whose rows share one
+    closure per key, and generation_tests counts those it ran, the rows'
+    among them.  With classes=True only one
     representative per conjugacy class is checked (the classification is
     conjugation invariant); the default audits every element, each Singer
     one through its own checked conjugator.  The randomized conjugation
     spot checks compare full classify_qc classifications, through the
-    same cache and table.
+    same cache.
     """
     start = time.monotonic()
     q = field.q
@@ -712,112 +720,67 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
-def _orbit_table(c: Matrix, reflections: Sequence[Matrix], orders_by_key: dict[Poly, int]
-                  ) -> tuple[dict[tuple, int], list[int]]:
-    """The <c>-orbit of every reflection, as a map from its entries to an
-    orbit number, and |<c, t>| for the members t of each orbit, by orbit
-    number: one closure per key missing from orders_by_key.
+def _partner_keys(f: Poly) -> Iterator[tuple[Poly, Poly]]:
+    """(g, char_poly(gamma)) for each partner g of the primitive f, in
+    enumerate_monic order, with gamma = (f - g)(alpha) / (alpha f'(alpha))
+    in F_q[x]/(f), alpha = x mod f, taken as its multiplication matrix.
 
-    For h in <c>, h <c, t> h^-1 = <c, h t h^-1>, so the order is constant
-    on each orbit of <c> acting on the reflections by conjugation.  Modulo
-    the scalars, which centralize t, <c> permutes the N = (q^n - 1)/(q - 1)
-    hyperplanes regularly, so every orbit has exactly one member per
-    hyperplane.  The orbit's key is char_poly(gamma) for its sum
-    gamma = sum_x (x - I) = sum_x x - I, as N = 1 mod p.  gamma lies in
-    K = F_q[c], so it commutes with c, and its trace is N (det t - 1) =
-    det t - 1; both are checked.  The order of <c, t> depends only on that
-    key, over every Singer cycle of GL_n(F_q): pairs (K, gamma) whose gamma
-    have the same characteristic polynomial are conjugate, through the
-    normalizer of K^x, which acts on gamma by the Frobenius.  So one
-    orders_by_key may serve tables of several Singer cycles, and a key's
-    closure runs on the first orbit that meets it; the caller counts them
-    by the keys added.
+    gamma is the sum of x - I over the <C_f>-orbit of the reflection
+    t_g = C_f^-1 C_g = I + C_f^-1 h e_n^T, h = f - g, under conjugation.
+    In the basis 1, alpha, ..., alpha^(n-1), where C_f multiplies by alpha,
+    e_n^T is v -> Tr(v / f'(alpha)) by Euler's dual basis, and the sum of
+    z Tr(v / z) over representatives z of F_(q^n)^x / F_q^x is v.  Its
+    trace, N (det t_g - 1) = g(0)/f(0) - 1 as N = 1 mod p, is checked.
     """
-    n, field = c.n, c.field
-    orbit_size = (field.q**n - 1) // (field.q - 1)
-    known = {t.entries for t in reflections}
-    ce, c_inverse = c.entries, c.inverse().entries
-    fadd, fsub = field.add, field.sub
-    diagonal = range(0, n * n, n + 1)
-    orbit_of: dict[tuple, int] = {}
-    orders = []
-    for t in reflections:
-        if t.entries in orbit_of:
+    field, n = f.field, f.degree
+    fmul, fadd = field.mul, field.add
+    x = Poly.x(field)
+    derivative = Poly(field, [fmul(i % field.p, c) for i, c in enumerate(f.coeffs)][1:])
+    # w[k] = alpha^k / (alpha f'(alpha)), so entry (r, j) of gamma's matrix
+    # is sum_i h_i w[i + j][r]: one dot product with h per entry
+    w = [invmod(x * derivative % f, f)]
+    for _ in range(2 * n - 2):
+        w.append(x * w[-1] % f)
+    w = [v.coeffs + (0,) * (n - len(v.coeffs)) for v in w]
+    hankel = [[w[i + j][r] for i in range(n)] for r in range(n) for j in range(n)]
+    f0_inverse = field.inv(f[0])
+    for g in enumerate_monic(n, field, nonzero_constant=True):
+        if g == f:
             continue
-        number = len(orders)
-        x, members, total = t.entries, 0, (0,) * (n * n)
+        h = [field.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)]
+        entries = tuple(functools.reduce(fadd, map(fmul, h, column)) for column in hankel)
+        if functools.reduce(fadd, entries[::n + 1]) != field.sub(fmul(g[0], f0_inverse), 1):
+            raise AssertionError("an orbit sum's trace is not g(0)/f(0) - 1")
+        yield g, char_poly(Matrix._raw(field, n, entries))
+
+
+def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple, Poly]]:
+    """The members of the <C_f>-orbit of t_g = C_f^-1 C_g under
+    conjugation, as entries labelled g, for each partner g in the row with
+    |<C_f, C_g>| < full.  Each orbit is checked to have one member per
+    hyperplane, N = (q^n - 1)/(q - 1), each a reflection that no other
+    orbit meets."""
+    cf = companion(f)
+    n, field = cf.n, cf.field
+    orbit_size = (field.q**n - 1) // (field.q - 1)
+    reflections = {t.entries for t in enumerate_reflections(n, field)}
+    ce, c_inverse = cf.entries, cf.inverse().entries
+    members: dict[tuple, Poly] = {}
+    for g in (g for g, order in row.items() if order != full):
+        x = start = mul_entries(c_inverse, companion(g).entries, n, field)
+        size = 0
         while True:
-            if x not in known or x in orbit_of:
-                raise AssertionError("a <c>-orbit left the reflections or met another orbit")
-            orbit_of[x] = number
-            members += 1
-            total = tuple(map(fadd, total, x))
+            if x not in reflections or x in members:
+                raise AssertionError("a <C_f>-orbit left the reflections or met another orbit")
+            members[x] = g
+            size += 1
             x = mul_entries(mul_entries(ce, x, n, field), c_inverse, n, field)
-            if x == t.entries:
+            if x == start:
                 break
-        if members != orbit_size:
-            raise AssertionError(f"a <c>-orbit of reflections has {members} members, "
+        if size != orbit_size:
+            raise AssertionError(f"a <C_f>-orbit of reflections has {size} members, "
                                  f"expected {orbit_size}")
-        gamma = tuple(fsub(v, 1) if i in diagonal else v for i, v in enumerate(total))
-        if mul_entries(ce, gamma, n, field) != mul_entries(gamma, ce, n, field):
-            raise AssertionError("an orbit sum does not commute with c")
-        trace = functools.reduce(fadd, (gamma[i] for i in diagonal), 0)
-        if trace != fsub(t.det(), 1):
-            raise AssertionError("an orbit sum's trace is not det t - 1")
-        key = char_poly(Matrix._raw(field, n, gamma))
-        order = orders_by_key.get(key)
-        if order is None:
-            order = orders_by_key[key] = group_closure([c, t]).order
-        orders.append(order)
-    return orbit_of, orders
-
-
-def _non_generating(orbit_of: dict[tuple, int], orders: Sequence[int],
-                    reflections: Sequence[Matrix], full: int) -> list[tuple[tuple, int | None]]:
-    """The reflections x whose pair (c, x) does not generate, or has no
-    verdict, in the orbit table of c: the entries of each member of an
-    orbit of order other than full with its orbit number, then of each
-    reflection missing from the table with None.  Every other reflection
-    generates with c."""
-    exceptions = [(x, number) for x, number in orbit_of.items() if orders[number] != full]
-    exceptions += [(t.entries, None) for t in reflections if t.entries not in orbit_of]
-    return exceptions
-
-
-def _conjugated_back(p: Matrix, exceptions: Sequence[tuple[tuple, int | None]]
-                     ) -> list[tuple[tuple, int | None]]:
-    """(P^-1 x P, number) for each (x, number) of exceptions, on entries.
-
-    (c, t) reads the table of c0 at P t P^-1, so the pairs of c that do
-    not generate, or have no verdict, are those of exactly these t."""
-    n, field = p.n, p.field
-    pe, p_inverse = p.entries, p.inverse().entries
-    return [(mul_entries(mul_entries(p_inverse, x, n, field), pe, n, field), number)
-            for x, number in exceptions]
-
-
-def _singer_conjugators(c: Matrix) -> dict[Poly, Matrix]:
-    """For the Singer cycle c, a matrix P with P^-1 c^k P = C_f for every
-    primitive f of degree n, keyed by f.
-
-    Every such f is the characteristic polynomial of some c^k with
-    gcd(k, q^n - 1) = 1, and then <c^k> = <c>; P is the checked cyclic
-    basis of the first such power, so <C_f, t> = P^-1 <c, P t P^-1> P.
-    """
-    if not is_singer(c):
-        raise ValueError("input is not a Singer cycle")
-    m = c.field.q**c.n - 1
-    conjugators = {}
-    power = c
-    for k in range(1, m + 1):  # up to k = m, for GL_1(F_2): there m = 1 and c = I
-        if math.gcd(k, m) == 1:
-            f = char_poly(power)
-            if f not in conjugators:
-                conjugators[f] = _cyclic_basis(power, f)
-        power = power @ c
-    if len(conjugators) != singer_class_count(c.n, c.field.q):
-        raise AssertionError("the powers of c missed a primitive polynomial")
-    return conjugators
+    return list(members.items())
 
 
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
@@ -827,20 +790,16 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class, the companion matrices C_f;
     full=True audits every Singer cycle (feasible only on the smaller
-    instances).  Every verdict is read from one orbit table (_orbit_table)
-    of q^(n-1)(q - 1) - 1 <c0>-orbits of reflections, c0 = C_f for the
-    first primitive f, with one closure per key of the orbits, counted in
-    generation_tests, while every pair is still reported on.  A Singer
-    cycle c is c = Q^-1 c0^k Q (_GenerationCache), so the pair (c, t) has
-    the verdict of (c0, Q t Q^-1).  The table's proper orbits and the
-    reflections missing from it are listed once (_non_generating); each
-    Singer cycle conjugates only those back to Q^-1 x Q
-    (_conjugated_back), q + 1 reflections for n = 2 and q > 2 and none
-    otherwise, and every other pair generates.  Pairs are reported in
-    enumerate_reflections order.  Before any polynomial is tested for
-    primitivity, |GL_n(F_q)| is checked against ENUMERATION_BUDGET as
-    every closure would be, and so is the sweep, from the closed-form
-    class count phi(q^n - 1)/n.
+    instances).  Every verdict is read from the row of c's class
+    (_GenerationCache.row), with one closure per key, counted in
+    generation_tests, while every pair is still reported on.  Each Singer
+    cycle reads only the members of its class's proper orbits, through its
+    cyclic basis (_GenerationCache.non_generating): q + 1 reflections for
+    n = 2 and q > 2 and none otherwise, and every other pair generates.
+    Pairs are reported in enumerate_reflections order.  Before any
+    polynomial is tested for primitivity, |GL_n(F_q)| is checked against
+    ENUMERATION_BUDGET as every closure would be, and so is the sweep,
+    from the closed-form class count phi(q^n - 1)/n.
     """
     start = time.monotonic()
     q = field.q
@@ -876,22 +835,19 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     index = {t.entries: i for i, t in enumerate(reflections)}
     cache = _GenerationCache(n, q)
     for c, f in singers:
-        verdicts = {}  # reflection index -> orbit number, None for no verdict
-        for x, number in cache.non_generating(c, f):
+        proper = set()  # the indices of the reflections t with <c, t> proper
+        for x, _ in cache.non_generating(c, f):
             if x not in index:
-                raise AssertionError("an orbit table member, conjugated back, is not a reflection")
-            verdicts[index[x]] = number
+                raise AssertionError("a proper orbit's member, read through the cyclic basis, "
+                                     "is not a reflection")
+            proper.add(index[x])
         normalizing = ({index[t.entries] for t in normalizing_reflections(c)}
                        if n == 2 else set())
         expected_fails = normalizing if per_cycle_expected else set()
         exceptional_here = 0
-        for j in sorted(verdicts.keys() | expected_fails):  # every other pair generates
+        for j in sorted(proper | expected_fails):  # every other pair generates
             t = reflections[j]
-            if j in verdicts and verdicts[j] is None:
-                violations.append({"singer": c.to_text(), "reflection": t.to_text(),
-                                   "error": "no verdict in the orbit table"})
-                continue
-            generated = j not in verdicts
+            generated = j not in proper
             if generated == (j in expected_fails):
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
                                    "generated": generated,
@@ -929,18 +885,14 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     Also asserts dim fix(C_f C_g^-1) = n - 1 on every pair, which holds
     because the two companion matrices differ only in the last column.
     So t = C_f^-1 C_g is a reflection fixing x_n = 0, <C_f, C_g> = <C_f, t>,
-    and the order of the pair, the exceptional order too, is read from
-    the one orbit table of c0 = C_f0, as verify_main2 reads it: the
-    closures of that table, one per key, counted in generation_tests,
-    decide every pair.  Per f, only the proper orbits' members and the
-    missing reflections x are conjugated back, and
-    C_f Q^-1 x Q = C_g names the partner g; every other pair whose side
-    condition holds generates, and one that fails it has no verdict, since
-    C_f^-1 C_g is then not a reflection.  C_g normalizes <C_f> iff
-    C_g C_f C_g^-1 is a power of C_f, tested against the powers of C_f.
-    Each partner's C_g and its inverse are built once, not once per f.
-    |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before any
-    polynomial is tested for primitivity.
+    and the order of the pair, the exceptional order too, is read off the
+    row of f (_GenerationCache.row), whose closures, one per key, are
+    counted in generation_tests.  A pair that fails the side condition has
+    no verdict, since C_f^-1 C_g is then not a reflection.  C_g normalizes
+    <C_f> iff C_g C_f C_g^-1 is a power of C_f, tested against the powers
+    of C_f.  Each partner's C_g and its inverse are built once, not once
+    per f.  |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError
+    before any polynomial is tested for primitivity.
     """
     start = time.monotonic()
     q = field.q
@@ -950,35 +902,27 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     cache = _GenerationCache(n, q)
     companions = {g: companion(g) for g in targets}
     inverses = {g: cg.inverse() for g, cg in companions.items()}  # once per partner
-    partners = {cg.entries: g for g, cg in companions.items()}
     violations = []
     exceptional = []
     pairs = 0
     for f in primitives:
         cf = companion(f)
-        # <C_f, C_g> = <C_f, t> for the reflection t = C_f^-1 C_g: C_f t names g
-        verdicts = {}  # g -> orbit number, None for no verdict
-        for t, number in cache.non_generating(cf, f):
-            g = partners.get(mul_entries(cf.entries, t, n, field))
-            if g is not None:
-                verdicts[g] = number
+        row = cache.row(f)
         powers = _powers(cf) if n == 2 else frozenset()
         for g in targets:
             if g == f:
                 continue
             cg, cg_inverse = companions[g], inverses[g]
             pairs += 1
-            # dim fix(C_f C_g^-1) = n - 1 makes C_f^-1 C_g a reflection, one
-            # of the pairs the table decides
-            reflection = fixed_space(cf @ cg_inverse).dim == n - 1
-            if not reflection:
+            # dim fix(C_f C_g^-1) = n - 1 makes C_f^-1 C_g a reflection, the
+            # pair the row decides
+            if fixed_space(cf @ cg_inverse).dim != n - 1:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
-            if not reflection or g in verdicts and verdicts[g] is None:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "no verdict in the orbit table"})
                 continue
-            order = cache.orders[verdicts[g]] if g in verdicts else full
+            order = row[g]
             generated = order == full
             expected_fail = n == 2 and (cg @ cf @ cg_inverse).entries in powers
             if not generated:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumera
                        fixed_space, generates_full, gl_order, group_closure, is_primitive_poly,
                        is_singer, make_field, normalizer_of_cyclic)
 from singerlab import groupgen
-from singerlab.groupgen import singer_class_representatives
+from singerlab.groupgen import singer_class_count, singer_class_representatives
 from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
 from singerlab.singer import _cyclic_basis_change as cyclic_basis_change
@@ -134,11 +135,93 @@ def run_python(code: str, *options: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def orbit_table(c, reflections, orders_by_key: dict) -> tuple[dict, list]:
+    """Oracle: the <c>-orbit of every reflection, as a map from its entries
+    to an orbit number, and |<c, t>| for the members t of each orbit, by
+    orbit number: one closure per key missing from orders_by_key.
+
+    For h in <c>, h <c, t> h^-1 = <c, h t h^-1>, so the order is constant
+    on each orbit of <c> acting on the reflections by conjugation.  Modulo
+    the scalars, which centralize t, <c> permutes the N = (q^n - 1)/(q - 1)
+    hyperplanes regularly, so every orbit has exactly one member per
+    hyperplane.  The orbit's key is char_poly(gamma) for its sum
+    gamma = sum_x (x - I) = sum_x x - I, as N = 1 mod p.  gamma lies in
+    K = F_q[c], so it commutes with c, and its trace is N (det t - 1) =
+    det t - 1; both are checked.  The order of <c, t> depends only on that
+    key, over every Singer cycle of GL_n(F_q): pairs (K, gamma) whose gamma
+    have the same characteristic polynomial are conjugate, through the
+    normalizer of K^x, which acts on gamma by the Frobenius.  So one
+    orders_by_key may serve tables of several Singer cycles, and a key's
+    closure runs on the first orbit that meets it.
+    """
+    n, field = c.n, c.field
+    orbit_size = (field.q**n - 1) // (field.q - 1)
+    known = {t.entries for t in reflections}
+    ce, c_inverse = c.entries, c.inverse().entries
+    fadd, fsub = field.add, field.sub
+    diagonal = range(0, n * n, n + 1)
+    orbit_of: dict[tuple, int] = {}
+    orders = []
+    for t in reflections:
+        if t.entries in orbit_of:
+            continue
+        number = len(orders)
+        x, members, total = t.entries, 0, (0,) * (n * n)
+        while True:
+            if x not in known or x in orbit_of:
+                raise AssertionError("a <c>-orbit left the reflections or met another orbit")
+            orbit_of[x] = number
+            members += 1
+            total = tuple(map(fadd, total, x))
+            x = mul_entries(mul_entries(ce, x, n, field), c_inverse, n, field)
+            if x == t.entries:
+                break
+        if members != orbit_size:
+            raise AssertionError(f"a <c>-orbit of reflections has {members} members, "
+                                 f"expected {orbit_size}")
+        gamma = tuple(fsub(v, 1) if i in diagonal else v for i, v in enumerate(total))
+        if mul_entries(ce, gamma, n, field) != mul_entries(gamma, ce, n, field):
+            raise AssertionError("an orbit sum does not commute with c")
+        trace = functools.reduce(fadd, (gamma[i] for i in diagonal), 0)
+        if trace != fsub(t.det(), 1):
+            raise AssertionError("an orbit sum's trace is not det t - 1")
+        key = char_poly(Matrix._raw(field, n, gamma))
+        order = orders_by_key.get(key)
+        if order is None:
+            order = orders_by_key[key] = group_closure([c, t]).order
+        orders.append(order)
+    return orbit_of, orders
+
+
+def singer_conjugators(c) -> dict:
+    """Oracle: for the Singer cycle c, a matrix P with P^-1 c^k P = C_f for
+    every primitive f of degree n, keyed by f.
+
+    Every such f is the characteristic polynomial of some c^k with
+    gcd(k, q^n - 1) = 1, and then <c^k> = <c>; P is the checked cyclic
+    basis of the first such power, so <C_f, t> = P^-1 <c, P t P^-1> P.
+    """
+    if not is_singer(c):
+        raise ValueError("input is not a Singer cycle")
+    m = c.field.q**c.n - 1
+    conjugators = {}
+    power = c
+    for k in range(1, m + 1):  # up to k = m, for GL_1(F_2): there m = 1 and c = I
+        if math.gcd(k, m) == 1:
+            f = char_poly(power)
+            if f not in conjugators:
+                conjugators[f] = groupgen._cyclic_basis(power, f)
+        power = power @ c
+    if len(conjugators) != singer_class_count(c.n, c.field.q):
+        raise AssertionError("the powers of c missed a primitive polynomial")
+    return conjugators
+
+
 def orbit_table_by_closures(c, reflections) -> tuple[dict, list]:
-    """Oracle: groupgen._orbit_table with no keys, one closure per
-    <c>-orbit of reflections under conjugation.  The orbit of every
-    reflection, as a map from its entries to an orbit number, and |<c, t>|
-    for the first member t of each orbit, by orbit number."""
+    """Oracle: orbit_table with no keys, one closure per <c>-orbit of
+    reflections under conjugation.  The orbit of every reflection, as a map
+    from its entries to an orbit number, and |<c, t>| for the first member
+    t of each orbit, by orbit number."""
     n, field = c.n, c.field
     c_inverse = c.inverse().entries
     orbit_of = {}
@@ -264,13 +347,15 @@ def _conjugate(p, x):
     return mul_entries(mul_entries(p.entries, x, n, field), p.inverse().entries, n, field)
 
 
-def main2_by_pair_lookup(n: int, field, full: bool = False, own_tables: bool = False) -> dict:
+def main2_by_pair_lookup(n: int, field, full: bool = False, own_tables: bool = False,
+                         orders_by_key: dict | None = None) -> dict:
     """verify_main2's report without elapsed_ms and generation_tests, with
-    every pair (c, t) read pair by pair from groupgen._orbit_table: the
-    table of c0 = C_f0 at Q t Q^-1, Q = P_f P_c^-1 for c's characteristic
-    polynomial f (P_f from groupgen._singer_conjugators, P_c c's cyclic
-    basis, I for c = C_f); with own_tables each Singer cycle reads its own
-    table instead, Q = I."""
+    every pair (c, t) read pair by pair from orbit_table, independent of
+    groupgen's rows: the table of c0 = C_f0 at Q t Q^-1,
+    Q = P_f P_c^-1 for c's characteristic polynomial f (P_f from
+    singer_conjugators, P_c c's cyclic basis, I for c = C_f); with
+    own_tables each Singer cycle reads its own table instead, Q = I.  The
+    tables share orders_by_key, given or empty."""
     q = field.q
     group_order = gl_order(n, q)
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
@@ -280,14 +365,14 @@ def main2_by_pair_lookup(n: int, field, full: bool = False, own_tables: bool = F
     reflections = enumerate_reflections(n, field)
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     singer_cycles = len(reps) * group_order // (q**n - 1)
-    orders_by_key = {}
-    orbit_of, orders = groupgen._orbit_table(reps[0], reflections, orders_by_key)
-    conjugators = groupgen._singer_conjugators(reps[0])
+    orders_by_key = {} if orders_by_key is None else orders_by_key
+    orbit_of, orders = orbit_table(reps[0], reflections, orders_by_key)
+    conjugators = singer_conjugators(reps[0])
     violations = []
     exceptional = []
     for c in singers:
         if own_tables:
-            orbit_of, orders = groupgen._orbit_table(c, reflections, orders_by_key)
+            orbit_of, orders = orbit_table(c, reflections, orders_by_key)
             p = Matrix.identity(field, n)
         else:
             p = conjugators[char_poly(c)] @ cyclic_basis_change(c).inverse()
@@ -326,17 +411,19 @@ def main2_by_pair_lookup(n: int, field, full: bool = False, own_tables: bool = F
     }
 
 
-def gill_by_pair_lookup(n: int, field) -> dict:
+def gill_by_pair_lookup(n: int, field, orders_by_key: dict | None = None) -> dict:
     """verify_gill's report without elapsed_ms and generation_tests, with
-    every pair (C_f, C_g) read from groupgen._orbit_table at
-    P C_f^-1 C_g P^-1, pair by pair."""
+    every pair (C_f, C_g) read from orbit_table at P C_f^-1 C_g P^-1, pair
+    by pair, independent of groupgen's rows; the table reads
+    orders_by_key, given or empty."""
     full = gl_order(n, field.q)
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
                   if is_primitive_poly(f)]
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
     c = companion(primitives[0])
-    orbit_of, orders = groupgen._orbit_table(c, enumerate_reflections(n, field), {})
-    conjugators = groupgen._singer_conjugators(c)
+    orbit_of, orders = orbit_table(c, enumerate_reflections(n, field),
+                                   {} if orders_by_key is None else orders_by_key)
+    conjugators = singer_conjugators(c)
     violations = []
     exceptional = []
     pairs = 0

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -23,9 +24,9 @@ from singerlab.matrix import char_poly, mul_entries
 from singerlab.singer import normalizing_reflections
 
 from conftest import (galois_key_count, gill_by_normalizer_scan, gill_by_pair_lookup,
-                      main2_by_pair_lookup, matrices_over, orbit_table_by_closures,
-                      random_invertible, run_python, square_shapes, trial_phi, unreduced_main2,
-                      without_counters)
+                      main2_by_pair_lookup, matrices_over, orbit_table, orbit_table_by_closures,
+                      random_invertible, run_python, singer_conjugators, square_shapes,
+                      trial_phi, unreduced_main2, without_counters)
 
 
 def test_gl_order_examples():
@@ -462,35 +463,25 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
 def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     # the main loop decides Singer and the witness kind from one
     # characteristic polynomial per element; each classify_qc of the spot
-    # checks decides is_singer from one of its own, each orbit the one
-    # orbit table walks is keyed by one, and _singer_conjugators takes one
-    # per power c0^k prime to q^n - 1 and one to check c0, all counted apart
-    calls = {"main": 0, "spot": 0, "classify_qc": 0, "key": 0, "orbits": 0,
-             "conjugators": 0}
+    # checks decides is_singer from one of its own, and each partner of the
+    # row of each Singer class is keyed by one, all counted apart; no other
+    # char_poly runs
+    calls = {"main": 0, "spot": 0, "classify_qc": 0, "key": 0, "partners": 0}
     in_spot_check = []
-    in_table = []
-    in_conjugators = []
+    in_row = []
 
     def counted_char_poly(a, _fn=char_poly):
-        calls["key" if in_table else "conjugators" if in_conjugators
-              else "spot" if in_spot_check else "main"] += 1
+        calls["key" if in_row else "spot" if in_spot_check else "main"] += 1
         return _fn(a)
 
-    def counted_conjugators(c, _fn=groupgen._singer_conjugators):
-        in_conjugators.append(c)
+    def counted_partner_keys(f, _fn=groupgen._partner_keys):
+        in_row.append(f)
         try:
-            return _fn(c)
+            keys = list(_fn(f))
         finally:
-            in_conjugators.pop()
-
-    def counted_orbit_table(c, reflections, orders_by_key, _fn=groupgen._orbit_table):
-        in_table.append(c)
-        try:
-            orbit_of, orders = _fn(c, reflections, orders_by_key)
-        finally:
-            in_table.pop()
-        calls["orbits"] += len(orders)
-        return orbit_of, orders
+            in_row.pop()
+        calls["partners"] += len(keys)
+        return keys
 
     def counted_classify_qc(g, cache=None, _fn=classify_qc):
         calls["classify_qc"] += 1
@@ -503,15 +494,15 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     for module in (matrix, groupgen, singer):
         monkeypatch.setattr(module, "char_poly", counted_char_poly)
     monkeypatch.setattr(groupgen, "classify_qc", counted_classify_qc)
-    monkeypatch.setattr(groupgen, "_orbit_table", counted_orbit_table)
-    monkeypatch.setattr(groupgen, "_singer_conjugators", counted_conjugators)
+    monkeypatch.setattr(groupgen, "_partner_keys", counted_partner_keys)
     report = verify_main1(n, make_field(p, k))
+    q = p**k
     assert report["mode"] == "full" and report["violations"] == []
-    assert calls["main"] == report["checked"] == gl_order(n, p**k)
+    assert calls["main"] == report["checked"] == gl_order(n, q)
     assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
     assert calls["spot"] == calls["classify_qc"]
-    assert calls["key"] == calls["orbits"] > 0
-    assert calls["conjugators"] == trial_phi(p ** (k * n) - 1) + 1
+    assert calls["key"] == calls["partners"] == (singer_class_count(n, q)
+                                                 * (q ** (n - 1) * (q - 1) - 1))
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
@@ -543,7 +534,7 @@ def test_main1_per_element_check_matches_classify_qc(n, p, k):
 def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k):
     # oracle: generates_full on every minimal factorization of every Singer
     # cycle, on every pair of a Singer cycle and a reflection, and on every
-    # witness, with no cache and no orbit table; the empty factor set of the
+    # witness, with no cache and no row; the empty factor set of the
     # identity generates the trivial group
     field = make_field(p, k)
 
@@ -561,8 +552,8 @@ def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k)
             assert cache.singer_failure(g, f) == next(iter(failing), None)
             assert (cache.singer_failure(g, f) is None) == all(generates(fl.factors)
                                                               for fl in listed)
-            # the one table, read through g's cyclic basis: the pairs of g
-            # that do not generate, numbered by <g>-orbit
+            # the row of f, read through g's cyclic basis: the pairs of g
+            # that do not generate, labelled by <g>-orbit
             read = cache.non_generating(g, f)
             assert {x for x, _ in read} == {t.entries for t in reflections
                                             if not generates([g, t])}
@@ -595,15 +586,14 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
     assert all(v["is_singer"] is False and v["error"] == "no non-generating witness found"
                for v in report["violations"])
     monkeypatch.undo()
-    # every orbit of every Singer table is proper and no factor set
+    # every entry of every Singer class's row is proper and no factor set
     # generates: each Singer element reports its first factorization
-    orbit_table = groupgen._orbit_table
+    row = groupgen._GenerationCache.row
 
-    def all_orbits_proper(c, reflections, orders_by_key):
-        orbit_of, orders = orbit_table(c, reflections, orders_by_key)
-        return orbit_of, [1] * len(orders)
+    def all_orbits_proper(self, f):
+        return dict.fromkeys(row(self, f), 1)
 
-    monkeypatch.setattr(groupgen, "_orbit_table", all_orbits_proper)
+    monkeypatch.setattr(groupgen._GenerationCache, "row", all_orbits_proper)
     monkeypatch.setattr(groupgen._GenerationCache, "generates", lambda self, factors: False)
     report = verify_main1(2, f3)
     assert sum(report["witnesses"].values()) == 36
@@ -617,18 +607,14 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
 
 def _identity_cyclic_bases(monkeypatch, field, n):
     """Make every cyclic basis the identity, which is no P with
-    P^-1 g P = C_f for the Singer cycles that are not companion matrices;
-    the conjugators of the one table's c0 are computed before, so a check
-    that fails is a Singer cycle's own."""
-    conjugators = groupgen._singer_conjugators(singer_class_representatives(n, field)[0])
-    monkeypatch.setattr(groupgen, "_singer_conjugators", lambda c: conjugators)
+    P^-1 g P = C_f for the Singer cycles that are not companion matrices."""
     monkeypatch.setattr(groupgen, "_cyclic_basis_change", lambda g: Matrix.identity(field, n))
 
 
 def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
     # a Singer element reads its class's verdict only through a checked
-    # P^-1 g P = C_f; without spot checks, whose Singer cycles read the
-    # table through their own, only the main loop's check can fail
+    # P^-1 g P = C_f; without spot checks, whose Singer cycles read their
+    # class's row through their own, only the main loop's check can fail
     _identity_cyclic_bases(monkeypatch, f3, 2)
     monkeypatch.setattr(groupgen, "SPOT_CHECKS", 0)
     with pytest.raises(AssertionError, match="does not conjugate g to C_f"):
@@ -636,7 +622,7 @@ def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
 
 
 def test_main2_full_and_classify_qc_check_each_cyclic_basis(f3, monkeypatch):
-    # every Singer cycle reads the one orbit table only through a checked
+    # every Singer cycle reads its class's row only through a checked
     # P_c^-1 c P_c = C_f; a companion matrix has P_c = I
     _identity_cyclic_bases(monkeypatch, f3, 2)
     with pytest.raises(AssertionError, match="does not conjugate"):
@@ -651,8 +637,8 @@ def test_main2_full_and_classify_qc_check_each_cyclic_basis(f3, monkeypatch):
 def test_main1_generation_tests_pinned(f2, f3, f4, f5):
     # seed 0: the closures main1's cache runs, the same on a second run with
     # every module memo warm; a lost reduction fails here, not as a slow run.
-    # The orbit tables of all Singer subgroups share one closure per key,
-    # one per Frobenius orbit of orbit sums gamma; the rest are the
+    # The rows of all Singer classes share one closure per key, one per
+    # Frobenius orbit of orbit sums gamma; the rest are the
     # irreducible_full_det witnesses' and the spot checks'.
     keys = {(2, 3): 3, (2, 4): 7, (2, 5): 11, (3, 2): 1}
     assert keys == {(n, p**k): galois_key_count(n, p, k)
@@ -714,7 +700,7 @@ def test_main2_full_mode_matches_unreduced_sweep(n, p, k):
 
 def test_main2_full_mode_matches_each_cycles_own_table():
     # beyond the brute-force instances: each of the 336 Singer cycles of
-    # GL_2(F_7) reads the one table through its cyclic basis, against its
+    # GL_2(F_7) reads its class's row through its cyclic basis, against its
     # own orbit table read pair by pair
     f7 = make_field(7)
     report = verify_main2(2, f7, full=True)
@@ -724,45 +710,57 @@ def test_main2_full_mode_matches_each_cycles_own_table():
 
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
 def test_each_driver_call_walks_one_orbit_table(monkeypatch, n, p):
-    # the table of c0 = C_f0, once per call: main1's classes and spot
-    # checks, main2's full mode and gill read every Singer cycle through it
+    # one row per Singer class, built once per call: main1's classes and
+    # spot checks, main2's full mode and gill read every Singer cycle
+    # through its class's row
     field = make_field(p)
-    c0 = singer_class_representatives(n, field)[0]
+    primitives = [char_poly(c) for c in singer_class_representatives(n, field)]
     walked = []
-    build = groupgen._orbit_table
+    build = groupgen._partner_keys
 
-    def counted(c, reflections, orders_by_key):
-        walked.append(c)
-        return build(c, reflections, orders_by_key)
+    def counted(f):
+        walked.append(f)
+        return build(f)
 
-    monkeypatch.setattr(groupgen, "_orbit_table", counted)
+    monkeypatch.setattr(groupgen, "_partner_keys", counted)
     for run in (lambda: verify_main1(n, field), lambda: verify_main1(n, field, classes=True),
                 lambda: verify_main2(n, field), lambda: verify_main2(n, field, full=True),
                 lambda: verify_gill(n, field)):
         assert run()["violations"] == []
-        assert walked == [c0]
+        assert sorted(walked, key=primitives.index) == primitives
         walked.clear()
 
 
 def test_main2_generation_tests_pinned(f3):
-    # one orbit table decides every Singer class: 8 classes on GL_2(F_7), 2 on
-    # GL_4(F_2), with one closure per key; full mode's 12 cycles read it too
+    # one row per Singer class: 8 classes on GL_2(F_7), 2 on GL_4(F_2), with
+    # one closure per key shared by the rows; full mode's 12 cycles read them too
     assert verify_main2(2, make_field(7))["generation_tests"] == 23 == galois_key_count(2, 7)
     assert verify_main2(4, make_field(2))["generation_tests"] == 3 == galois_key_count(4, 2)
     assert verify_main2(2, f3, full=True)["generation_tests"] == 3 == galois_key_count(2, 3)
 
 
-def test_main2_orbit_walk_checks_its_orbits(f3):
-    c = singer_class_representatives(2, f3)[0]
+def test_main2_orbit_walk_checks_its_orbits(f3, monkeypatch):
+    # the members of a row's proper orbits: the q + 1 normalizing
+    # reflections of C_f, and with every entry proper, every reflection once
+    f = Poly.from_text(f3, "2,1,1")
+    full = gl_order(2, 3)
+    row = groupgen._GenerationCache(2, 3).row(f)
+    members = groupgen._proper_orbits(f, row, full)
+    assert {x for x, _ in members} == {t.entries for t in normalizing_reflections(companion(f))}
     reflections = enumerate_reflections(2, f3)
-    orbit_of, orders = groupgen._orbit_table(c, reflections, {})
-    assert len(orders) == 5 and orbit_of.keys() == {t.entries for t in reflections}
-    assert ([orders[orbit_of[t.entries]] for t in reflections]
-            == [group_closure([c, t]).order for t in reflections])
+    every = groupgen._proper_orbits(f, dict.fromkeys(row, 1), full)
+    assert sorted(x for x, _ in every) == sorted(t.entries for t in reflections)
+    assert {g for _, g in every} == row.keys()
+    monkeypatch.setattr(groupgen, "enumerate_reflections", lambda n, field: reflections[1:])
     with pytest.raises(AssertionError, match="left the reflections"):
-        groupgen._orbit_table(c, reflections[1:], {})
-    with pytest.raises(AssertionError, match="members"):  # c^2 splits each orbit in two
-        groupgen._orbit_table(c @ c, reflections, {})
+        groupgen._proper_orbits(f, dict.fromkeys(row, 1), full)
+    monkeypatch.undo()
+    # C_f^2 splits each orbit in two; C_f^-2 C_g is a reflection for g = x^2 + x + 1
+    build = groupgen.companion
+    monkeypatch.setattr(groupgen, "companion",
+                        lambda h: build(h) @ build(h) if h == f else build(h))
+    with pytest.raises(AssertionError, match="members"):
+        groupgen._proper_orbits(f, {Poly.from_text(f3, "1,1,1"): 1}, full)
 
 
 _EVERY_SINGER_CYCLE = [pytest.param(2, 3, 1, id="GL2F3"), pytest.param(2, 2, 2, id="GL2F4"),
@@ -785,8 +783,7 @@ def test_keyed_orbit_orders_match_one_closure_per_orbit(n, p, k, every_cycle):
                else singer_class_representatives(n, field))
     orders_by_key = {}
     for c in singers:
-        assert groupgen._orbit_table(c, reflections, orders_by_key) == \
-            orbit_table_by_closures(c, reflections)
+        assert orbit_table(c, reflections, orders_by_key) == orbit_table_by_closures(c, reflections)
     assert len(orders_by_key) == galois_key_count(n, p, k)
 
 
@@ -810,19 +807,18 @@ def test_singer_elements_share_their_class_verdict(n, p, k):
                                         (3, 2, 1, 1), (3, 3, 1, 7), (4, 2, 1, 3),
                                         (4, 3, 1, 15), (5, 2, 1, 3)])
 def test_orbit_table_keys_count_the_frobenius_orbits(n, p, k, keys):
-    # the keys of one table are the N(C)-orbits of reflections: Frobenius
-    # orbits on {gamma != 0 : Tr gamma != -1} in F_(q^n), while the table
-    # has q^(n-1)(q - 1) - 1 orbits of <c>
+    # the keys of one row are the N(C)-orbits of reflections: Frobenius
+    # orbits on {gamma != 0 : Tr gamma != -1} in F_(q^n), while the row has
+    # q^(n-1)(q - 1) - 1 partners, one per orbit of <C_f>
     field = make_field(p, k)
     q = field.q
-    orders_by_key = {}
-    c = singer_class_representatives(n, field)[0]
-    _, orders = groupgen._orbit_table(c, enumerate_reflections(n, field), orders_by_key)
-    assert len(orders) == q ** (n - 1) * (q - 1) - 1
-    assert len(orders_by_key) == galois_key_count(n, p, k) == keys
+    cache = groupgen._GenerationCache(n, q)
+    row = cache.row(char_poly(singer_class_representatives(n, field)[0]))
+    assert len(row) == q ** (n - 1) * (q - 1) - 1
+    assert cache.closures == galois_key_count(n, p, k) == keys
 
 
-def test_orbit_table_checks_the_orbit_sum(f3):
+def test_orbit_table_checks_the_orbit_sum(f3, monkeypatch):
     # the <c>-orbit of a non-reflection m with N = 4 members sums to a
     # gamma whose trace, N (tr m - 2), is not det m - 1
     c = singer_class_representatives(2, f3)[0]
@@ -835,11 +831,46 @@ def test_orbit_table_checks_the_orbit_sum(f3):
         if len(orbit) == 4 and trace != f3.sub(m.det(), 1):
             break
     with pytest.raises(AssertionError, match="trace"):
-        groupgen._orbit_table(c, orbit, {})
+        orbit_table(c, orbit, {})
+    # the row's gamma, with 1 in place of 1 / (alpha f'(alpha)), fails its
+    # trace check
+    monkeypatch.setattr(groupgen, "invmod", lambda a, m: Poly.one(f3))
+    with pytest.raises(AssertionError, match="trace"):
+        list(groupgen._partner_keys(char_poly(c)))
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 2, 3),
+                                   (2, 3, 2), (3, 2, 1), (3, 3, 1), (4, 2, 1)])
+def test_row_keys_and_orders_match_the_orbit_walk(n, p, k):
+    # oracle: for every primitive f and partner g, the char_poly and trace
+    # of the sum of x - I over the walked <C_f>-orbit of t_g = C_f^-1 C_g,
+    # and the order orbit_table gives that orbit
+    field = make_field(p, k)
+    cache = groupgen._GenerationCache(n, field.q)
+    reflections = enumerate_reflections(n, field)
+    orders_by_key = {}
+    for c in singer_class_representatives(n, field):
+        f = char_poly(c)
+        keys = dict(groupgen._partner_keys(f))
+        row = cache.row(f)
+        assert list(keys) == list(row) == [g for g in enumerate_monic(n, field, nonzero_constant=True)
+                                           if g != f]
+        orbit_of, orders = orbit_table(c, reflections, orders_by_key)
+        c_inverse = c.inverse()
+        for g, key in keys.items():
+            t = c_inverse @ companion(g)
+            gamma = (0,) * (n * n)
+            for x in _conjugation_orbit(c, t):
+                gamma = tuple(map(field.add, gamma, x.entries))
+            gamma = tuple(field.sub(v, 1) if i % (n + 1) == 0 else v for i, v in enumerate(gamma))
+            assert char_poly(Matrix._raw(field, n, gamma)) == key
+            trace = functools.reduce(field.add, gamma[::n + 1])
+            assert trace == field.sub(field.mul(g[0], field.inv(f[0])), 1)
+            assert row[g] == orders[orbit_of[t.entries]]
 
 
 def test_gill_inverts_each_partner_once(monkeypatch):
-    # 42 partners, one P per class twice (8 + 8), and c once, on GL_2(F_7)
+    # the 42 partners on GL_2(F_7), and nothing else: the rows need no inverse
     calls = []
     inverse = Matrix.inverse
 
@@ -849,7 +880,7 @@ def test_gill_inverts_each_partner_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", counted)
     assert verify_gill(2, make_field(7))["violations"] == []
-    assert len(calls) == 42 + 8 + 8 + 1 == 59
+    assert len(calls) == 42
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 7, 1), (3, 2, 1), (3, 3, 1),
@@ -862,7 +893,7 @@ def test_singer_conjugators_reach_every_class(n, p, k):
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
                   if is_primitive_poly(f)]
     for c in map(companion, primitives):
-        conjugators = groupgen._singer_conjugators(c)
+        conjugators = singer_conjugators(c)
         assert conjugators.keys() == set(primitives)
         generators = [c**e for e in range(1, m + 1) if math.gcd(e, m) == 1]
         for f, conjugator in conjugators.items():
@@ -873,7 +904,7 @@ def test_singer_conjugators_need_a_singer_cycle(f3):
     c = singer_class_representatives(2, f3)[0]
     for not_singer in (c @ c, Matrix.identity(f3, 2), Matrix.from_text(f3, "1,1;0,1")):
         with pytest.raises(ValueError, match="not a Singer cycle"):
-            groupgen._singer_conjugators(not_singer)
+            singer_conjugators(not_singer)
 
 
 def _conjugation_orbit(c, x):
@@ -898,7 +929,7 @@ def test_gill_reflections_are_a_transversal_of_the_orbits(n, p, k):
     c = companion(primitives[0])
     orbits = {_conjugation_orbit(c, t) for t in enumerate_reflections(n, field)}
     assert len(orbits) == q ** (n - 1) * (q - 1) - 1
-    conjugators = groupgen._singer_conjugators(c)
+    conjugators = singer_conjugators(c)
     for f in primitives:
         cf_inverse = companion(f).inverse()
         conjugator = conjugators[f]
@@ -908,35 +939,25 @@ def test_gill_reflections_are_a_transversal_of_the_orbits(n, p, k):
         assert set(hit) == orbits and len(hit) == len(orbits)
 
 
-def test_a_reflection_missing_from_the_table_is_a_violation(monkeypatch, f3):
-    # a table that lost one <c>-orbit: each pair that reads it is reported,
-    # once per reflection for main2's two classes, once per f for gill,
-    # whose reflections meet each orbit once
-    build = groupgen._orbit_table
+def _tamper_orbit_orders(monkeypatch, n, field, retag):
+    """Seed every generation cache with the order of each key, passed
+    through retag(orders, |GL_n(F_q)|) in the order of the keys'
+    coefficients, and return the same seed for the oracles, whose orbit
+    tables then read the tampered orders as the drivers' rows do."""
+    orders_by_key = {}
+    orbit_table(singer_class_representatives(n, field)[0], enumerate_reflections(n, field),
+                orders_by_key)
+    keys = sorted(orders_by_key, key=lambda key: key.coeffs)
+    tampered = dict(zip(keys, retag([orders_by_key[key] for key in keys],
+                                    gl_order(n, field.q))))
+    init = groupgen._GenerationCache.__init__
 
-    def lossy(c, reflections, orders_by_key):
-        orbit_of, orders = build(c, reflections, orders_by_key)
-        return {x: i for x, i in orbit_of.items() if i != 0}, orders
+    def seeded(self, n, q):
+        init(self, n, q)
+        self._orders_by_key.update(tampered)
 
-    monkeypatch.setattr(groupgen, "_orbit_table", lossy)
-    missing = lambda report: [v for v in report["violations"]
-                              if v.get("error") == "no verdict in the orbit table"]
-    main2 = verify_main2(2, f3)
-    assert main2["checked"] == 2 * 20 and len(missing(main2)) == 2 * 4
-    gill = verify_gill(2, f3)
-    assert gill["checked"] == 2 * 5 and len(missing(gill)) == 2
-
-
-def _tamper_orbit_orders(monkeypatch, retag):
-    """Make groupgen._orbit_table pass each table's orders through
-    retag(orders, |GL_n(F_q)|), for the drivers and the oracles alike."""
-    build = groupgen._orbit_table
-
-    def tampered(c, reflections, orders_by_key):
-        orbit_of, orders = build(c, reflections, orders_by_key)
-        return orbit_of, retag(list(orders), gl_order(c.n, c.field.q))
-
-    monkeypatch.setattr(groupgen, "_orbit_table", tampered)
+    monkeypatch.setattr(groupgen._GenerationCache, "__init__", seeded)
+    return tampered
 
 
 def _first_generating_orbit_proper(orders, full):
@@ -958,25 +979,26 @@ _TAMPERED_INSTANCES = [pytest.param(2, 3, id="GL2F3"), pytest.param(2, 5, id="GL
 @pytest.mark.parametrize("retag", _TAMPERS)
 @pytest.mark.parametrize("n,p", _TAMPERED_INSTANCES)
 def test_main2_per_orbit_reads_match_pair_lookup_on_tampered_tables(monkeypatch, retag, n, p):
-    # a wrong order on one orbit must show up in exactly the pairs that
+    # a wrong order on one key must show up in exactly the pairs that
     # read it, as the pair-by-pair lookup reports them; GL_3(F_2) has no
     # proper orbit, so every orbit generating changes nothing there
     field = make_field(p)
-    _tamper_orbit_orders(monkeypatch, retag)
+    tampered = _tamper_orbit_orders(monkeypatch, n, field, retag)
     for full in (False, True):
         report = verify_main2(n, field, full=full)
         assert bool(report["violations"]) == (retag is _first_generating_orbit_proper or n == 2)
-        assert without_counters(report) == main2_by_pair_lookup(n, field, full=full)
+        assert without_counters(report) == main2_by_pair_lookup(n, field, full=full,
+                                                                orders_by_key=dict(tampered))
 
 
 @pytest.mark.parametrize("retag", _TAMPERS)
 @pytest.mark.parametrize("n,p", _TAMPERED_INSTANCES)
 def test_gill_per_orbit_reads_match_pair_lookup_on_tampered_tables(monkeypatch, retag, n, p):
     field = make_field(p)
-    _tamper_orbit_orders(monkeypatch, retag)
+    tampered = _tamper_orbit_orders(monkeypatch, n, field, retag)
     report = verify_gill(n, field)
     assert bool(report["violations"]) == (retag is _first_generating_orbit_proper or n == 2)
-    assert without_counters(report) == gill_by_pair_lookup(n, field)
+    assert without_counters(report) == gill_by_pair_lookup(n, field, dict(tampered))
 
 
 def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
@@ -1005,19 +1027,20 @@ def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
 
 
 def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatch, f2, f3):
-    # each Singer cycle conjugates back only the members of the one
-    # table's proper orbits: the q + 1 normalizing reflections for n = 2,
-    # q > 2, else none, also in full mode, where every cycle reads the
-    # table through its cyclic basis: 12 cycles x 4 on GL_2(F_3).
-    # Reading every pair conjugates 2624, 210, 240 and 328 matrices.
+    # each Singer cycle conjugates by its cyclic basis only the members of
+    # its class's proper orbits: the q + 1 normalizing reflections for
+    # n = 2, q > 2, else none, also in full mode: 12 cycles x 4 on
+    # GL_2(F_3).  gill reads its rows and conjugates none.  Reading every
+    # pair conjugates 2624, 210, 240 and 328 matrices.
     conjugated = []
-    conjugated_back = groupgen._conjugated_back
+    non_generating = groupgen._GenerationCache.non_generating
 
-    def counted(p, exceptions):
-        conjugated.append(len(exceptions))
-        return conjugated_back(p, exceptions)
+    def counted(self, c, f):
+        members = non_generating(self, c, f)
+        conjugated.append(len(members))
+        return members
 
-    monkeypatch.setattr(groupgen, "_conjugated_back", counted)
+    monkeypatch.setattr(groupgen._GenerationCache, "non_generating", counted)
 
     def count(report):
         total = sum(conjugated)
@@ -1029,7 +1052,7 @@ def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatc
     assert count(verify_main2(2, f7)) == 8 * 8 == 64  # 8 Singer classes
     assert count(verify_main2(4, f2)) == 0
     assert count(verify_main2(2, f3, full=True)) == 12 * 4 == 48
-    assert count(verify_gill(2, f7)) == 64  # 8 primitive quadratics
+    assert count(verify_gill(2, f7)) == 0
 
 
 _GILL_INSTANCES = [pytest.param(2, p, k, id=f"{p}-{k}") for p, k in [(3, 1), (2, 2), (5, 1), (7, 1)]]
@@ -1041,7 +1064,7 @@ def test_gill_matches_normalizer_scan(n, p, k):
     field = make_field(p, k)
     report = verify_gill(n, field)
     assert without_counters(report) == gill_by_normalizer_scan(n, field)
-    assert report["generation_tests"] == galois_key_count(n, p, k)  # one orbit table
+    assert report["generation_tests"] == galois_key_count(n, p, k)  # one closure per key
 
 
 def test_reports_are_deterministic(f3):
