@@ -54,10 +54,12 @@ or det^-1(X) for a proper X < F_q^x, certifies it without a closure.
 classify_qc's full classification is left to the conjugation spot
 checks, which share the cache.  verify_main2 reads every Singer cycle, a
 class representative C_f by default and each one with full=True, from
-its class's row, and verify_gill reads the pair (C_f, C_g) off it
-directly.  verify_gill tests whether C_g normalizes <C_f> by the
-definition, against the powers of C_f, not by scanning GL_n(F_q) as
-normalizer_of_cyclic still does for the worked example.
+its class's row, and for n = 2 reads the reflections normalizing <C_f>,
+built once per class, through the same cyclic basis P.  verify_gill
+reads the pair (C_f, C_g) off the row directly, and tests whether C_g
+normalizes <C_f> by the definition, against the powers of C_f, not by
+scanning GL_n(F_q) as normalizer_of_cyclic still does for the worked
+example.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .poly import Poly, companion, enumerate_monic, invmod, is_irreducible, is_p
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections,
                       reflection_count, reflection_length, stabilizing_factorization)
-from .singer import _cyclic_basis_change, normalizing_reflections
+from .singer import _cyclic_basis, _cyclic_powers, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
 
@@ -368,20 +370,9 @@ def generates_full(gens: Sequence[Matrix]) -> bool:
     return group_closure(gens).order == gl_order(gens[0].n, gens[0].field.q)
 
 
-def _powers(c: Matrix) -> frozenset[tuple]:
-    """The entries of every element of <c>."""
-    powers = set()
-    acc = Matrix.identity(c.field, c.n)
-    while True:
-        acc = acc @ c
-        powers.add(acc.entries)
-        if acc.is_identity:
-            return frozenset(powers)
-
-
 def normalizer_of_cyclic(c: Matrix) -> ClosureResult:
     """{h in GL_n(F_q) : h c h^-1 in <c>}, by scanning the whole group."""
-    powers = _powers(c)
+    powers = frozenset(_cyclic_powers(c))
     # keeps h^-1, not h: the same set, since the normalizer is a group, and
     # h^-1 holds no memoized inverse, so the kept members stay small
     members = [hinv for h in enumerate_gl(c.n, c.field)
@@ -412,9 +403,9 @@ class _GenerationCache:
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
     (c, t) of a Singer cycle c and a reflection t, through one row per
     Singer class (row), built on first use with one closure per key
-    missing from the keys of every row before it.  non_generating lists
-    the pairs of c that do not generate, and singer_failure decides a
-    Singer cycle from them.
+    missing from the keys of every row before it.  proper_members lists
+    the reflections t with <C_f, t> proper, and singer_failure decides a
+    Singer cycle from them, read through its cyclic basis.
     """
 
     def __init__(self, n: int, q: int):
@@ -460,20 +451,14 @@ class _GenerationCache:
             self._rows[f] = row
         return row
 
-    def non_generating(self, c: Matrix, f: Poly) -> list[tuple[tuple, Poly]]:
-        """The reflections t whose pair (c, t) does not generate, for the
-        Singer cycle c with characteristic polynomial f: the entries
-        P x P^-1 of each, for c's checked cyclic basis P and the members x
-        of f's proper orbits (_proper_orbits), with the partner g labelling
-        the orbit of x.  Every other reflection generates with c."""
+    def proper_members(self, f: Poly) -> list[tuple[tuple, Poly]]:
+        """The reflections t with <C_f, t> proper, the members of f's
+        proper orbits (_proper_orbits), as entries labelled by the partner
+        g of their orbit; built once per f.  Every other t generates."""
         members = self._proper.get(f)
         if members is None:
             members = self._proper[f] = _proper_orbits(f, self.row(f), self._full)
-        p = _cyclic_basis(c, f)
-        n, field = c.n, c.field
-        pe, p_inverse = p.entries, p.inverse().entries
-        return [(mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field), g)
-                for x, g in members]
+        return members
 
     def singer_failure(self, g: Matrix, f: Poly) -> FactorizationList | None:
         """The first minimal factorization of the Singer cycle g, with
@@ -485,19 +470,19 @@ class _GenerationCache:
         l(t^-1 g) = l(g) - 1, form a union of <g>-orbits: conjugating by h
         in <g> fixes g and maps t^-1 g to (h t h^-1)^-1 g, of the same
         length.  Every factorization whose first factor generates with g
-        therefore generates; only those with a first factor among
-        non_generating's are enumerated, in order, and tested through the
-        cache.  One member decides whether its orbit holds first factors.
-        With no such first factor, g is decided by its class's row alone.
-        The identity of GL_1(F_2), of length 0, keeps the empty set's
-        verdict.
+        therefore generates; only those with a first factor among f's
+        proper_members, read through g's cyclic basis, are enumerated, in
+        order, and tested through the cache.  One member decides whether
+        its orbit holds first factors.  With no such first factor, g is
+        decided by its class's row alone.  The identity of GL_1(F_2), of
+        length 0, keeps the empty set's verdict.
         """
         if reflection_length(g) == 0:
             return self.first_non_generating(enumerate_minimal_factorizations(g))
         length = reflection_length(g) - 1
         holds_first: dict[Poly, bool] = {}  # the partner labelling an orbit -> it holds one
         first = set()
-        for x, partner in self.non_generating(g, f):
+        for x, partner in _through_cyclic_basis(g, f, self.proper_members(f)):
             if partner not in holds_first:
                 t_inverse = Matrix._raw(g.field, g.n, x).inverse()
                 holds_first[partner] = reflection_length(t_inverse @ g) == length
@@ -509,14 +494,16 @@ class _GenerationCache:
             for rest in enumerate_minimal_factorizations(t.inverse() @ g))
 
 
-def _cyclic_basis(g: Matrix, f: Poly) -> Matrix:
-    """P = _cyclic_basis_change(g) for g with characteristic polynomial f,
-    checked to give P^-1 g P = C_f: det P != 0 and g P = P C_f, without an
-    inverse.  P = I for g = C_f."""
-    p = _cyclic_basis_change(g)
-    if p.det() == 0 or g @ p != p @ companion(f):
-        raise AssertionError("cyclic basis does not conjugate g to C_f")
-    return p
+def _through_cyclic_basis(c: Matrix, f: Poly, members: Iterable[tuple[tuple, object]]
+                          ) -> list[tuple[tuple, object]]:
+    """(P x P^-1, label) for each (x, label) of members, which are entries
+    as C_f reads them, for c's checked cyclic basis P = _cyclic_basis(c, f):
+    the same entries as c = P C_f P^-1 reads them."""
+    p = _cyclic_basis(c, f)
+    n, field = c.n, c.field
+    pe, p_inverse = p.entries, p.inverse().entries
+    return [(mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field), label)
+            for x, label in members]
 
 
 def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
@@ -792,10 +779,13 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     full=True audits every Singer cycle (feasible only on the smaller
     instances).  Every verdict is read from the row of c's class
     (_GenerationCache.row), with one closure per key, counted in
-    generation_tests, while every pair is still reported on.  Each Singer
-    cycle reads only the members of its class's proper orbits, through its
-    cyclic basis (_GenerationCache.non_generating): q + 1 reflections for
-    n = 2 and q > 2 and none otherwise, and every other pair generates.
+    generation_tests, while every pair is still reported on.  Each class
+    lists, once, the reflections x of its proper orbits
+    (_GenerationCache.proper_members) and, for n = 2, those normalizing
+    <C_f>, each flagged with both facts, which conjugation keeps.  Each
+    Singer cycle reads that list through its cyclic basis
+    (_through_cyclic_basis): q + 1 reflections for n = 2 and q > 2 on a
+    correct run and none otherwise, and every other pair generates.
     Pairs are reported in enumerate_reflections order.  Before any
     polynomial is tested for primitivity, |GL_n(F_q)| is checked against
     ENUMERATION_BUDGET as every closure would be, and so is the sweep,
@@ -834,27 +824,28 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
     index = {t.entries: i for i, t in enumerate(reflections)}
     cache = _GenerationCache(n, q)
+    flagged = {}  # f -> (x, (<C_f, x> generates, x normalizes <C_f>)) for the x read
     for c, f in singers:
-        proper = set()  # the indices of the reflections t with <c, t> proper
-        for x, _ in cache.non_generating(c, f):
+        if f not in flagged:
+            proper = {x for x, _ in cache.proper_members(f)}
+            normalizers = ({t.entries for t in normalizing_reflections(companion(f))}
+                           if n == 2 else set())
+            flagged[f] = [(x, (x not in proper, x in normalizers))
+                          for x in proper | (normalizers if per_cycle_expected else set())]
+        flags = {}  # the index of each reflection c reads, with its flags
+        for x, flag in _through_cyclic_basis(c, f, flagged[f]):
             if x not in index:
-                raise AssertionError("a proper orbit's member, read through the cyclic basis, "
-                                     "is not a reflection")
-            proper.add(index[x])
-        normalizing = ({index[t.entries] for t in normalizing_reflections(c)}
-                       if n == 2 else set())
-        expected_fails = normalizing if per_cycle_expected else set()
-        exceptional_here = 0
-        for j in sorted(proper | expected_fails):  # every other pair generates
+                raise AssertionError("a member read through the cyclic basis is not a reflection")
+            flags[index[x]] = flag
+        for j in sorted(flags):  # every other pair generates
             t = reflections[j]
-            generated = j not in proper
-            if generated == (j in expected_fails):
+            generated, normalizing = flags[j]
+            if generated == (normalizing and per_cycle_expected > 0):
                 violations.append({"singer": c.to_text(), "reflection": t.to_text(),
-                                   "generated": generated,
-                                   "normalizing": j in normalizing})
+                                   "generated": generated, "normalizing": normalizing})
             if not generated:
-                exceptional_here += 1
                 exceptional.append({"singer": c.to_text(), "reflection": t.to_text()})
+        exceptional_here = sum(not generated for generated, _ in flags.values())
         if exceptional_here != per_cycle_expected:
             violations.append({"singer": c.to_text(),
                                "exceptional_count": exceptional_here,
@@ -908,7 +899,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     for f in primitives:
         cf = companion(f)
         row = cache.row(f)
-        powers = _powers(cf) if n == 2 else frozenset()
+        powers = frozenset(_cyclic_powers(cf)) if n == 2 else frozenset()
         for g in targets:
             if g == f:
                 continue
@@ -920,7 +911,8 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
                 violations.append({"f": f.to_text(), "g": g.to_text(),
-                                   "error": "no verdict in the orbit table"})
+                                   "error": "no verdict: the row decides only pairs whose "
+                                            "C_f^-1 C_g is a reflection"})
                 continue
             order = row[g]
             generated = order == full

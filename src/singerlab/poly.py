@@ -463,13 +463,6 @@ class FieldExtension:
             coeffs.append(c[0])
         return Poly(self.ground, coeffs)
 
-    def cast_down(self, a: Poly) -> int:
-        """Encoding of a residue that lies in the ground field image."""
-        a = self.reduce(a)
-        if a.degree > 0:
-            raise ArithmeticError("residue does not lie in the ground field")
-        return a[0]
-
     def elements(self) -> Iterator[Poly]:
         for coeffs in itertools.product(range(self.ground.q), repeat=self.degree):
             yield Poly(self.ground, coeffs)

@@ -1,8 +1,9 @@
 """Singer cycles and irreducible elements of GL_n(F_q).
 
 Implements independently computable characterizations of irreducible
-elements and Singer cycles, and the explicit reflections normalizing a
-Singer cycle's cyclic subgroup when n = 2.
+elements and Singer cycles, the explicit reflections normalizing a Singer
+cycle's cyclic subgroup when n = 2, and the checked cyclic basis P with
+P^-1 g P = C_f through which the drivers read a Singer class.
 
 Extension-field eigenvalue computations work in the residue field
 F_q[x]/(f) for f the characteristic polynomial, so no fixed model of
@@ -215,14 +216,24 @@ def _cyclic_basis_change(c: Matrix) -> Matrix:
     return Matrix(c.field, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
+def _cyclic_basis(g: Matrix, f: Poly) -> Matrix:
+    """P = _cyclic_basis_change(g) for g with characteristic polynomial f,
+    checked to give P^-1 g P = C_f: det P != 0 and g P = P C_f, without an
+    inverse.  P = I for g = C_f."""
+    p = _cyclic_basis_change(g)
+    if p.det() == 0 or g @ p != p @ companion(f):
+        raise AssertionError("cyclic basis does not conjugate g to C_f")
+    return p
+
+
 def normalizer_reflection(c: Matrix) -> Matrix:
     """The reflection t with t^2 = 1 and t c t = c^q, for a Singer c in GL_2.
 
     In the companion basis, with f = x^2 + f_1 x + f_0 the characteristic
     polynomial of c, t is [[1, 0], [w, -1]] for w = -(z^-1 + z^-q), z an
     eigenvalue of c; as z + z^q = -f_1 and z^(q+1) = f_0, w = f_1 / f_0.
-    A general c is conjugated to companion form by its cyclic basis and
-    the result is conjugated back.
+    A general c is conjugated to companion form by its checked cyclic
+    basis (_cyclic_basis) and the result is conjugated back.
     """
     if c.n != 2:
         raise ValueError("normalizer reflections exist only for n = 2")
@@ -232,11 +243,8 @@ def normalizer_reflection(c: Matrix) -> Matrix:
     field = c.field
     w = field.mul(f[1], field.inv(f[0]))
     t_comp = Matrix(field, 2, (1, 0, w, field.neg(1)))
-    p = _cyclic_basis_change(c)
-    pinv = p.inverse()
-    if pinv @ c @ p != companion(f):
-        raise AssertionError("cyclic basis does not conjugate c to its companion matrix")
-    t = p @ t_comp @ pinv
+    p = _cyclic_basis(c, f)
+    t = p @ t_comp @ p.inverse()
     if fixed_space(t).dim != 1:  # a genuine reflection, even in char 2
         raise AssertionError("normalizer reflection does not fix a line")
     if t @ t != Matrix.identity(field, 2):
@@ -248,19 +256,12 @@ def normalizer_reflection(c: Matrix) -> Matrix:
 
 def normalizing_reflections(c: Matrix) -> list[Matrix]:
     """All q+1 reflections normalizing <c>, as conjugates c^k t c^-k."""
-    if c.n != 2:
-        raise ValueError("normalizer reflections exist only for n = 2")
-    cand = normalizer_reflection(c)
-    q = c.field.q
-    cinv = c.inverse()
-    out = []
-    seen = set()
-    for _ in range(q + 1):  # cand = c^k t c^-k
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-        cand = c @ cand @ cinv
-    if len(out) != q + 1:
+    conjugates = [normalizer_reflection(c)]  # raises ValueError unless n = 2
+    c_inverse = c.inverse()
+    for _ in range(c.field.q):
+        conjugates.append(c @ conjugates[-1] @ c_inverse)
+    out = list(dict.fromkeys(conjugates))
+    if len(out) != c.field.q + 1:
         raise AssertionError("expected exactly q+1 normalizing reflections")
     return out
 

@@ -12,10 +12,10 @@ import singerlab
 from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumerate_reflections,
                        fixed_space, generates_full, gl_order, group_closure, is_primitive_poly,
                        is_singer, make_field, normalizer_of_cyclic)
-from singerlab import groupgen
 from singerlab.groupgen import singer_class_count, singer_class_representatives
 from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
+from singerlab.singer import _cyclic_basis as cyclic_basis
 from singerlab.singer import _cyclic_basis_change as cyclic_basis_change
 
 
@@ -210,7 +210,7 @@ def singer_conjugators(c) -> dict:
         if math.gcd(k, m) == 1:
             f = char_poly(power)
             if f not in conjugators:
-                conjugators[f] = groupgen._cyclic_basis(power, f)
+                conjugators[f] = cyclic_basis(power, f)
         power = power @ c
     if len(conjugators) != singer_class_count(c.n, c.field.q):
         raise AssertionError("the powers of c missed a primitive polynomial")

@@ -235,8 +235,8 @@ def test_criterion_14_gl3f3_main1_full(capsys):
     assert code == 0 and report["mode"] == "full" and report["violations"] == []
     assert report["checked"] == 11232 and report["singer_cycles"] == 1728
     assert sum(report["witnesses"].values()) == 9504
-    # 7 keys shared by the orbit tables of the 4 Singer classes, and 36 for
-    # the spot checks
+    # 7 keys shared by the rows of the 4 Singer classes, and 36 for the
+    # spot checks
     assert report["generation_tests"] == 7 + 36
     _report(14, "strongly quasi-Coxeter iff Singer on every element of GL_3(F_3), "
                 "|G| = 11232, through the CLI", elapsed, 60.0)
@@ -274,7 +274,8 @@ def test_criterion_17_gl2f7_main2_full(capsys):
     elapsed = time.monotonic() - start
     assert code == 0 and report["mode"] == "full"
     assert report["checked"] == 110208  # 336 Singer cycles x 328 reflections
-    # one orbit table of 41 <c>-orbits, one closure per key, read by all 336
+    # 8 rows, one per Singer class, share one closure per key: 23 keys for
+    # 41 <c>-orbits of reflections; all 336 cycles read their class's row
     assert report["generation_tests"] == 23
     assert report["exceptional_pairs_total"] == len(report["exceptional_pairs"]) == 336 * 8
     assert report["violations"] == []
@@ -283,7 +284,7 @@ def test_criterion_17_gl2f7_main2_full(capsys):
 
 
 def test_criterion_18_main2_full_gl2f9_gl3f3(capsys):
-    # every Singer cycle reads one orbit table through its cyclic basis
+    # every Singer cycle reads its class's row through its cyclic basis
     start = time.monotonic()
     runs = [_run_cli_json(capsys, "verify", "main2", "--full", "--n", n, "--p", "3", "--k", k)
             for n, k in (("2", "2"), ("3", "1"))]

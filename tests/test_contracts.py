@@ -48,6 +48,25 @@ def test_package_imports_are_used():
     assert not found, found
 
 
+def test_private_definitions_are_referenced():
+    # a private function or class that nothing in the package names is
+    # left over from deleted or deduplicated code
+    defined, referenced = [], set()
+    for where, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.append((where, node.name))
+        elif isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    assert len(defined) > 50
+    found = [f"{where} {name}" for where, name in defined if name not in referenced]
+    assert not found, found
+
+
 def _package_memos():
     """Every lru_cache-wrapped function defined in the package, by name."""
     memos = {}

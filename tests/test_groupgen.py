@@ -554,7 +554,7 @@ def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k)
                                                               for fl in listed)
             # the row of f, read through g's cyclic basis: the pairs of g
             # that do not generate, labelled by <g>-orbit
-            read = cache.non_generating(g, f)
+            read = groupgen._through_cyclic_basis(g, f, cache.proper_members(f))
             assert {x for x, _ in read} == {t.entries for t in reflections
                                             if not generates([g, t])}
             members = {}
@@ -608,7 +608,7 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
 def _identity_cyclic_bases(monkeypatch, field, n):
     """Make every cyclic basis the identity, which is no P with
     P^-1 g P = C_f for the Singer cycles that are not companion matrices."""
-    monkeypatch.setattr(groupgen, "_cyclic_basis_change", lambda g: Matrix.identity(field, n))
+    monkeypatch.setattr(singer, "_cyclic_basis_change", lambda g: Matrix.identity(field, n))
 
 
 def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
@@ -1002,7 +1002,7 @@ def test_gill_per_orbit_reads_match_pair_lookup_on_tampered_tables(monkeypatch, 
 
 
 def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
-    # the table decides only pairs whose C_f^-1 C_g is a reflection, which
+    # the row decides only pairs whose C_f^-1 C_g is a reflection, which
     # the side condition certifies: a pair that fails it gets no verdict
     clean = verify_gill(2, f3)
     f, g = "2,1,1", "1,0,1"  # the worked-example pair, exceptional
@@ -1020,7 +1020,8 @@ def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
     report = verify_gill(2, f3)
     assert report["violations"] == [
         {"f": f, "g": g, "error": "fix-dimension side condition failed"},
-        {"f": f, "g": g, "error": "no verdict in the orbit table"}]
+        {"f": f, "g": g, "error": "no verdict: the row decides only pairs whose "
+                                  "C_f^-1 C_g is a reflection"}]
     assert {"f": f, "g": g, "order": 16} in clean["exceptional_pairs"]
     assert report["exceptional_pairs"] == [e for e in clean["exceptional_pairs"]
                                            if (e["f"], e["g"]) != (f, g)]
@@ -1028,19 +1029,20 @@ def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
 
 def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatch, f2, f3):
     # each Singer cycle conjugates by its cyclic basis only the members of
-    # its class's proper orbits: the q + 1 normalizing reflections for
-    # n = 2, q > 2, else none, also in full mode: 12 cycles x 4 on
-    # GL_2(F_3).  gill reads its rows and conjugates none.  Reading every
-    # pair conjugates 2624, 210, 240 and 328 matrices.
+    # its class's proper orbits and its normalizing reflections, which
+    # coincide: the q + 1 normalizing reflections for n = 2, q > 2, else
+    # none, also in full mode: 12 cycles x 4 on GL_2(F_3).  gill reads its
+    # rows and conjugates none.  Reading every pair conjugates 2624, 210,
+    # 240 and 328 matrices.
     conjugated = []
-    non_generating = groupgen._GenerationCache.non_generating
+    through = groupgen._through_cyclic_basis
 
-    def counted(self, c, f):
-        members = non_generating(self, c, f)
+    def counted(c, f, members):
+        members = through(c, f, members)
         conjugated.append(len(members))
         return members
 
-    monkeypatch.setattr(groupgen._GenerationCache, "non_generating", counted)
+    monkeypatch.setattr(groupgen, "_through_cyclic_basis", counted)
 
     def count(report):
         total = sum(conjugated)
@@ -1053,6 +1055,30 @@ def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatc
     assert count(verify_main2(4, f2)) == 0
     assert count(verify_main2(2, f3, full=True)) == 12 * 4 == 48
     assert count(verify_gill(2, f7)) == 0
+
+
+def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f3, f5):
+    # main2 builds each class's normalizing reflections once, from C_f, and
+    # reads them with the proper orbits through each cycle's one cyclic
+    # basis; normalizer_reflection's basis is C_f's own.  main1 builds none.
+    calls = {"normalizer_reflection": 0, "_cyclic_basis_change": 0}
+    for name in calls:
+        def counted(c, name=name, real=getattr(singer, name)):
+            calls[name] += 1
+            return real(c)
+
+        monkeypatch.setattr(singer, name, counted)
+
+    def count(report):
+        assert report["violations"] == []
+        counts = tuple(calls.values())
+        calls.update(dict.fromkeys(calls, 0))
+        return counts
+
+    # GL_2(F_3): 2 Singer classes of 6 cycles each; GL_2(F_7): 8 classes
+    assert count(verify_main2(2, f3, full=True)) == (2, 12 + 2)
+    assert count(verify_main2(2, make_field(7))) == (8, 8 + 8)
+    assert count(verify_main1(2, f5)) == (0, 84)
 
 
 _GILL_INSTANCES = [pytest.param(2, p, k, id=f"{p}-{k}") for p, k in [(3, 1), (2, 2), (5, 1), (7, 1)]]

@@ -246,7 +246,6 @@ def test_field_extension_basics(f3):
     assert ext.is_primitive(z)
     assert ext.mul(z, ext.inv(z)) == ext.one
     assert ext.minimal_poly(z) == ext.modulus
-    assert ext.cast_down(ext.reduce(Poly(f3, (2,)))) == 2
     with pytest.raises(ValueError):
         FieldExtension(Poly.from_text(f3, "2,0,1"))  # reducible modulus
 
