@@ -54,12 +54,10 @@ or det^-1(X) for a proper X < F_q^x, certifies it without a closure.
 classify_qc's full classification is left to the conjugation spot
 checks, which share the cache.  verify_main2 reads every Singer cycle, a
 class representative C_f by default and each one with full=True, from
-its class's row, and for n = 2 reads the reflections normalizing <C_f>,
-built once per class, through the same cyclic basis P.  verify_gill
-reads the pair (C_f, C_g) off the row directly, and tests whether C_g
-normalizes <C_f> by the definition, against the powers of C_f, not by
-scanning GL_n(F_q) as normalizer_of_cyclic still does for the worked
-example.
+its class's row, and verify_gill reads each pair (C_f, C_g) off it
+through t_g.  Both read the one exception, _exceptional_reflections,
+built once per class: the reflections normalizing <C_f> when n = 2 and
+q > 2 (for q = 2 the normalizer is all of GL_2(F_2) = S_3).
 """
 
 from __future__ import annotations
@@ -770,9 +768,20 @@ def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple
     return list(members.items())
 
 
+def _exceptional_reflections(f: Poly) -> frozenset[tuple]:
+    """The one exception to main2 and gill, as entries: the reflections
+    normalizing <C_f> (normalizing_reflections) when deg f = 2 and q > 2,
+    and none otherwise.  For q = 2 the normalizer is all of GL_2(F_2), the
+    symmetric group S_3, and every reflection generates it with C_f."""
+    if f.degree != 2 or f.field.q == 2:
+        return frozenset()
+    return frozenset(t.entries for t in normalizing_reflections(companion(f)))
+
+
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     """Check <c, t> = GL_n(F_q) for Singer c and reflection t, except the
-    normalizing reflections when n = 2 and q > 2.
+    reflections normalizing <c> when n = 2 and q > 2: for q = 2 the
+    normalizer is all of GL_2(F_2), and every pair generates.
 
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class, the companion matrices C_f;
@@ -781,11 +790,11 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     (_GenerationCache.row), with one closure per key, counted in
     generation_tests, while every pair is still reported on.  Each class
     lists, once, the reflections x of its proper orbits
-    (_GenerationCache.proper_members) and, for n = 2, those normalizing
-    <C_f>, each flagged with both facts, which conjugation keeps.  Each
-    Singer cycle reads that list through its cyclic basis
-    (_through_cyclic_basis): q + 1 reflections for n = 2 and q > 2 on a
-    correct run and none otherwise, and every other pair generates.
+    (_GenerationCache.proper_members) and its exceptional ones
+    (_exceptional_reflections), each flagged with both facts, which
+    conjugation keeps.  Each Singer cycle reads that list through its
+    cyclic basis (_through_cyclic_basis): as many reflections as the
+    exception has on a correct run, and every other pair generates.
     Pairs are reported in enumerate_reflections order.  Before any
     polynomial is tested for primitivity, |GL_n(F_q)| is checked against
     ENUMERATION_BUDGET as every closure would be, and so is the sweep,
@@ -821,33 +830,33 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
         }
     violations = []
     exceptional = []
-    per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0
+    exceptions = {f: _exceptional_reflections(f) for f in primitives}
+    per_cycle_expected = len(exceptions[primitives[0]])  # q + 1 or 0, the same for every class
     index = {t.entries: i for i, t in enumerate(reflections)}
     cache = _GenerationCache(n, q)
-    flagged = {}  # f -> (x, (<C_f, x> generates, x normalizes <C_f>)) for the x read
+    flagged = {}  # f -> (x, (<C_f, x> generates, x is exceptional)) for the x read
     for c, f in singers:
         if f not in flagged:
             proper = {x for x, _ in cache.proper_members(f)}
-            normalizers = ({t.entries for t in normalizing_reflections(companion(f))}
-                           if n == 2 else set())
-            flagged[f] = [(x, (x not in proper, x in normalizers))
-                          for x in proper | (normalizers if per_cycle_expected else set())]
+            flagged[f] = [(x, (x not in proper, x in exceptions[f]))
+                          for x in proper | exceptions[f]]
         flags = {}  # the index of each reflection c reads, with its flags
         for x, flag in _through_cyclic_basis(c, f, flagged[f]):
             if x not in index:
                 raise AssertionError("a member read through the cyclic basis is not a reflection")
             flags[index[x]] = flag
+        c_text = c.to_text()
         for j in sorted(flags):  # every other pair generates
-            t = reflections[j]
+            t_text = reflections[j].to_text()
             generated, normalizing = flags[j]
-            if generated == (normalizing and per_cycle_expected > 0):
-                violations.append({"singer": c.to_text(), "reflection": t.to_text(),
+            if generated == normalizing:
+                violations.append({"singer": c_text, "reflection": t_text,
                                    "generated": generated, "normalizing": normalizing})
             if not generated:
-                exceptional.append({"singer": c.to_text(), "reflection": t.to_text()})
+                exceptional.append({"singer": c_text, "reflection": t_text})
         exceptional_here = sum(not generated for generated, _ in flags.values())
         if exceptional_here != per_cycle_expected:
-            violations.append({"singer": c.to_text(),
+            violations.append({"singer": c_text,
                                "exceptional_count": exceptional_here,
                                "expected": per_cycle_expected})
     return {
@@ -871,52 +880,44 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
 def verify_gill(n: int, field: FieldSpec) -> dict:
     """Check the companion-matrix generation theorem: for f primitive and
     g distinct monic with nonzero constant term, <C_f, C_g> = GL_n(F_q)
-    except when n = 2 and C_g normalizes <C_f>.
+    except when n = 2, q > 2 and C_g normalizes <C_f>.
 
-    Also asserts dim fix(C_f C_g^-1) = n - 1 on every pair, which holds
-    because the two companion matrices differ only in the last column.
-    So t = C_f^-1 C_g is a reflection fixing x_n = 0, <C_f, C_g> = <C_f, t>,
-    and the order of the pair, the exceptional order too, is read off the
-    row of f (_GenerationCache.row), whose closures, one per key, are
-    counted in generation_tests.  A pair that fails the side condition has
-    no verdict, since C_f^-1 C_g is then not a reflection.  C_g normalizes
-    <C_f> iff C_g C_f C_g^-1 is a power of C_f, tested against the powers
-    of C_f.  Each partner's C_g and its inverse are built once, not once
-    per f.  |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError
-    before any polynomial is tested for primitivity.
+    Each pair is read through t_g = C_f^-1 C_g, one product with C_f^-1
+    built once per f.  Also asserts the side condition dim fix(t_g) = n - 1
+    (t_g^-1 is conjugate to C_f C_g^-1), which holds because the two
+    companion matrices differ only in the last column.  So t_g is a
+    reflection, <C_f, C_g> = <C_f, t_g>, and the pair's order is read off
+    the row of f (_GenerationCache.row), whose closures, one per key, are
+    counted in generation_tests; a pair that fails the side condition has
+    no verdict.  C_g = C_f t_g normalizes <C_f> iff t_g does, so the pair
+    is expected to fail iff t_g is in _exceptional_reflections(f).
+    |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before any
+    polynomial is tested for primitivity.
     """
     start = time.monotonic()
     q = field.q
     full = _closure_budget(n, q)
     primitives = _primitive_polys(n, field)
-    targets = list(enumerate_monic(n, field, nonzero_constant=True))
     cache = _GenerationCache(n, q)
-    companions = {g: companion(g) for g in targets}
-    inverses = {g: cg.inverse() for g, cg in companions.items()}  # once per partner
     violations = []
     exceptional = []
     pairs = 0
     for f in primitives:
-        cf = companion(f)
-        row = cache.row(f)
-        powers = frozenset(_cyclic_powers(cf)) if n == 2 else frozenset()
-        for g in targets:
-            if g == f:
-                continue
-            cg, cg_inverse = companions[g], inverses[g]
+        cf_inverse = companion(f).inverse()
+        exceptions = _exceptional_reflections(f)
+        for g, order in cache.row(f).items():  # the partners, in enumerate_monic order
+            t = cf_inverse @ companion(g)
             pairs += 1
-            # dim fix(C_f C_g^-1) = n - 1 makes C_f^-1 C_g a reflection, the
-            # pair the row decides
-            if fixed_space(cf @ cg_inverse).dim != n - 1:
+            # dim fix(t_g) = n - 1 makes t_g a reflection, the pair the row decides
+            if fixed_space(t).dim != n - 1:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "no verdict: the row decides only pairs whose "
                                             "C_f^-1 C_g is a reflection"})
                 continue
-            order = row[g]
             generated = order == full
-            expected_fail = n == 2 and (cg @ cf @ cg_inverse).entries in powers
+            expected_fail = t.entries in exceptions
             if not generated:
                 exceptional.append({"f": f.to_text(), "g": g.to_text(), "order": order})
             if generated == expected_fail:

@@ -62,30 +62,19 @@ def max_irreducible_order(n: int, field: FieldSpec) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _standard_ext(n: int, field: FieldSpec) -> FieldExtension:
-    return FieldExtension(find_primitive_poly(n, field), check=False)
-
-
-@functools.lru_cache(maxsize=None)
-def _primitive_minpolys(n: int, field: FieldSpec) -> frozenset[Poly]:
-    """Minimal polynomials of the primitive elements of the standard F_{q^n}."""
-    ext = _standard_ext(n, field)
-    out = set()
-    for a in ext.elements():
-        if not a.is_zero and ext.is_primitive(a):
-            out.add(ext.minimal_poly(a))
-    return frozenset(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _generator_minpolys(n: int, field: FieldSpec) -> frozenset[Poly]:
-    """Minimal polynomials of the degree-n field generators of F_{q^n}."""
-    ext = _standard_ext(n, field)
-    out = set()
+def _generator_minpolys(n: int, field: FieldSpec) -> dict[Poly, bool]:
+    """The minimal polynomial of each degree-n field generator of the
+    standard F_{q^n}, mapped to whether its roots are primitive.  Every
+    primitive element is such a generator, and its Frobenius conjugates,
+    the other roots, share its order, so one walk gives both sets."""
+    ext = FieldExtension(find_primitive_poly(n, field), check=False)
+    out = {}
     for a in ext.elements():
         if not a.is_zero and len(ext.frobenius_orbit(a)) == n:
-            out.add(ext.minimal_poly(a))
-    return frozenset(out)
+            f = ext.minimal_poly(a)
+            if f not in out:
+                out[f] = ext.is_primitive(a)
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,7 @@ def _singer_conditions(g: Matrix, f: Poly, order: int, transitive: bool,
     scan."""
     n, field = g.n, g.field
     return SingerConditions(
-        embeds_primitive_element=f in _primitive_minpolys(n, field),
+        embeds_primitive_element=_generator_minpolys(n, field).get(f, False),
         irreducible_max_order=(no_invariant_subspace
                                and order == max_irreducible_order(n, field)),
         order_full=order == field.q**n - 1,

@@ -304,7 +304,9 @@ def unreduced_main2(n: int, field, full: bool = False) -> dict:
 def gill_by_normalizer_scan(n: int, field) -> dict:
     """verify_gill's report without elapsed_ms and generation_tests, with
     N(<C_f>) from normalizer_of_cyclic's scan of GL_n(F_q) and a second
-    closure for each exceptional pair's order."""
+    closure for each exceptional pair's order.  As in unreduced_main2, the
+    exception holds only for n = 2 and q > 2: N(<C_f>) is all of GL_2(F_2)."""
+    q = field.q
     primitives = [f for f in enumerate_monic(n, field, nonzero_constant=True)
                   if is_primitive_poly(f)]
     targets = list(enumerate_monic(n, field, nonzero_constant=True))
@@ -323,7 +325,7 @@ def gill_by_normalizer_scan(n: int, field) -> dict:
                 violations.append({"f": f.to_text(), "g": g.to_text(),
                                    "error": "fix-dimension side condition failed"})
             generated = generates_full([cf, cg])
-            expected_fail = n == 2 and cg in normalizer
+            expected_fail = n == 2 and q > 2 and cg in normalizer
             if not generated:
                 exceptional.append({"f": f.to_text(), "g": g.to_text(),
                                     "order": group_closure([cf, cg]).order})
@@ -333,7 +335,7 @@ def gill_by_normalizer_scan(n: int, field) -> dict:
     exceptional.sort(key=lambda e: (e["f"], e["g"]))
     return {
         "theorem": "companion matrices of primitive + nonzero-constant polynomials generate",
-        "params": {"n": n, "q": field.q},
+        "params": {"n": n, "q": q},
         "primitive_polynomials": len(primitives),
         "checked": pairs,
         "exceptional_pairs": exceptional,
@@ -445,7 +447,7 @@ def gill_by_pair_lookup(n: int, field, orders_by_key: dict | None = None) -> dic
                 continue
             order = orders[number]
             generated = order == full
-            expected_fail = n == 2 and (cg @ cf @ cg.inverse()).entries in powers
+            expected_fail = n == 2 and field.q > 2 and (cg @ cf @ cg.inverse()).entries in powers
             if not generated:
                 exceptional.append({"f": f.to_text(), "g": g.to_text(), "order": order})
             if generated == expected_fail:

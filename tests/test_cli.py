@@ -86,6 +86,13 @@ def test_verify_length_oracle_cli(capsys):
     assert code == 0 and report["checked"] == 48
 
 
+@pytest.mark.parametrize("n,p", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("subcommand", ["main1", "main2", "gill", "singer-equiv", "length-oracle"])
+def test_every_verify_subcommand_passes_on_small_groups(capsys, subcommand, n, p):
+    code, report = run_json(capsys, "verify", subcommand, "--n", str(n), "--p", str(p))
+    assert code == 0 and report["violations"] == []
+
+
 def test_factorize_single(capsys):
     code, report = run_json(capsys, "factorize", "--matrix", "3,0;0,4", "--p", "5")
     assert code == 0

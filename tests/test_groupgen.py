@@ -870,7 +870,9 @@ def test_row_keys_and_orders_match_the_orbit_walk(n, p, k):
 
 
 def test_gill_inverts_each_partner_once(monkeypatch):
-    # the 42 partners on GL_2(F_7), and nothing else: the rows need no inverse
+    # no partner is inverted: t_g = C_f^-1 C_g, so gill inverts C_f once per
+    # class, and each of the 8 classes of GL_2(F_7) builds its normalizing
+    # reflections with two more (P^-1 and C_f^-1); the rows need no inverse
     calls = []
     inverse = Matrix.inverse
 
@@ -880,7 +882,7 @@ def test_gill_inverts_each_partner_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", counted)
     assert verify_gill(2, make_field(7))["violations"] == []
-    assert len(calls) == 42
+    assert len(calls) == 8 * 3 == 24
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 7, 1), (3, 2, 1), (3, 3, 1),
@@ -1006,11 +1008,11 @@ def test_gill_pair_failing_the_side_condition_has_no_verdict(monkeypatch, f3):
     # the side condition certifies: a pair that fails it gets no verdict
     clean = verify_gill(2, f3)
     f, g = "2,1,1", "1,0,1"  # the worked-example pair, exceptional
-    target = companion(Poly.from_text(f3, f)) @ companion(Poly.from_text(f3, g)).inverse()
+    target = companion(Poly.from_text(f3, f)).inverse() @ companion(Poly.from_text(f3, g))
     real = groupgen.fixed_space
     failed = []
 
-    def fails_once(a):  # (2,2,1), (1,1,1), later in the sweep, has the same C_f C_g^-1
+    def fails_once(a):  # (2,2,1), (1,2,1), later in the sweep, has the same C_f^-1 C_g
         if a == target and not failed:
             failed.append(a)
             a = Matrix.identity(a.field, a.n)
@@ -1057,10 +1059,12 @@ def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatc
     assert count(verify_gill(2, f7)) == 0
 
 
-def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f3, f5):
+def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f2, f3, f5):
     # main2 builds each class's normalizing reflections once, from C_f, and
     # reads them with the proper orbits through each cycle's one cyclic
-    # basis; normalizer_reflection's basis is C_f's own.  main1 builds none.
+    # basis; normalizer_reflection's basis is C_f's own.  gill builds them
+    # once per class too, and reads no other cyclic basis.  Neither builds
+    # any for q = 2 or n >= 3, and main1 builds none.
     calls = {"normalizer_reflection": 0, "_cyclic_basis_change": 0}
     for name in calls:
         def counted(c, name=name, real=getattr(singer, name)):
@@ -1079,9 +1083,34 @@ def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f3, f5):
     assert count(verify_main2(2, f3, full=True)) == (2, 12 + 2)
     assert count(verify_main2(2, make_field(7))) == (8, 8 + 8)
     assert count(verify_main1(2, f5)) == (0, 84)
+    assert count(verify_gill(2, make_field(7))) == (8, 8)
+    assert count(verify_gill(2, f3)) == (2, 2)
+    assert count(verify_main2(2, f2)) == (0, 1)  # one Singer class, its own basis
+    assert count(verify_gill(2, f2)) == (0, 0)
+    assert count(verify_main2(3, f2)) == (0, 2)
+    assert count(verify_gill(3, f2)) == (0, 0)
 
 
-_GILL_INSTANCES = [pytest.param(2, p, k, id=f"{p}-{k}") for p, k in [(3, 1), (2, 2), (5, 1), (7, 1)]]
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (3, 2, 1)])
+def test_main2_and_gill_agree_on_the_exception(n, p, k):
+    # main2's exceptional reflections of each C_f are the <C_f>-orbits of
+    # t_g = C_f^-1 C_g over gill's exceptional partners g, q + 1 each
+    field = make_field(p, k)
+    from_main2 = {}
+    for e in verify_main2(n, field)["exceptional_pairs"]:
+        from_main2.setdefault(e["singer"], set()).add(e["reflection"])
+    from_gill = {}
+    for e in verify_gill(n, field)["exceptional_pairs"]:
+        cf = companion(Poly.from_text(field, e["f"]))
+        orbit = _conjugation_orbit(cf, cf.inverse() @ companion(Poly.from_text(field, e["g"])))
+        assert len(orbit) == field.q + 1
+        from_gill.setdefault(cf.to_text(), set()).update(t.to_text() for t in orbit)
+    assert from_gill == from_main2
+    assert len(from_main2) == (singer_class_count(n, field.q) if n == 2 else 0)
+
+
+_GILL_INSTANCES = [pytest.param(2, p, k, id=f"{p}-{k}")
+                   for p, k in [(3, 1), (2, 2), (5, 1), (7, 1), (2, 1)]]
 
 
 @pytest.mark.parametrize("n,p,k", _GILL_INSTANCES + [pytest.param(3, 3, 1, id="GL3F3"),
