@@ -29,7 +29,7 @@ one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n), and
 the rows of a driver call share them through its one generation cache,
 which also holds the empty factor set's verdict and counts the closures
 it runs.  A Singer cycle c with characteristic polynomial f is
-P C_f P^-1 for its cyclic basis P, checked (P = I for c = C_f), so the
+P C_f P^-1 for its cyclic basis P (P = I for c = C_f), so the
 pairs of c that do not generate are (c, P x P^-1) for the members x of
 the <C_f>-orbits of the t_g with a proper order, walked once per class:
 q + 1 reflections for n = 2 and q > 2, none otherwise.  Every other pair
@@ -52,10 +52,11 @@ the first.  A non-Singer element gets only its non-generating witness,
 searched lazily; the proper subgroup it stays in, a subspace stabilizer
 or det^-1(X) for a proper X < F_q^x, certifies it without a closure.
 classify_qc's full classification is left to the conjugation spot
-checks, which share the cache.  verify_main2 reads every Singer cycle, a
-class representative C_f by default and each one with full=True, from
-its class's row, and verify_gill reads each pair (C_f, C_g) off it
-through t_g.  Both read the one exception, _exceptional_reflections,
+checks, which share the cache.  verify_main2 lists each Singer cycle as
+P C_f P^-1 with P = I, or with full=True every invertible P with first
+column e_1, so no element is tested for primitivity, and reads its
+class's row through P; verify_gill reads each pair (C_f, C_g) off the
+row through t_g.  Both read the one exception, _exceptional_reflections,
 built once per class: the reflections normalizing <C_f> when n = 2 and
 q > 2 (for q = 2 the normalizer is all of GL_2(F_2) = S_3).
 """
@@ -75,7 +76,7 @@ from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, f
                      gl_order, invariant_subspace, mul_entries, stabilizes)
 from .poly import Poly, companion, enumerate_monic, invmod, is_irreducible, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
-                      enumerate_minimal_factorizations, enumerate_reflections,
+                      enumerate_minimal_factorizations, enumerate_reflections, is_reflection,
                       reflection_count, reflection_length, stabilizing_factorization)
 from .singer import _cyclic_basis, _cyclic_powers, normalizing_reflections
 
@@ -480,7 +481,7 @@ class _GenerationCache:
         length = reflection_length(g) - 1
         holds_first: dict[Poly, bool] = {}  # the partner labelling an orbit -> it holds one
         first = set()
-        for x, partner in _through_cyclic_basis(g, f, self.proper_members(f)):
+        for x, partner in _through_basis(_cyclic_basis(g, f), self.proper_members(f)):
             if partner not in holds_first:
                 t_inverse = Matrix._raw(g.field, g.n, x).inverse()
                 holds_first[partner] = reflection_length(t_inverse @ g) == length
@@ -492,13 +493,12 @@ class _GenerationCache:
             for rest in enumerate_minimal_factorizations(t.inverse() @ g))
 
 
-def _through_cyclic_basis(c: Matrix, f: Poly, members: Iterable[tuple[tuple, object]]
-                          ) -> list[tuple[tuple, object]]:
-    """(P x P^-1, label) for each (x, label) of members, which are entries
-    as C_f reads them, for c's checked cyclic basis P = _cyclic_basis(c, f):
-    the same entries as c = P C_f P^-1 reads them."""
-    p = _cyclic_basis(c, f)
-    n, field = c.n, c.field
+def _through_basis(p: Matrix, members: Iterable[tuple[tuple, object]]
+                   ) -> list[tuple[tuple, object]]:
+    """(P x P^-1, label) for each (x, label) of members, entries as C_f
+    reads them: the same entries as c = P C_f P^-1 reads them.  P^-1 is
+    memoized on P, so every class read through one P shares it."""
+    n, field = p.n, p.field
     pe, p_inverse = p.entries, p.inverse().entries
     return [(mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field), label)
             for x, label in members]
@@ -743,19 +743,18 @@ def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple
     """The members of the <C_f>-orbit of t_g = C_f^-1 C_g under
     conjugation, as entries labelled g, for each partner g in the row with
     |<C_f, C_g>| < full.  Each orbit is checked to have one member per
-    hyperplane, N = (q^n - 1)/(q - 1), each a reflection that no other
-    orbit meets."""
+    hyperplane, N = (q^n - 1)/(q - 1), each a reflection (is_reflection)
+    that no other orbit meets."""
     cf = companion(f)
     n, field = cf.n, cf.field
     orbit_size = (field.q**n - 1) // (field.q - 1)
-    reflections = {t.entries for t in enumerate_reflections(n, field)}
     ce, c_inverse = cf.entries, cf.inverse().entries
     members: dict[tuple, Poly] = {}
     for g in (g for g, order in row.items() if order != full):
         x = start = mul_entries(c_inverse, companion(g).entries, n, field)
         size = 0
         while True:
-            if x not in reflections or x in members:
+            if x in members or not is_reflection(Matrix._raw(field, n, x)):
                 raise AssertionError("a <C_f>-orbit left the reflections or met another orbit")
             members[x] = g
             size += 1
@@ -768,14 +767,15 @@ def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple
     return list(members.items())
 
 
-def _exceptional_reflections(f: Poly) -> frozenset[tuple]:
+def _exceptional_reflections(cf: Matrix) -> frozenset[tuple]:
     """The one exception to main2 and gill, as entries: the reflections
-    normalizing <C_f> (normalizing_reflections) when deg f = 2 and q > 2,
-    and none otherwise.  For q = 2 the normalizer is all of GL_2(F_2), the
-    symmetric group S_3, and every reflection generates it with C_f."""
-    if f.degree != 2 or f.field.q == 2:
+    normalizing the caller's C_f (normalizing_reflections, which reuses its
+    memoized inverse) when n = 2 and q > 2, and none otherwise.  For q = 2
+    the normalizer is all of GL_2(F_2), the symmetric group S_3, and every
+    reflection generates it with C_f."""
+    if cf.n != 2 or cf.field.q == 2:
         return frozenset()
-    return frozenset(t.entries for t in normalizing_reflections(companion(f)))
+    return frozenset(t.entries for t in normalizing_reflections(cf))
 
 
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
@@ -786,19 +786,23 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class, the companion matrices C_f;
     full=True audits every Singer cycle (feasible only on the smaller
-    instances).  Every verdict is read from the row of c's class
-    (_GenerationCache.row), with one closure per key, counted in
-    generation_tests, while every pair is still reported on.  Each class
+    instances).  Each cycle is c = P C_f P^-1 for its cyclic basis P: I,
+    or with full=True every invertible P with first column e_1, picked out
+    of enumerate_gl by that column alone, with no char_poly.  These are
+    exactly the Singer cycles: the list is checked to be distinct and of
+    the closed-form size, and full mode sorts it into enumerate_gl order.
+    Every verdict is read from the row of c's class (_GenerationCache.row),
+    with one closure per key, counted in generation_tests.  Each class
     lists, once, the reflections x of its proper orbits
     (_GenerationCache.proper_members) and its exceptional ones
     (_exceptional_reflections), each flagged with both facts, which
-    conjugation keeps.  Each Singer cycle reads that list through its
-    cyclic basis (_through_cyclic_basis): as many reflections as the
-    exception has on a correct run, and every other pair generates.
-    Pairs are reported in enumerate_reflections order.  Before any
-    polynomial is tested for primitivity, |GL_n(F_q)| is checked against
-    ENUMERATION_BUDGET as every closure would be, and so is the sweep,
-    from the closed-form class count phi(q^n - 1)/n.
+    conjugation keeps.  Each cycle reads that list through its P
+    (_through_basis): as many reflections as the exception has on a
+    correct run, and every other pair generates.  Pairs are reported in
+    enumerate_reflections order, built only when a class lists one.
+    Before any polynomial is tested for primitivity, |GL_n(F_q)| is
+    checked against ENUMERATION_BUDGET as every closure would be, and so
+    is the sweep, from the closed-form class count phi(q^n - 1)/n.
     """
     start = time.monotonic()
     q = field.q
@@ -806,48 +810,43 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     group_order = _closure_budget(n, q)
     singer_cycle_count = classes * (group_order // (q**n - 1))
     swept = singer_cycle_count if full else classes
-    _check_budget(f"main2 sweep of {swept} Singer cycles x {reflection_count(n, q)} reflections",
-                  swept * reflection_count(n, q), "pairs")
+    reflections = reflection_count(n, q)
+    _check_budget(f"main2 sweep of {swept} Singer cycles x {reflections} reflections",
+                  swept * reflections, "pairs")
     primitives = _primitive_polys(n, field)
     if len(primitives) != classes:
         raise AssertionError(f"{len(primitives)} primitive polynomials, expected "
                              f"phi(q^n - 1)/n = {classes}")
+    e1 = (1,) + (0,) * (n - 1)
+    bases = ([p for p in enumerate_gl(n, field) if p.entries[::n] == e1] if full
+             else [Matrix.identity(field, n)])
+    companions = {f: companion(f) for f in primitives}
+    singers = [(p @ cf @ p.inverse(), p, f) for p in bases for f, cf in companions.items()]
     if full:
-        singers = [(g, f) for g in enumerate_gl(n, field) if is_primitive_poly(f := char_poly(g))]
-    else:
-        singers = [(companion(f), f) for f in primitives]
-    reflections = enumerate_reflections(n, field)
-    if full and len(singers) != singer_cycle_count:
-        return {
-            "theorem": "Singer cycle and non-normalizing reflection generate",
-            "params": {"n": n, "q": q},
-            "mode": "full",
-            "generation_tests": 0,
-            "violations": [{"error": "Singer census mismatch",
-                            "scanned": len(singers),
-                            "expected": singer_cycle_count}],
-            "elapsed_ms": int((time.monotonic() - start) * 1000),
-        }
-    violations = []
-    exceptional = []
-    exceptions = {f: _exceptional_reflections(f) for f in primitives}
-    per_cycle_expected = len(exceptions[primitives[0]])  # q + 1 or 0, the same for every class
-    index = {t.entries: i for i, t in enumerate(reflections)}
+        singers.sort(key=lambda s: s[0].entries)  # enumerate_gl order
+    if len({c.entries for c, _, _ in singers}) != swept or len(singers) != swept:
+        raise AssertionError(f"listed {len(singers)} Singer cycles, not {swept} distinct ones")
     cache = _GenerationCache(n, q)
     flagged = {}  # f -> (x, (<C_f, x> generates, x is exceptional)) for the x read
-    for c, f in singers:
-        if f not in flagged:
-            proper = {x for x, _ in cache.proper_members(f)}
-            flagged[f] = [(x, (x not in proper, x in exceptions[f]))
-                          for x in proper | exceptions[f]]
+    for f, cf in companions.items():
+        proper = {x for x, _ in cache.proper_members(f)}
+        exceptions = _exceptional_reflections(cf)
+        flagged[f] = [(x, (x not in proper, x in exceptions)) for x in proper | exceptions]
+    # q + 1 or 0, the same for every class
+    per_cycle_expected = sum(normalizing for _, (_, normalizing) in flagged[primitives[0]])
+    listed = enumerate_reflections(n, field) if any(flagged.values()) else ()
+    index = {t.entries: i for i, t in enumerate(listed)}
+    violations = []
+    exceptional = []
+    for c, p, f in singers:
         flags = {}  # the index of each reflection c reads, with its flags
-        for x, flag in _through_cyclic_basis(c, f, flagged[f]):
+        for x, flag in _through_basis(p, flagged[f]):
             if x not in index:
                 raise AssertionError("a member read through the cyclic basis is not a reflection")
             flags[index[x]] = flag
         c_text = c.to_text()
         for j in sorted(flags):  # every other pair generates
-            t_text = reflections[j].to_text()
+            t_text = listed[j].to_text()
             generated, normalizing = flags[j]
             if generated == normalizing:
                 violations.append({"singer": c_text, "reflection": t_text,
@@ -866,8 +865,8 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
         "singer_classes": len(primitives),
         "singer_cycles": singer_cycle_count,
         "singer_checked": len(singers),
-        "reflections": len(reflections),
-        "checked": len(singers) * len(reflections),
+        "reflections": reflections,
+        "checked": len(singers) * reflections,
         "generation_tests": cache.closures,
         "exceptional_per_cycle": per_cycle_expected,
         "exceptional_pairs_total": singer_cycle_count * per_cycle_expected,
@@ -903,8 +902,9 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     exceptional = []
     pairs = 0
     for f in primitives:
-        cf_inverse = companion(f).inverse()
-        exceptions = _exceptional_reflections(f)
+        cf = companion(f)
+        cf_inverse = cf.inverse()
+        exceptions = _exceptional_reflections(cf)
         for g, order in cache.row(f).items():  # the partners, in enumerate_monic order
             t = cf_inverse @ companion(g)
             pairs += 1

@@ -87,9 +87,10 @@ def test_verify_length_oracle_cli(capsys):
 
 
 @pytest.mark.parametrize("n,p", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)])
-@pytest.mark.parametrize("subcommand", ["main1", "main2", "gill", "singer-equiv", "length-oracle"])
+@pytest.mark.parametrize("subcommand", ["main1", "main2", pytest.param("main2 --full", id="main2-full"),
+                                        "gill", "singer-equiv", "length-oracle"])
 def test_every_verify_subcommand_passes_on_small_groups(capsys, subcommand, n, p):
-    code, report = run_json(capsys, "verify", subcommand, "--n", str(n), "--p", str(p))
+    code, report = run_json(capsys, "verify", *subcommand.split(), "--n", str(n), "--p", str(p))
     assert code == 0 and report["violations"] == []
 
 

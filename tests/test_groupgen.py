@@ -456,7 +456,8 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
     assert info.misses == len(set(seen)) == 39
-    assert info.hits == len(seen) - info.misses == 70
+    # 8 of the hits are is_reflection's, on the members of the proper orbits
+    assert info.hits == len(seen) - info.misses == 78
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
@@ -554,7 +555,7 @@ def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k)
                                                               for fl in listed)
             # the row of f, read through g's cyclic basis: the pairs of g
             # that do not generate, labelled by <g>-orbit
-            read = groupgen._through_cyclic_basis(g, f, cache.proper_members(f))
+            read = groupgen._through_basis(singer._cyclic_basis(g, f), cache.proper_members(f))
             assert {x for x, _ in read} == {t.entries for t in reflections
                                             if not generates([g, t])}
             members = {}
@@ -622,11 +623,12 @@ def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
 
 
 def test_main2_full_and_classify_qc_check_each_cyclic_basis(f3, monkeypatch):
-    # every Singer cycle reads its class's row only through a checked
-    # P_c^-1 c P_c = C_f; a companion matrix has P_c = I
+    # classify_qc reads a Singer cycle's class row only through a checked
+    # P_c^-1 c P_c = C_f; a companion matrix has P_c = I.  main2 derives no
+    # basis from a cycle: it lists each one as P C_f P^-1 from its P, so
+    # identity bases leave it unchanged (its census check is tested apart)
     _identity_cyclic_bases(monkeypatch, f3, 2)
-    with pytest.raises(AssertionError, match="does not conjugate"):
-        verify_main2(2, f3, full=True)
+    assert verify_main2(2, f3, full=True)["violations"] == []
     assert verify_main2(2, f3)["violations"] == []
     g = next(g for g in enumerate_gl(2, f3) if is_singer(g) and g != companion(char_poly(g)))
     assert classify_qc(companion(char_poly(g))) == STRONG
@@ -690,8 +692,10 @@ def test_main2_orbit_reduction_matches_unreduced_sweep(n, p, k):
     assert report["generation_tests"] == galois_key_count(n, p, k)
 
 
-@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1)])
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (3, 2, 1), (1, 5, 1), (2, 2, 1)])
 def test_main2_full_mode_matches_unreduced_sweep(n, p, k):
+    # n = 1 and q = 2 are the edge cases of listing the cycles by the first
+    # column of their cyclic basis
     field = make_field(p, k)
     report = verify_main2(n, field, full=True)
     assert without_counters(report) == unreduced_main2(n, field, full=True)
@@ -706,6 +710,52 @@ def test_main2_full_mode_matches_each_cycles_own_table():
     report = verify_main2(2, f7, full=True)
     assert report["singer_checked"] == 336 and report["violations"] == []
     assert without_counters(report) == main2_by_pair_lookup(2, f7, full=True, own_tables=True)
+
+
+@pytest.mark.parametrize("tamper", [pytest.param(lambda bases: bases[1:], id="drop"),
+                                    pytest.param(lambda bases: bases + bases[:1], id="repeat")])
+def test_main2_full_checks_its_singer_census(f3, monkeypatch, tamper):
+    # the listed cycles P C_f P^-1 must be distinct and as many as the
+    # closed-form count; a basis dropped or repeated by enumerate_gl fails
+    bases = tamper([p for p in enumerate_gl(2, f3) if p.entries[::2] == (1, 0)])
+    monkeypatch.setattr(groupgen, "enumerate_gl", lambda n, field: iter(bases))
+    with pytest.raises(AssertionError, match="Singer cycles, not 12 distinct ones"):
+        verify_main2(2, f3, full=True)
+
+
+def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
+    # GL_2(F_9): 16 Singer classes x 72 cyclic bases.  The only char_poly
+    # calls key the rows' partners, 16 x 71; the only cyclic bases built
+    # are normalizer_reflection's, one per class.  A scan of GL_2(F_9)
+    # would add 5760 char_poly calls, and deriving each cycle's basis 1152
+    calls = {"char_poly": 0, "_cyclic_basis_change": 0}
+
+    def counter(name, real):
+        def counted(a):
+            calls[name] += 1
+            return real(a)
+        return counted
+
+    monkeypatch.setattr(groupgen, "char_poly", counter("char_poly", groupgen.char_poly))
+    monkeypatch.setattr(singer, "_cyclic_basis_change",
+                        counter("_cyclic_basis_change", singer._cyclic_basis_change))
+    report = verify_main2(2, make_field(3, 2), full=True)
+    assert report["violations"] == [] and report["singer_checked"] == 16 * 72
+    assert calls == {"char_poly": 16 * 71, "_cyclic_basis_change": 16}
+    assert calls["char_poly"] == 1136
+
+
+@pytest.mark.parametrize("n,p,expected", [(3, 2, 0), (4, 2, 0), (2, 3, 1)])
+def test_main2_lists_reflections_only_when_a_class_flags_one(monkeypatch, n, p, expected):
+    # for n >= 3 no class has a flagged reflection, so main2 takes the count
+    # from reflection_count and enumerates none
+    calls = []
+    real = groupgen.enumerate_reflections
+    monkeypatch.setattr(groupgen, "enumerate_reflections",
+                        lambda *args: calls.append(args) or real(*args))
+    report = verify_main2(n, make_field(p))
+    assert report["violations"] == [] and len(calls) == expected
+    assert report["reflections"] == len(real(n, make_field(p)))
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
@@ -751,7 +801,9 @@ def test_main2_orbit_walk_checks_its_orbits(f3, monkeypatch):
     every = groupgen._proper_orbits(f, dict.fromkeys(row, 1), full)
     assert sorted(x for x, _ in every) == sorted(t.entries for t in reflections)
     assert {g for _, g in every} == row.keys()
-    monkeypatch.setattr(groupgen, "enumerate_reflections", lambda n, field: reflections[1:])
+    rejected = reflections[0]
+    is_reflection = groupgen.is_reflection
+    monkeypatch.setattr(groupgen, "is_reflection", lambda m: m != rejected and is_reflection(m))
     with pytest.raises(AssertionError, match="left the reflections"):
         groupgen._proper_orbits(f, dict.fromkeys(row, 1), full)
     monkeypatch.undo()
@@ -872,17 +924,23 @@ def test_row_keys_and_orders_match_the_orbit_walk(n, p, k):
 def test_gill_inverts_each_partner_once(monkeypatch):
     # no partner is inverted: t_g = C_f^-1 C_g, so gill inverts C_f once per
     # class, and each of the 8 classes of GL_2(F_7) builds its normalizing
-    # reflections with two more (P^-1 and C_f^-1); the rows need no inverse
+    # reflections with two more calls (P^-1 and C_f^-1); the rows need no
+    # inverse.  The second C_f^-1 finds gill's memoized on the same C_f, so
+    # 8 x 2 inverses are computed: C_f^-1 and P^-1 with P = I
     calls = []
+    computed = []
     inverse = Matrix.inverse
 
     def counted(self):
         calls.append(self)
+        if self._inverse is None:
+            computed.append(self)
         return inverse(self)
 
     monkeypatch.setattr(Matrix, "inverse", counted)
     assert verify_gill(2, make_field(7))["violations"] == []
     assert len(calls) == 8 * 3 == 24
+    assert len(computed) == 8 * 2 == 16
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 7, 1), (3, 2, 1), (3, 3, 1),
@@ -1037,14 +1095,14 @@ def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatc
     # rows and conjugates none.  Reading every pair conjugates 2624, 210,
     # 240 and 328 matrices.
     conjugated = []
-    through = groupgen._through_cyclic_basis
+    through = groupgen._through_basis
 
-    def counted(c, f, members):
-        members = through(c, f, members)
+    def counted(p, members):
+        members = through(p, members)
         conjugated.append(len(members))
         return members
 
-    monkeypatch.setattr(groupgen, "_through_cyclic_basis", counted)
+    monkeypatch.setattr(groupgen, "_through_basis", counted)
 
     def count(report):
         total = sum(conjugated)
@@ -1061,10 +1119,11 @@ def test_main2_and_gill_conjugate_only_the_pairs_that_do_not_generate(monkeypatc
 
 def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f2, f3, f5):
     # main2 builds each class's normalizing reflections once, from C_f, and
-    # reads them with the proper orbits through each cycle's one cyclic
-    # basis; normalizer_reflection's basis is C_f's own.  gill builds them
-    # once per class too, and reads no other cyclic basis.  Neither builds
-    # any for q = 2 or n >= 3, and main1 builds none.
+    # reads them with the proper orbits through each cycle's listed cyclic
+    # basis, which it never derives from the cycle; normalizer_reflection's
+    # basis is C_f's own.  gill builds them once per class too, and reads no
+    # other cyclic basis.  Neither builds any for q = 2 or n >= 3, and main1
+    # builds none.
     calls = {"normalizer_reflection": 0, "_cyclic_basis_change": 0}
     for name in calls:
         def counted(c, name=name, real=getattr(singer, name)):
@@ -1080,14 +1139,14 @@ def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f2, f3, f5):
         return counts
 
     # GL_2(F_3): 2 Singer classes of 6 cycles each; GL_2(F_7): 8 classes
-    assert count(verify_main2(2, f3, full=True)) == (2, 12 + 2)
-    assert count(verify_main2(2, make_field(7))) == (8, 8 + 8)
+    assert count(verify_main2(2, f3, full=True)) == (2, 2)
+    assert count(verify_main2(2, make_field(7))) == (8, 8)
     assert count(verify_main1(2, f5)) == (0, 84)
     assert count(verify_gill(2, make_field(7))) == (8, 8)
     assert count(verify_gill(2, f3)) == (2, 2)
-    assert count(verify_main2(2, f2)) == (0, 1)  # one Singer class, its own basis
+    assert count(verify_main2(2, f2)) == (0, 0)
     assert count(verify_gill(2, f2)) == (0, 0)
-    assert count(verify_main2(3, f2)) == (0, 2)
+    assert count(verify_main2(3, f2)) == (0, 0)
     assert count(verify_gill(3, f2)) == (0, 0)
 
 
