@@ -28,12 +28,17 @@ alpha = x mod f by Euler's dual basis.  So a closure runs once per key,
 one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n), and
 the rows of a driver call share them through its one generation cache,
 which also holds the empty factor set's verdict and counts the closures
-it runs.  A Singer cycle c with characteristic polynomial f is
-P C_f P^-1 for its cyclic basis P (P = I for c = C_f), so the
-pairs of c that do not generate are (c, P x P^-1) for the members x of
-the <C_f>-orbits of the t_g with a proper order, walked once per class:
-q + 1 reflections for n = 2 and q > 2, none otherwise.  Every other pair
-generates.
+it runs.  The cache reads every row through one discrete-log model of
+F_(q^n) (_FieldModel): the primitive f are the characteristic
+polynomials of alpha^j for the cyclotomic coset leaders j prime to
+q^n - 1, so f has the root alpha^j and gamma one log, and a key is the
+coset of log gamma, named by its leader, with one char_poly per key id
+rather than one per partner.  A Singer cycle c with characteristic
+polynomial f is P C_f P^-1 for its cyclic basis P (P = I for c = C_f),
+so the pairs of c that do not generate are (c, P x P^-1) for the
+members x of the <C_f>-orbits of the t_g with a proper order, walked
+once per class: q + 1 reflections for n = 2 and q > 2, none otherwise.
+Every other pair generates.
 
 verify_main1, verify_main2, verify_gill and verify_length_oracle sweep a
 full desk-scale instance and report violations; they are pure per
@@ -52,13 +57,16 @@ the first.  A non-Singer element gets only its non-generating witness,
 searched lazily; the proper subgroup it stays in, a subspace stabilizer
 or det^-1(X) for a proper X < F_q^x, certifies it without a closure.
 classify_qc's full classification is left to the conjugation spot
-checks, which share the cache.  verify_main2 lists each Singer cycle as
+checks, which share the cache.  verify_main2 and verify_gill take their
+primitive f from the model.  verify_main2 lists each Singer cycle as
 P C_f P^-1 with P = I, or with full=True every invertible P with first
 column e_1, so no element is tested for primitivity, and reads its
-class's row through P; verify_gill reads each pair (C_f, C_g) off the
-row through t_g.  Both read the one exception, _exceptional_reflections,
-built once per class: the reflections normalizing <C_f> when n = 2 and
-q > 2 (for q = 2 the normalizer is all of GL_2(F_2) = S_3).
+class's row through P, a rank-one update per reflection, ordered by its
+reflection_params, so it enumerates no reflections; verify_gill reads
+each pair (C_f, C_g) off the row through t_g.  Both read the one
+exception, _exceptional_reflections, built once per class: the
+reflections normalizing <C_f> when n = 2 and q > 2 (for q = 2 the
+normalizer is all of GL_2(F_2) = S_3).
 """
 
 from __future__ import annotations
@@ -74,10 +82,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .ff import FieldSpec, factorize
 from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, fixed_space,
                      gl_order, invariant_subspace, mul_entries, stabilizes)
-from .poly import Poly, companion, enumerate_monic, invmod, is_irreducible, is_primitive_poly
+from .poly import (Poly, companion, enumerate_monic, find_primitive_poly, is_irreducible,
+                   is_primitive_poly)
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections, is_reflection,
-                      reflection_count, reflection_length, stabilizing_factorization)
+                      reflection_count, reflection_from_params, reflection_length,
+                      reflection_params, stabilizing_factorization)
 from .singer import _cyclic_basis, _cyclic_powers, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
@@ -396,24 +406,87 @@ def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
     return {g: d for d, layer in enumerate(layers) for g in _matrices(layer, field, n)}
 
 
+class _FieldModel:
+    """F_(q^n) as K = F_q[x]/(f_1), f_1 = find_primitive_poly(n, F_q), read
+    through the discrete logs of alpha = x mod f_1, with m = q^n - 1.
+
+    powers[i] is alpha^i, i < m, as its coordinates in the basis 1, alpha,
+    ..., alpha^(n-1), and log inverts it; the m logs are checked to be
+    distinct, so alpha generates K^x.  leader[i] is the least member of
+    the cyclotomic coset {i q^k mod m}: alpha^leader[i] stands for the
+    Frobenius orbit of alpha^i.  trace[i] = Tr(alpha^i), read off the
+    coordinates of alpha^i and the traces of the basis.  The primitive
+    polynomials of degree n are the characteristic polynomials of
+    multiplication by alpha^j for the coset leaders j prime to m, one per
+    Frobenius orbit of generators of K^x; roots maps each f to the j of its
+    root beta = alpha^j, and primitives lists them in enumerate_monic
+    order.  Each table has m entries, and a driver call builds one model.
+    """
+
+    def __init__(self, n: int, field: FieldSpec):
+        self.n, self.field = n, field
+        q = field.q
+        m = self.m = q**n - 1
+        tail = [field.neg(c) for c in find_primitive_poly(n, field).coeffs[:-1]]
+        v = (1,) + (0,) * (n - 1)
+        self.powers = []
+        for _ in range(m):
+            self.powers.append(v)
+            # alpha v, with x^n = sum_i tail[i] x^i
+            v = tuple(field.add(a, field.mul(v[-1], t)) for a, t in zip((0,) + v[:-1], tail))
+        self.log = {v: i for i, v in enumerate(self.powers)}
+        if len(self.log) != m:
+            raise AssertionError("two powers alpha^i, i < q^n - 1, coincide")
+        self.leader = [-1] * m
+        for i in range(m):
+            j = i
+            while self.leader[j] < 0:  # i is the least of its coset when first met
+                self.leader[j] = i
+                j = j * q % m
+        basis_traces = [functools.reduce(field.add, (self.powers[(i + k) % m][k]
+                                                     for k in range(n))) for i in range(n)]
+        self.trace = [functools.reduce(field.add, map(field.mul, v, basis_traces))
+                      for v in self.powers]
+        self.roots = {char_poly(self.multiplication(j)): j for j in range(m)
+                      if self.leader[j] == j and math.gcd(j, m) == 1}
+        self.primitives = sorted(self.roots, key=lambda f: f.coeffs)
+
+    def multiplication(self, i: int) -> Matrix:
+        """Multiplication by alpha^i, in the basis 1, alpha, ..., alpha^(n-1)."""
+        n, m = self.n, self.m
+        columns = [self.powers[(i + k) % m] for k in range(n)]
+        return Matrix._raw(self.field, n, tuple(col[r] for r in range(n) for col in columns))
+
+
 class _GenerationCache:
     """Memoizes generates_full verdicts in GL_n(F_q), counting the closures
     it runs: on unordered factor sets, starting with the empty set's, the
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
     (c, t) of a Singer cycle c and a reflection t, through one row per
     Singer class (row), built on first use with one closure per key
-    missing from the keys of every row before it.  proper_members lists
-    the reflections t with <C_f, t> proper, and singer_failure decides a
-    Singer cycle from them, read through its cyclic basis.
+    missing from the keys of every row before it.  The rows read their
+    keys through one _FieldModel, built on first use (model), with one
+    char_poly per key id.  proper_members lists the reflections t with
+    <C_f, t> proper, and singer_failure decides a Singer cycle from them,
+    read through its cyclic basis.
     """
 
     def __init__(self, n: int, q: int):
+        self._n = n
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
+        self._model: _FieldModel | None = None
+        self._keys: dict[int, Poly] = {}  # key id -> its char_poly
         self._orders_by_key: dict[Poly, int] = {}
         self._rows: dict[Poly, dict[Poly, int]] = {}
-        self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits
+        self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits, as params
         self.closures = 0
+
+    def model(self, field: FieldSpec) -> _FieldModel:
+        """The one model of F_(q^n) of this cache, built on first use."""
+        if self._model is None:
+            self._model = _FieldModel(self._n, field)
+        return self._model
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
         key = frozenset(f.entries for f in factors)
@@ -436,12 +509,17 @@ class _GenerationCache:
 
     def row(self, f: Poly) -> dict[Poly, int]:
         """|<C_f, C_g>| for each partner g of the primitive f, keyed by g
-        (_partner_keys): one closure per key that no earlier row met."""
+        (_partner_keys): one char_poly per key id and one closure per key
+        that no earlier row met."""
         row = self._rows.get(f)
         if row is None:
+            model = self.model(f.field)
             cf = companion(f)
             row = {}
-            for g, key in _partner_keys(f):
+            for g, key_id in _partner_keys(model, f):
+                key = self._keys.get(key_id)
+                if key is None:
+                    key = self._keys[key_id] = char_poly(model.multiplication(key_id))
                 order = self._orders_by_key.get(key)
                 if order is None:
                     order = self._orders_by_key[key] = group_closure([cf, companion(g)]).order
@@ -452,11 +530,15 @@ class _GenerationCache:
 
     def proper_members(self, f: Poly) -> list[tuple[tuple, Poly]]:
         """The reflections t with <C_f, t> proper, the members of f's
-        proper orbits (_proper_orbits), as entries labelled by the partner
-        g of their orbit; built once per f.  Every other t generates."""
+        proper orbits (_proper_orbits), as their reflection_params labelled
+        by the partner g of their orbit; built once per f.  Every other t
+        generates."""
         members = self._proper.get(f)
         if members is None:
-            members = self._proper[f] = _proper_orbits(f, self.row(f), self._full)
+            n, field = f.degree, f.field
+            members = self._proper[f] = [
+                (reflection_params(Matrix._raw(field, n, x)), g)
+                for x, g in _proper_orbits(f, self.row(f), self._full)]
         return members
 
     def singer_failure(self, g: Matrix, f: Poly) -> FactorizationList | None:
@@ -481,12 +563,12 @@ class _GenerationCache:
         length = reflection_length(g) - 1
         holds_first: dict[Poly, bool] = {}  # the partner labelling an orbit -> it holds one
         first = set()
-        for x, partner in _through_basis(_cyclic_basis(g, f), self.proper_members(f)):
+        for (phi, w), partner in _through_basis(_cyclic_basis(g, f), self.proper_members(f)):
+            t = reflection_from_params(g.field, phi, w)
             if partner not in holds_first:
-                t_inverse = Matrix._raw(g.field, g.n, x).inverse()
-                holds_first[partner] = reflection_length(t_inverse @ g) == length
+                holds_first[partner] = reflection_length(t.inverse() @ g) == length
             if holds_first[partner]:
-                first.add(x)
+                first.add(t.entries)
         return self.first_non_generating(
             FactorizationList._unchecked((t,) + rest.factors, g)
             for t in enumerate_reflections(g.n, g.field) if t.entries in first
@@ -495,13 +577,26 @@ class _GenerationCache:
 
 def _through_basis(p: Matrix, members: Iterable[tuple[tuple, object]]
                    ) -> list[tuple[tuple, object]]:
-    """(P x P^-1, label) for each (x, label) of members, entries as C_f
-    reads them: the same entries as c = P C_f P^-1 reads them.  P^-1 is
+    """(P x P^-1, label) for each (x, label) of members, x a reflection as
+    C_f reads it and P x P^-1 the same reflection as c = P C_f P^-1 reads
+    it, both given by their reflection_params.  x = I + w phi, so
+    P x P^-1 = I + (P w)(phi P^-1): a rank-one update, two matrix-vector
+    products per member, rescaled so that phi P^-1 leads with 1.  P^-1 is
     memoized on P, so every class read through one P shares it."""
     n, field = p.n, p.field
+    fadd, fmul = field.add, field.mul
     pe, p_inverse = p.entries, p.inverse().entries
-    return [(mul_entries(mul_entries(pe, x, n, field), p_inverse, n, field), label)
-            for x, label in members]
+    p_rows = [pe[i:i + n] for i in range(0, n * n, n)]
+    inverse_columns = [p_inverse[j::n] for j in range(n)]
+    out = []
+    for (phi, w), label in members:
+        phi_p = [functools.reduce(fadd, map(fmul, phi, column)) for column in inverse_columns]
+        lead = next(v for v in phi_p if v)
+        scale = field.inv(lead)
+        out.append(((tuple(fmul(scale, v) for v in phi_p),
+                     tuple(fmul(lead, functools.reduce(fadd, map(fmul, row, w)))
+                           for row in p_rows)), label))
+    return out
 
 
 def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
@@ -684,15 +779,12 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     }
 
 
-def _primitive_polys(n: int, field: FieldSpec) -> list[Poly]:
-    """The primitive monic polynomials of degree n, in enumerate_monic order."""
-    return [f for f in enumerate_monic(n, field, nonzero_constant=True) if is_primitive_poly(f)]
-
-
 def singer_class_representatives(n: int, field: FieldSpec) -> list[Matrix]:
     """One Singer cycle per conjugacy class: the companion matrices of the
-    primitive degree-n polynomials."""
-    return [companion(f) for f in _primitive_polys(n, field)]
+    primitive degree-n polynomials, found by testing every monic one, in
+    enumerate_monic order."""
+    return [companion(f) for f in enumerate_monic(n, field, nonzero_constant=True)
+            if is_primitive_poly(f)]
 
 
 def singer_class_count(n: int, q: int) -> int:
@@ -705,38 +797,59 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
-def _partner_keys(f: Poly) -> Iterator[tuple[Poly, Poly]]:
-    """(g, char_poly(gamma)) for each partner g of the primitive f, in
-    enumerate_monic order, with gamma = (f - g)(alpha) / (alpha f'(alpha))
-    in F_q[x]/(f), alpha = x mod f, taken as its multiplication matrix.
+def _partner_keys(model: _FieldModel, f: Poly) -> Iterator[tuple[Poly, int]]:
+    """(g, key id) for each partner g of the primitive f, in enumerate_monic
+    order: the key of g is the Frobenius orbit of gamma = (f - g)(beta) /
+    (beta f'(beta)) in the model K of F_(q^n), beta = alpha^j the root of f
+    that model.roots names, and its id is the leader of log gamma's
+    cyclotomic coset.  char_poly(multiplication by alpha^id) is the char_poly
+    of gamma's multiplication matrix in F_q[x]/(f), which x -> beta maps
+    onto K.
 
     gamma is the sum of x - I over the <C_f>-orbit of the reflection
     t_g = C_f^-1 C_g = I + C_f^-1 h e_n^T, h = f - g, under conjugation.
-    In the basis 1, alpha, ..., alpha^(n-1), where C_f multiplies by alpha,
-    e_n^T is v -> Tr(v / f'(alpha)) by Euler's dual basis, and the sum of
-    z Tr(v / z) over representatives z of F_(q^n)^x / F_q^x is v.  Its
-    trace, N (det t_g - 1) = g(0)/f(0) - 1 as N = 1 mod p, is checked.
+    In the basis 1, x, ..., x^(n-1) of F_q[x]/(f), where C_f multiplies by
+    x, e_n^T is v -> Tr(v / f'(x)) by Euler's dual basis, and the sum of
+    z Tr(v / z) over representatives z of F_(q^n)^x / F_q^x is v.  So
+    log gamma = log h(beta) - j - log f'(beta).  h(beta) is the sum of two
+    parts, tabulated once per f over the coefficients of g they read, so a
+    partner costs one vector sum and one log.  Its trace, model.trace at
+    log gamma, is checked to be N (det t_g - 1) = g(0)/f(0) - 1, as
+    N = 1 mod p.
     """
-    field, n = f.field, f.degree
-    fmul, fadd = field.mul, field.add
-    x = Poly.x(field)
-    derivative = Poly(field, [fmul(i % field.p, c) for i, c in enumerate(f.coeffs)][1:])
-    # w[k] = alpha^k / (alpha f'(alpha)), so entry (r, j) of gamma's matrix
-    # is sum_i h_i w[i + j][r]: one dot product with h per entry
-    w = [invmod(x * derivative % f, f)]
-    for _ in range(2 * n - 2):
-        w.append(x * w[-1] % f)
-    w = [v.coeffs + (0,) * (n - len(v.coeffs)) for v in w]
-    hankel = [[w[i + j][r] for i in range(n)] for r in range(n) for j in range(n)]
+    field, n, m = model.field, model.n, model.m
+    fmul, fadd, fsub = field.mul, field.add, field.sub
+    j = model.roots[f]
+    beta = [model.powers[i * j % m] for i in range(n)]  # beta^i
+
+    def at_beta(coeffs, start):
+        """sum_i coeffs[i] beta^(start + i)."""
+        value = (0,) * n
+        for c, power in zip(coeffs, beta[start:]):
+            value = tuple(fadd(v, fmul(c, b)) for v, b in zip(value, power))
+        return value
+
+    derivative = [fmul(i % field.p, c) for i, c in enumerate(f.coeffs)][1:]
+    shift = j + model.log[at_beta(derivative, 0)]
     f0_inverse = field.inv(f[0])
-    for g in enumerate_monic(n, field, nonzero_constant=True):
-        if g == f:
-            continue
-        h = [field.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)]
-        entries = tuple(functools.reduce(fadd, map(fmul, h, column)) for column in hankel)
-        if functools.reduce(fadd, entries[::n + 1]) != field.sub(fmul(g[0], f0_inverse), 1):
-            raise AssertionError("an orbit sum's trace is not g(0)/f(0) - 1")
-        yield g, char_poly(Matrix._raw(field, n, entries))
+    # h(beta) = low part + high part, each tabulated over g's coefficients
+    # there: c_0, ..., c_(split-1), with c_0 != 0, and the rest, so the loops
+    # run in enumerate_monic order
+    split = (n + 1) // 2
+    lows = [(low, at_beta(list(map(fsub, f.coeffs, low)), 0))
+            for low in itertools.product(range(1, field.q), *[range(field.q)] * (split - 1))]
+    highs = [(high, at_beta(list(map(fsub, f.coeffs[split:], high)), split))
+             for high in itertools.product(range(field.q), repeat=n - split)]
+    for low, low_value in lows:
+        target = fsub(fmul(low[0], f0_inverse), 1)
+        for high, high_value in highs:
+            coeffs = low + high + (1,)
+            if coeffs == f.coeffs:
+                continue
+            log_gamma = (model.log[tuple(map(fadd, low_value, high_value))] - shift) % m
+            if model.trace[log_gamma] != target:
+                raise AssertionError("an orbit sum's trace is not g(0)/f(0) - 1")
+            yield Poly._raw(field, coeffs), model.leader[log_gamma]
 
 
 def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple, Poly]]:
@@ -784,25 +897,28 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     normalizer is all of GL_2(F_2), and every pair generates.
 
     Generation is conjugation invariant, so by default c runs over one
-    representative per Singer conjugacy class, the companion matrices C_f;
+    representative per Singer conjugacy class, the companion matrices C_f
+    of the primitive f that the cache's model of F_(q^n) lists
+    (_FieldModel), checked against the closed-form count phi(q^n - 1)/n;
     full=True audits every Singer cycle (feasible only on the smaller
     instances).  Each cycle is c = P C_f P^-1 for its cyclic basis P: I,
-    or with full=True every invertible P with first column e_1, picked out
-    of enumerate_gl by that column alone, with no char_poly.  These are
-    exactly the Singer cycles: the list is checked to be distinct and of
-    the closed-form size, and full mode sorts it into enumerate_gl order.
-    Every verdict is read from the row of c's class (_GenerationCache.row),
-    with one closure per key, counted in generation_tests.  Each class
-    lists, once, the reflections x of its proper orbits
-    (_GenerationCache.proper_members) and its exceptional ones
-    (_exceptional_reflections), each flagged with both facts, which
+    or with full=True every invertible P with first column e_1, listed
+    directly as [[1, u], [0, B]] for u in F_q^(n-1) and B in GL_(n-1)(F_q),
+    with no char_poly.  These are exactly the Singer cycles: the list is
+    checked to be distinct and of the closed-form size, and full mode
+    sorts it into enumerate_gl order.  Every verdict is read from the row
+    of c's class (_GenerationCache.row), with one closure per key, counted
+    in generation_tests.  Each class lists, once, the reflections x of its
+    proper orbits (_GenerationCache.proper_members) and its exceptional
+    ones (_exceptional_reflections), by their reflection_params, which
+    checks each to be a reflection, each flagged with both facts, which
     conjugation keeps.  Each cycle reads that list through its P
     (_through_basis): as many reflections as the exception has on a
-    correct run, and every other pair generates.  Pairs are reported in
-    enumerate_reflections order, built only when a class lists one.
-    Before any polynomial is tested for primitivity, |GL_n(F_q)| is
+    correct run, and every other pair generates.  The pairs are reported
+    in enumerate_reflections order, the order of those (phi, w), with no
+    reflection enumerated.  Before the model is built, |GL_n(F_q)| is
     checked against ENUMERATION_BUDGET as every closure would be, and so
-    is the sweep, from the closed-form class count phi(q^n - 1)/n.
+    is the sweep, from the closed-form class count.
     """
     start = time.monotonic()
     q = field.q
@@ -813,47 +929,49 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     reflections = reflection_count(n, q)
     _check_budget(f"main2 sweep of {swept} Singer cycles x {reflections} reflections",
                   swept * reflections, "pairs")
-    primitives = _primitive_polys(n, field)
+    cache = _GenerationCache(n, q)
+    primitives = cache.model(field).primitives
     if len(primitives) != classes:
         raise AssertionError(f"{len(primitives)} primitive polynomials, expected "
                              f"phi(q^n - 1)/n = {classes}")
-    e1 = (1,) + (0,) * (n - 1)
-    bases = ([p for p in enumerate_gl(n, field) if p.entries[::n] == e1] if full
-             else [Matrix.identity(field, n)])
+    if full:
+        blocks = [b.entries for b in enumerate_gl(n - 1, field)] if n > 1 else [()]
+        bases = [Matrix._raw(field, n, (1,) + u + tuple(
+                     v for r in range(n - 1) for v in (0,) + b[r * (n - 1):(r + 1) * (n - 1)]))
+                 for u in itertools.product(range(q), repeat=n - 1) for b in blocks]
+    else:
+        bases = [Matrix.identity(field, n)]
     companions = {f: companion(f) for f in primitives}
     singers = [(p @ cf @ p.inverse(), p, f) for p in bases for f, cf in companions.items()]
     if full:
         singers.sort(key=lambda s: s[0].entries)  # enumerate_gl order
     if len({c.entries for c, _, _ in singers}) != swept or len(singers) != swept:
         raise AssertionError(f"listed {len(singers)} Singer cycles, not {swept} distinct ones")
-    cache = _GenerationCache(n, q)
-    flagged = {}  # f -> (x, (<C_f, x> generates, x is exceptional)) for the x read
+    flagged = {}  # f -> ((phi, w) of x, (<C_f, x> generates, x is exceptional)) for the x read
     for f, cf in companions.items():
         proper = {x for x, _ in cache.proper_members(f)}
-        exceptions = _exceptional_reflections(cf)
+        exceptions = {reflection_params(Matrix._raw(field, n, x))
+                      for x in _exceptional_reflections(cf)}
         flagged[f] = [(x, (x not in proper, x in exceptions)) for x in proper | exceptions]
     # q + 1 or 0, the same for every class
     per_cycle_expected = sum(normalizing for _, (_, normalizing) in flagged[primitives[0]])
-    listed = enumerate_reflections(n, field) if any(flagged.values()) else ()
-    index = {t.entries: i for i, t in enumerate(listed)}
     violations = []
     exceptional = []
+    texts = {}  # (phi, w) -> the text of I + w phi, built once per reflection read
     for c, p, f in singers:
-        flags = {}  # the index of each reflection c reads, with its flags
-        for x, flag in _through_basis(p, flagged[f]):
-            if x not in index:
-                raise AssertionError("a member read through the cyclic basis is not a reflection")
-            flags[index[x]] = flag
+        # in enumerate_reflections order; every other pair generates
+        read = sorted(_through_basis(p, flagged[f]), key=operator.itemgetter(0))
         c_text = c.to_text()
-        for j in sorted(flags):  # every other pair generates
-            t_text = listed[j].to_text()
-            generated, normalizing = flags[j]
+        for x, (generated, normalizing) in read:
+            t_text = texts.get(x)
+            if t_text is None:
+                t_text = texts[x] = reflection_from_params(field, *x).to_text()
             if generated == normalizing:
                 violations.append({"singer": c_text, "reflection": t_text,
                                    "generated": generated, "normalizing": normalizing})
             if not generated:
                 exceptional.append({"singer": c_text, "reflection": t_text})
-        exceptional_here = sum(not generated for generated, _ in flags.values())
+        exceptional_here = sum(not generated for _, (generated, _) in read)
         if exceptional_here != per_cycle_expected:
             violations.append({"singer": c_text,
                                "exceptional_count": exceptional_here,
@@ -890,14 +1008,15 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     counted in generation_tests; a pair that fails the side condition has
     no verdict.  C_g = C_f t_g normalizes <C_f> iff t_g does, so the pair
     is expected to fail iff t_g is in _exceptional_reflections(f).
-    |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before any
-    polynomial is tested for primitivity.
+    The primitive f come from the cache's model of F_(q^n) (_FieldModel).
+    |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before the
+    model is built.
     """
     start = time.monotonic()
     q = field.q
     full = _closure_budget(n, q)
-    primitives = _primitive_polys(n, field)
     cache = _GenerationCache(n, q)
+    primitives = cache.model(field).primitives
     violations = []
     exceptional = []
     pairs = 0

@@ -70,6 +70,32 @@ def reflection_from_params(field: FieldSpec, phi, w) -> Matrix:
     return Matrix(field, n, entries)
 
 
+def reflection_params(x: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (phi, w) with x = I + w*phi and phi's first nonzero entry 1: the
+    inverse of reflection_from_params, and the key of x in
+    enumerate_reflections order.  Raises ValueError when x is no reflection.
+
+    phi is the first nonzero row of x - I, scaled to lead with 1, and w is
+    the column of x - I at that leading position; x - I must be their
+    outer product, with 1 + phi(w) != 0."""
+    n, field, e = x.n, x.field, x.entries
+    a = [field.sub(v, 1) if i % (n + 1) == 0 else v for i, v in enumerate(e)]
+    row = next((a[i:i + n] for i in range(0, n * n, n) if any(a[i:i + n])), None)
+    if row is None:
+        raise ValueError("the identity is not a reflection")
+    lead = next(j for j, v in enumerate(row) if v)
+    scale = field.inv(row[lead])
+    phi = tuple(field.mul(scale, v) for v in row)
+    w = tuple(a[lead::n])
+    pw = 0
+    for b, c in zip(phi, w):
+        pw = field.add(pw, field.mul(b, c))
+    if field.add(1, pw) == 0 or any(a[i * n + j] != field.mul(wi, pj)
+                                    for i, wi in enumerate(w) for j, pj in enumerate(phi)):
+        raise ValueError("not a reflection")
+    return phi, w
+
+
 def reflection_count(n: int, q: int) -> int:
     """The number of reflections in GL_n(F_q): one hyperplane for each of
     the (q^n - 1)/(q - 1) functionals phi up to scale, and for each the

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import strategies as st
 
 import singerlab
-from singerlab import (Matrix, companion, enumerate_gl, enumerate_monic, enumerate_reflections,
-                       fixed_space, generates_full, gl_order, group_closure, is_primitive_poly,
-                       is_singer, make_field, normalizer_of_cyclic)
+from singerlab import (Matrix, Poly, companion, enumerate_gl, enumerate_monic,
+                       enumerate_reflections, fixed_space, generates_full, gl_order, group_closure,
+                       invmod, is_primitive_poly, is_singer, make_field, normalizer_of_cyclic)
 from singerlab.groupgen import singer_class_count, singer_class_representatives
 from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
@@ -235,6 +235,35 @@ def orbit_table_by_closures(c, reflections) -> tuple[dict, list]:
             x = mul_entries(mul_entries(c.entries, x, n, field), c_inverse, n, field)
         orders.append(group_closure([c, t]).order)
     return orbit_of, orders
+
+
+def partner_keys_by_matrix(f):
+    """Oracle: (g, char_poly(gamma)) for each partner g of the primitive f,
+    in enumerate_monic order, with gamma = (f - g)(alpha) / (alpha f'(alpha))
+    in F_q[x]/(f), alpha = x mod f, taken as its multiplication matrix and
+    built with no discrete log: entry (r, j) is sum_i h_i w[i + j][r] for
+    h = f - g and w[k] = alpha^k / (alpha f'(alpha)), a Hankel product.
+    The trace of gamma's matrix is checked to be g(0)/f(0) - 1."""
+    field, n = f.field, f.degree
+    fmul, fadd = field.mul, field.add
+    x = Poly.x(field)
+    derivative = Poly(field, [fmul(i % field.p, c) for i, c in enumerate(f.coeffs)][1:])
+    w = [invmod(x * derivative % f, f)]
+    for _ in range(2 * n - 2):
+        w.append(x * w[-1] % f)
+    w = [v.coeffs + (0,) * (n - len(v.coeffs)) for v in w]
+    hankel = [[w[i + j][r] for i in range(n)] for r in range(n) for j in range(n)]
+    f0_inverse = field.inv(f[0])
+    keys = []
+    for g in enumerate_monic(n, field, nonzero_constant=True):
+        if g == f:
+            continue
+        h = [field.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)]
+        entries = tuple(functools.reduce(fadd, map(fmul, h, column)) for column in hankel)
+        if functools.reduce(fadd, entries[::n + 1]) != field.sub(fmul(g[0], f0_inverse), 1):
+            raise AssertionError("an orbit sum's trace is not g(0)/f(0) - 1")
+        keys.append((g, char_poly(Matrix._raw(field, n, entries))))
+    return keys
 
 
 def galois_key_count(n: int, p: int, k: int = 1) -> int:

@@ -16,17 +16,19 @@ from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        is_singer, make_field,
                        minimal_factorization, normalizer_of_cyclic, normalizer_reflection,
                        reflection_length, verify_gill, verify_main1, verify_main2)
-from singerlab import fixed_space, groupgen, matrix, reflect, singer
+from singerlab import fixed_space, groupgen, matrix, poly, reflect, singer
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
                                 reflection_distances, singer_class_count,
                                 singer_class_representatives)
 from singerlab.matrix import char_poly, mul_entries
+from singerlab.reflect import reflection_from_params, reflection_params
 from singerlab.singer import normalizing_reflections
 
 from conftest import (galois_key_count, gill_by_normalizer_scan, gill_by_pair_lookup,
                       main2_by_pair_lookup, matrices_over, orbit_table, orbit_table_by_closures,
-                      random_invertible, run_python, singer_conjugators, square_shapes,
-                      trial_phi, unreduced_main2, without_counters)
+                      partner_keys_by_matrix, random_invertible, run_python,
+                      singer_conjugators, square_shapes, trial_phi, unreduced_main2,
+                      without_counters)
 
 
 def test_gl_order_examples():
@@ -80,11 +82,13 @@ def test_group_closure_budget():
 def test_driver_budget_guards_come_first(monkeypatch, driver, n, p, k):
     # main2 on GL_2(F_97) sweeps 1344 classes x 912,478 reflections; main2 on
     # GL_3(F_8) and gill on GL_4(F_11) need closures in groups of order above
-    # 10^8.  All are refused before a polynomial is tested for primitivity.
+    # 10^8.  All are refused before the model of F_(q^n) that lists their
+    # primitive polynomials is built, and before any polynomial is tested
+    # for primitivity.
     calls = []
-    primitive = groupgen.is_primitive_poly
-    monkeypatch.setattr(groupgen, "is_primitive_poly",
-                        lambda f: calls.append(f) or primitive(f))
+    primitive, model = poly.is_primitive_poly, groupgen._FieldModel
+    monkeypatch.setattr(poly, "is_primitive_poly", lambda f: calls.append(f) or primitive(f))
+    monkeypatch.setattr(groupgen, "_FieldModel", lambda *args: calls.append(args) or model(*args))
     with pytest.raises(BudgetExceededError):
         driver(n, make_field(p, k))
     assert calls == []
@@ -106,7 +110,7 @@ def _refuse_work(*args, **kwargs):
     pytest.param(lambda: reflection_distances(5, make_field(2)), 4649702400,
                  (groupgen, "enumerate_reflections"), id="length-oracle-GL5F2"),
     pytest.param(lambda: verify_main2(2, make_field(97)), 1344 * 912478,
-                 (groupgen, "is_primitive_poly"), id="main2-sweep-GL2F97"),
+                 (groupgen, "_FieldModel"), id="main2-sweep-GL2F97"),
 ])
 def test_closed_form_guards_name_their_size_before_work(monkeypatch, guard, size, work):
     # each of the six closed-form guards raises before the first step of its
@@ -464,46 +468,51 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
 def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     # the main loop decides Singer and the witness kind from one
     # characteristic polynomial per element; each classify_qc of the spot
-    # checks decides is_singer from one of its own, and each partner of the
-    # row of each Singer class is keyed by one, all counted apart; no other
-    # char_poly runs
-    calls = {"main": 0, "spot": 0, "classify_qc": 0, "key": 0, "partners": 0}
-    in_spot_check = []
-    in_row = []
+    # checks decides is_singer from one of its own; the model of F_(q^n)
+    # lists the primitive f with one each; and the rows of the Singer
+    # classes run one per key id, a Frobenius orbit of orbit sums gamma,
+    # not one per partner; all counted apart, and no other char_poly runs
+    calls = {"main": 0, "spot": 0, "classify_qc": 0, "model": 0, "key": 0, "partners": 0}
+    context = []  # the innermost of the spot check, the row and the model being run
 
     def counted_char_poly(a, _fn=char_poly):
-        calls["key" if in_row else "spot" if in_spot_check else "main"] += 1
+        calls[context[-1] if context else "main"] += 1
         return _fn(a)
 
-    def counted_partner_keys(f, _fn=groupgen._partner_keys):
-        in_row.append(f)
-        try:
-            keys = list(_fn(f))
-        finally:
-            in_row.pop()
+    def within(name, fn):
+        def run(*args):
+            context.append(name)
+            try:
+                return fn(*args)
+            finally:
+                context.pop()
+        return run
+
+    def counted_partner_keys(model, f, _fn=groupgen._partner_keys):
+        keys = list(_fn(model, f))
         calls["partners"] += len(keys)
         return keys
 
-    def counted_classify_qc(g, cache=None, _fn=classify_qc):
+    def counted_classify_qc(g, cache=None, _fn=within("spot", classify_qc)):
         calls["classify_qc"] += 1
-        in_spot_check.append(g)
-        try:
-            return _fn(g, cache)
-        finally:
-            in_spot_check.pop()
+        return _fn(g, cache)
 
     for module in (matrix, groupgen, singer):
         monkeypatch.setattr(module, "char_poly", counted_char_poly)
     monkeypatch.setattr(groupgen, "classify_qc", counted_classify_qc)
     monkeypatch.setattr(groupgen, "_partner_keys", counted_partner_keys)
+    monkeypatch.setattr(groupgen, "_FieldModel", within("model", groupgen._FieldModel))
+    monkeypatch.setattr(groupgen._GenerationCache, "row",
+                        within("key", groupgen._GenerationCache.row))
     report = verify_main1(n, make_field(p, k))
     q = p**k
     assert report["mode"] == "full" and report["violations"] == []
     assert calls["main"] == report["checked"] == gl_order(n, q)
     assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
     assert calls["spot"] == calls["classify_qc"]
-    assert calls["key"] == calls["partners"] == (singer_class_count(n, q)
-                                                 * (q ** (n - 1) * (q - 1) - 1))
+    assert calls["model"] == singer_class_count(n, q)
+    assert calls["key"] == galois_key_count(n, p, k)
+    assert calls["partners"] == singer_class_count(n, q) * (q ** (n - 1) * (q - 1) - 1)
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
@@ -556,11 +565,11 @@ def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k)
             # the row of f, read through g's cyclic basis: the pairs of g
             # that do not generate, labelled by <g>-orbit
             read = groupgen._through_basis(singer._cyclic_basis(g, f), cache.proper_members(f))
-            assert {x for x, _ in read} == {t.entries for t in reflections
+            assert {x for x, _ in read} == {reflection_params(t) for t in reflections
                                             if not generates([g, t])}
             members = {}
             for x, number in read:
-                members.setdefault(number, set()).add(Matrix._raw(field, n, x))
+                members.setdefault(number, set()).add(reflection_from_params(field, *x))
             assert all(orbit == _conjugation_orbit(g, next(iter(orbit)))
                        for orbit in members.values())
             continue
@@ -716,16 +725,19 @@ def test_main2_full_mode_matches_each_cycles_own_table():
                                     pytest.param(lambda bases: bases + bases[:1], id="repeat")])
 def test_main2_full_checks_its_singer_census(f3, monkeypatch, tamper):
     # the listed cycles P C_f P^-1 must be distinct and as many as the
-    # closed-form count; a basis dropped or repeated by enumerate_gl fails
-    bases = tamper([p for p in enumerate_gl(2, f3) if p.entries[::2] == (1, 0)])
-    monkeypatch.setattr(groupgen, "enumerate_gl", lambda n, field: iter(bases))
+    # closed-form count; a block B of the bases [[1, u], [0, B]] dropped or
+    # repeated by enumerate_gl(n - 1) fails
+    real = groupgen.enumerate_gl
+    monkeypatch.setattr(groupgen, "enumerate_gl",
+                        lambda n, field: iter(tamper(list(real(n, field)))))
     with pytest.raises(AssertionError, match="Singer cycles, not 12 distinct ones"):
         verify_main2(2, f3, full=True)
 
 
 def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
     # GL_2(F_9): 16 Singer classes x 72 cyclic bases.  The only char_poly
-    # calls key the rows' partners, 16 x 71; the only cyclic bases built
+    # calls list the 16 primitive f in the model of F_81 and name the rows'
+    # 39 key ids, not their 16 x 71 partners; the only cyclic bases built
     # are normalizer_reflection's, one per class.  A scan of GL_2(F_9)
     # would add 5760 char_poly calls, and deriving each cycle's basis 1152
     calls = {"char_poly": 0, "_cyclic_basis_change": 0}
@@ -741,21 +753,22 @@ def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
                         counter("_cyclic_basis_change", singer._cyclic_basis_change))
     report = verify_main2(2, make_field(3, 2), full=True)
     assert report["violations"] == [] and report["singer_checked"] == 16 * 72
-    assert calls == {"char_poly": 16 * 71, "_cyclic_basis_change": 16}
-    assert calls["char_poly"] == 1136
+    assert calls == {"char_poly": 16 + 39, "_cyclic_basis_change": 16}
+    assert galois_key_count(2, 3, 2) == 39
 
 
-@pytest.mark.parametrize("n,p,expected", [(3, 2, 0), (4, 2, 0), (2, 3, 1)])
-def test_main2_lists_reflections_only_when_a_class_flags_one(monkeypatch, n, p, expected):
-    # for n >= 3 no class has a flagged reflection, so main2 takes the count
-    # from reflection_count and enumerates none
+@pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (2, 3)])
+def test_main2_enumerates_no_reflections(monkeypatch, n, p):
+    # main2 takes the count from reflection_count and orders the flagged
+    # reflections of n = 2 by their reflection_params, in both modes
     calls = []
     real = groupgen.enumerate_reflections
     monkeypatch.setattr(groupgen, "enumerate_reflections",
                         lambda *args: calls.append(args) or real(*args))
-    report = verify_main2(n, make_field(p))
-    assert report["violations"] == [] and len(calls) == expected
-    assert report["reflections"] == len(real(n, make_field(p)))
+    for full in (False, True):
+        report = verify_main2(n, make_field(p), full=full)
+        assert report["violations"] == [] and calls == []
+        assert report["reflections"] == len(real(n, make_field(p)))
 
 
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
@@ -768,9 +781,9 @@ def test_each_driver_call_walks_one_orbit_table(monkeypatch, n, p):
     walked = []
     build = groupgen._partner_keys
 
-    def counted(f):
+    def counted(model, f):
         walked.append(f)
-        return build(f)
+        return build(model, f)
 
     monkeypatch.setattr(groupgen, "_partner_keys", counted)
     for run in (lambda: verify_main1(n, field), lambda: verify_main1(n, field, classes=True),
@@ -884,11 +897,13 @@ def test_orbit_table_checks_the_orbit_sum(f3, monkeypatch):
             break
     with pytest.raises(AssertionError, match="trace"):
         orbit_table(c, orbit, {})
-    # the row's gamma, with 1 in place of 1 / (alpha f'(alpha)), fails its
-    # trace check
-    monkeypatch.setattr(groupgen, "invmod", lambda a, m: Poly.one(f3))
+    # the row's gamma read at a wrong root, alpha^j for the other primitive
+    # polynomial's j, fails its trace check
+    f = char_poly(c)
+    model = groupgen._FieldModel(2, f3)
+    monkeypatch.setitem(model.roots, f, next(j for g, j in model.roots.items() if g != f))
     with pytest.raises(AssertionError, match="trace"):
-        list(groupgen._partner_keys(char_poly(c)))
+        list(groupgen._partner_keys(model, f))
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 2, 3),
@@ -896,29 +911,141 @@ def test_orbit_table_checks_the_orbit_sum(f3, monkeypatch):
 def test_row_keys_and_orders_match_the_orbit_walk(n, p, k):
     # oracle: for every primitive f and partner g, the char_poly and trace
     # of the sum of x - I over the walked <C_f>-orbit of t_g = C_f^-1 C_g,
+    # against the char_poly of multiplication by alpha^id for g's key id,
     # and the order orbit_table gives that orbit
     field = make_field(p, k)
     cache = groupgen._GenerationCache(n, field.q)
+    model = cache.model(field)
     reflections = enumerate_reflections(n, field)
     orders_by_key = {}
     for c in singer_class_representatives(n, field):
         f = char_poly(c)
-        keys = dict(groupgen._partner_keys(f))
+        keys = dict(groupgen._partner_keys(model, f))
         row = cache.row(f)
         assert list(keys) == list(row) == [g for g in enumerate_monic(n, field, nonzero_constant=True)
                                            if g != f]
         orbit_of, orders = orbit_table(c, reflections, orders_by_key)
         c_inverse = c.inverse()
-        for g, key in keys.items():
+        for g, key_id in keys.items():
             t = c_inverse @ companion(g)
             gamma = (0,) * (n * n)
             for x in _conjugation_orbit(c, t):
                 gamma = tuple(map(field.add, gamma, x.entries))
             gamma = tuple(field.sub(v, 1) if i % (n + 1) == 0 else v for i, v in enumerate(gamma))
-            assert char_poly(Matrix._raw(field, n, gamma)) == key
+            assert char_poly(Matrix._raw(field, n, gamma)) == char_poly(
+                model.multiplication(key_id))
             trace = functools.reduce(field.add, gamma[::n + 1])
             assert trace == field.sub(field.mul(g[0], field.inv(f[0])), 1)
             assert row[g] == orders[orbit_of[t.entries]]
+
+
+_MODEL_INSTANCES = [pytest.param(n, p, k, id=f"GL{n}F{p**k}")
+                    for n, p, k in [(1, 2, 1), (1, 5, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2),
+                                    (2, 5, 1), (2, 7, 1), (2, 2, 3), (2, 3, 2), (2, 2, 4),
+                                    (3, 2, 1), (3, 3, 1), (4, 2, 1), (5, 2, 1)]]
+
+
+@pytest.mark.parametrize("n,p,k", _MODEL_INSTANCES)
+def test_model_primitives_match_the_primitivity_scan(n, p, k):
+    # oracle: is_primitive_poly on every monic polynomial; each f vanishes
+    # at the root alpha^j the model names
+    field = make_field(p, k)
+    model = groupgen._FieldModel(n, field)
+    assert model.primitives == [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                                if is_primitive_poly(f)]
+    assert len(model.primitives) == singer_class_count(n, field.q)
+    zero = (0,) * n
+    for f, j in model.roots.items():
+        value = zero
+        for i, c in enumerate(f.coeffs):
+            term = tuple(field.mul(c, v) for v in model.powers[i * j % model.m])
+            value = tuple(map(field.add, value, term))
+        assert value == zero
+
+
+@pytest.mark.parametrize("n,p,k", _MODEL_INSTANCES)
+def test_model_keys_match_the_matrix_route(n, p, k):
+    # oracle: gamma's multiplication matrix in F_q[x]/(f), built with no
+    # discrete log, for every partner of every primitive f; the key ids
+    # name distinct char_polys, one per Frobenius orbit of the gamma
+    field = make_field(p, k)
+    model = groupgen._FieldModel(n, field)
+    polys = {}
+    for f in model.primitives:
+        by_model = list(groupgen._partner_keys(model, f))
+        by_matrix = partner_keys_by_matrix(f)
+        assert [g for g, _ in by_model] == [g for g, _ in by_matrix]
+        for (_, key_id), (_, key) in zip(by_model, by_matrix):
+            assert polys.setdefault(key_id, char_poly(model.multiplication(key_id))) == key
+    assert len(set(polys.values())) == len(polys) == galois_key_count(n, p, k)
+
+
+def test_model_checks_its_logs(f3, monkeypatch):
+    # x^2 + 1 is irreducible over F_3 but x has order 4, not 8: its powers
+    # repeat before alpha^8 and the model refuses it
+    monkeypatch.setattr(groupgen, "find_primitive_poly", lambda n, field: Poly(f3, (1, 0, 1)))
+    with pytest.raises(AssertionError, match="coincide"):
+        groupgen._FieldModel(2, f3)
+
+
+def test_main2_and_gill_read_each_class_through_the_model(monkeypatch):
+    # GL_2(F_7): neither driver enumerates the reflections or scans the 42
+    # monic polynomials for the 8 primitive ones.  The only primitivity
+    # tests are find_primitive_poly's, on x^2 + 3 and x^2 + x + 3; the model
+    # runs one char_poly per primitive f, and the rows one per key id
+    f7 = make_field(7)
+    calls = dict.fromkeys(["is_primitive_poly", "enumerate_reflections", "model", "row"], 0)
+    context = []
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    def within(name, fn):
+        def run(*args):
+            context.append(name)
+            try:
+                return fn(*args)
+            finally:
+                context.pop()
+        return run
+
+    for module in (poly, groupgen):
+        monkeypatch.setattr(module, "is_primitive_poly",
+                            counted("is_primitive_poly", poly.is_primitive_poly))
+    for module in (reflect, groupgen):
+        monkeypatch.setattr(module, "enumerate_reflections",
+                            counted("enumerate_reflections", reflect.enumerate_reflections))
+    real_char_poly = groupgen.char_poly
+    monkeypatch.setattr(groupgen, "char_poly", lambda a: counted(context[-1], real_char_poly)(a))
+    monkeypatch.setattr(groupgen, "_FieldModel", within("model", groupgen._FieldModel))
+    monkeypatch.setattr(groupgen._GenerationCache, "row",
+                        within("row", groupgen._GenerationCache.row))
+    for driver in (verify_main2, verify_gill):
+        report = driver(2, f7)
+        assert report["violations"] == [] and report["generation_tests"] == 23
+        assert calls == {"is_primitive_poly": 2, "enumerate_reflections": 0, "model": 8,
+                         "row": 23}
+        calls.update(dict.fromkeys(calls, 0))
+    assert galois_key_count(2, 7) == 23 and singer_class_count(2, 7) == 8
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 2)])
+def test_through_basis_matches_the_matrix_products(n, p):
+    # the rank-one update I + (P w)(phi P^-1), rescaled, against the
+    # reflection_params of P x P^-1, for every reflection x and a few random
+    # invertible P
+    field = make_field(p)
+    rng = random.Random(n * p)
+    members = [(reflection_params(t), t) for t in enumerate_reflections(n, field)]
+    for _ in range(4):
+        pm = random_invertible(n, field, rng)
+        read = groupgen._through_basis(pm, members)
+        assert [label for _, label in read] == [t for _, t in members]
+        assert [x for x, _ in read] == [reflection_params(pm @ t @ pm.inverse())
+                                        for _, t in members]
 
 
 def test_gill_inverts_each_partner_once(monkeypatch):

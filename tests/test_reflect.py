@@ -14,7 +14,7 @@ from singerlab import matrix, reflect
 from singerlab.groupgen import reflection_distances
 from singerlab.matrix import enumerate_subspaces, stabilizes
 from singerlab.reflect import (FactorizationList, det_subgroup, reflection_count,
-                               reflection_from_params)
+                               reflection_from_params, reflection_params)
 
 from conftest import common_fixed_space, random_invertible
 
@@ -64,6 +64,24 @@ def test_reflection_from_params_rejects(f3):
         reflection_from_params(f3, (0, 0), (1, 0))
     with pytest.raises(ValueError):
         reflection_from_params(f3, (1, 0), (2, 0))  # det = 1 + phi(w) = 0
+
+
+@pytest.mark.parametrize("n,p,k", [(1, 3, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1)])
+def test_reflection_params_inverts_reflection_from_params(n, p, k):
+    # (phi, w) with phi leading with 1 is each reflection's key in
+    # enumerate_reflections order; every other matrix, singular or not, is
+    # refused
+    field = make_field(p, k)
+    reflections = enumerate_reflections(n, field)
+    params = [reflection_params(t) for t in reflections]
+    assert params == sorted(params)
+    assert [reflection_from_params(field, phi, w) for phi, w in params] == list(reflections)
+    listed = set(reflections)
+    for entries in itertools.product(range(field.q), repeat=n * n):
+        m = Matrix(field, n, entries)
+        if m not in listed:
+            with pytest.raises(ValueError):
+                reflection_params(m)
 
 
 def test_reflection_length_examples(f3, f5):
