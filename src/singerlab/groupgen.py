@@ -45,17 +45,22 @@ full desk-scale instance and report violations; they are pure per
 element or pair, so reports are deterministic.  verify_main1 decides
 Singer first, from the one characteristic polynomial per element that
 also tells a reducible witness from an irreducible one, and proves only
-what the theorem asks.  A Singer element g with characteristic
-polynomial f has the verdict of its class: its cyclic basis P, checked
-to give P^-1 g P = C_f, maps the minimal factorizations of C_f onto
-those of g, and C_f is decided once per f.  A minimal factorization of
-C_f generates a group containing <C_f, t_1>, so only the factorizations
-whose first factor t_1 has a proper <C_f, t_1> are walked, and one
-member decides whether its orbit holds first factors.  Only when the
-class has a non-generating factorization does g walk its own, to report
-the first.  A non-Singer element gets only its non-generating witness,
-searched lazily; the proper subgroup it stays in, a subspace stabilizer
-or det^-1(X) for a proper X < F_q^x, certifies it without a closure.
+what the theorem asks.  An element g with characteristic polynomial f
+and a cyclic basis P, the Krylov basis of a standard vector, checked to
+give P^-1 g P = C_f, has the verdict of its class: conjugation by P maps
+the minimal factorizations of C_f onto those of g, and C_f is decided
+once per f.  Almost every element has one; the scalars and the other
+elements with no standard cyclic vector, such as the diagonal ones,
+decide their own.  A minimal factorization of a Singer C_f generates a
+group containing <C_f, t_1>, so only the factorizations whose first
+factor t_1 has a proper <C_f, t_1> are walked, and one member decides
+whether its orbit holds first factors.  Only when the class has a
+non-generating factorization does g walk its own, to report the first.
+A non-Singer C_f gets only its non-generating witness, searched lazily;
+the proper subgroup it stays in, a subspace stabilizer or det^-1(X) for
+a proper X < F_q^x, certifies it without a closure.  The witness's kind
+and whether one was found are conjugation invariants, which g reads;
+the first three witnessed elements search their own, to be sampled.
 classify_qc's full classification is left to the conjugation spot
 checks, which share the cache.  verify_main2 and verify_gill take their
 primitive f from the model.  verify_main2 lists each Singer cycle as
@@ -563,7 +568,8 @@ class _GenerationCache:
         length = reflection_length(g) - 1
         holds_first: dict[Poly, bool] = {}  # the partner labelling an orbit -> it holds one
         first = set()
-        for (phi, w), partner in _through_basis(_cyclic_basis(g, f), self.proper_members(f)):
+        p = _cyclic_basis(g, companion(f))
+        for (phi, w), partner in _through_basis(p, self.proper_members(f)):
             t = reflection_from_params(g.field, phi, w)
             if partner not in holds_first:
                 holds_first[partner] = reflection_length(t.inverse() @ g) == length
@@ -693,26 +699,31 @@ def _witness_for_non_singer(g: Matrix, f: Poly, cache: _GenerationCache
 def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
-    Each element gets the work its verdict needs.  A Singer element g,
-    with characteristic polynomial f, must have every minimal
-    factorization generate.  Its cyclic basis P = _cyclic_basis(g, f) is
-    checked to satisfy P^-1 g P = C_f, so conjugation by P maps the
-    minimal factorizations of C_f onto those of g and g has C_f's
-    verdict.  C_f is decided once per f from the cache's row of f
+    Each element gets the work its verdict needs, and most read it from
+    their class.  An element g with characteristic polynomial f and a
+    cyclic basis P = _cyclic_basis(g, C_f), checked to satisfy
+    P^-1 g P = C_f, has C_f's verdict: conjugation by P maps the minimal
+    factorizations of C_f onto those of g.  C_f is built and decided once
+    per f.  A Singer element must have every minimal factorization
+    generate; C_f is decided from the cache's row of f
     (_GenerationCache.singer_failure): only factorizations whose first
     factor t has a proper <C_f, t> are walked.  Only when C_f has a
     non-generating factorization does g walk its own, and the first of
     them that does not generate is reported as a violation.  A non-Singer
     element is not strong as soon as one minimal factorization fails to
-    generate, so it is given only its explicit witness
+    generate, so C_f is given only its explicit witness
     (_witness_for_non_singer), which the subgroup it stays in certifies
-    unless its determinants generate F_q^x; finding none is a violation.
-    All closures go through one generation cache, whose rows share one
-    closure per key, and generation_tests counts those it ran, the rows'
-    among them.  With classes=True only one
+    unless its determinants generate F_q^x; g takes the witness's kind and
+    whether one was found, both conjugation invariants, and finding none
+    is a violation.  An element with no standard cyclic vector (the
+    scalars, the diagonal matrices) searches its own witness, and so do
+    the non-Singer elements until three are witnessed, whose witnesses are
+    sampled in the report.  All closures go through one generation cache,
+    whose rows share one closure per key, and generation_tests counts
+    those it ran, the rows' among them.  With classes=True only one
     representative per conjugacy class is checked (the classification is
-    conjugation invariant); the default audits every element, each Singer
-    one through its own checked conjugator.  The randomized conjugation
+    conjugation invariant); the default audits every element, each
+    through its own checked cyclic basis.  The randomized conjugation
     spot checks compare full classify_qc classifications, through the
     same cache.
     """
@@ -729,23 +740,39 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
                      "irreducible_full_det": 0}
     violations = []
     sample = []
-    singer_classes: dict[Poly, bool] = {}  # f -> every factorization of C_f generates
+    companions: dict[Poly, Matrix] = {}
+    # f -> C_f's verdict: for Singer f, every factorization generates; for
+    # any other f, the kind of its witness and whether one was found
+    verdicts: dict[Poly, bool | tuple[str, bool]] = {}
     for g, weight in todo:
         f = char_poly(g)  # one per element: it decides both Singer and reducible
         singer = is_primitive_poly(f)
         checked += weight
         singer_count += weight * singer
+        cf = companions.get(f)
+        if cf is None:
+            cf = companions[f] = companion(f)
+        # with a basis, g has C_f's verdict through it
+        cyclic = _cyclic_basis(g, cf) is not None
         if singer:
-            if f not in singer_classes:
-                singer_classes[f] = cache.singer_failure(companion(f), f) is None
-            _cyclic_basis(g, f)  # g has C_f's verdict through its checked cyclic basis
-            fl = None if singer_classes[f] else cache.singer_failure(g, f)
+            if not cyclic:
+                raise AssertionError("a Singer cycle has no standard cyclic vector")
+            if f not in verdicts:
+                verdicts[f] = cache.singer_failure(cf, f) is None
+            fl = None if verdicts[f] else cache.singer_failure(g, f)
             if fl is not None:
                 violations.append({"matrix": g.to_text(), "is_singer": True,
                                    "non_generating": fl.serialize()})
             continue
-        kind, fl = _witness_for_non_singer(g, f, cache)
-        if fl is None:
+        if cyclic and len(sample) == 3:
+            if f not in verdicts:
+                kind, fl = _witness_for_non_singer(cf, f, cache)
+                verdicts[f] = kind, fl is not None
+            kind, found = verdicts[f]
+        else:  # g searches its own: it has no basis, or it may be sampled
+            kind, fl = _witness_for_non_singer(g, f, cache)
+            found = fl is not None
+        if not found:
             violations.append({"matrix": g.to_text(), "is_singer": False,
                                "error": "no non-generating witness found"})
             continue

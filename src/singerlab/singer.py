@@ -3,7 +3,8 @@
 Implements independently computable characterizations of irreducible
 elements and Singer cycles, the explicit reflections normalizing a Singer
 cycle's cyclic subgroup when n = 2, and the checked cyclic basis P with
-P^-1 g P = C_f through which the drivers read a Singer class.
+P^-1 g P = C_f, the Krylov basis of a standard vector, through which the
+drivers read the class of a cyclic element g from its companion matrix.
 
 Extension-field eigenvalue computations work in the residue field
 F_q[x]/(f) for f the characteristic polynomial, so no fixed model of
@@ -195,22 +196,31 @@ def _singer_conditions(g: Matrix, f: Poly, order: int, transitive: bool,
 # --- the n = 2 normalizer structure -------------------------------------------
 
 
-def _cyclic_basis_change(c: Matrix) -> Matrix:
-    """P with columns (v, cv, ..., c^{n-1}v) such that P^-1 c P is companion."""
-    n = c.n
-    v = (1,) + (0,) * (n - 1)
-    cols = [v]
-    for _ in range(n - 1):
-        cols.append(c.apply(cols[-1]))
-    return Matrix(c.field, n, [cols[j][i] for i in range(n) for j in range(n)])
+def _krylov_basis(g: Matrix) -> Matrix | None:
+    """P with columns (e_i, g e_i, ..., g^(n-1) e_i) for the first standard
+    vector e_i with det P != 0, or None when no e_i is a cyclic vector of g.
+    g e_i is column i of g."""
+    n, e = g.n, g.entries
+    for i in range(n):
+        cols = [tuple(int(r == i) for r in range(n)), e[i::n]][:n]
+        while len(cols) < n:
+            cols.append(g.apply(cols[-1]))
+        p = Matrix._raw(g.field, n, tuple(col[r] for r in range(n) for col in cols))
+        if p.det() != 0:
+            return p
+    return None
 
 
-def _cyclic_basis(g: Matrix, f: Poly) -> Matrix:
-    """P = _cyclic_basis_change(g) for g with characteristic polynomial f,
-    checked to give P^-1 g P = C_f: det P != 0 and g P = P C_f, without an
-    inverse.  P = I for g = C_f."""
-    p = _cyclic_basis_change(g)
-    if p.det() == 0 or g @ p != p @ companion(f):
+def _cyclic_basis(g: Matrix, cf: Matrix) -> Matrix | None:
+    """P = _krylov_basis(g) for g with characteristic polynomial f and
+    cf = C_f, checked to give P^-1 g P = C_f: g P = P C_f, without an
+    inverse.  None when no standard vector is cyclic for g: g is not
+    cyclic, as scalars are, or its cyclic vectors miss e_1, ..., e_n, as
+    those of a diagonal matrix do.  Every nonzero vector is cyclic for an
+    irreducible g, so a Singer cycle takes e_1, and P = I for g = C_f."""
+    p = _krylov_basis(g)
+    if p is not None and (mul_entries(g.entries, p.entries, g.n, g.field)
+                          != mul_entries(p.entries, cf.entries, g.n, g.field)):
         raise AssertionError("cyclic basis does not conjugate g to C_f")
     return p
 
@@ -232,7 +242,7 @@ def normalizer_reflection(c: Matrix) -> Matrix:
     field = c.field
     w = field.mul(f[1], field.inv(f[0]))
     t_comp = Matrix(field, 2, (1, 0, w, field.neg(1)))
-    p = _cyclic_basis(c, f)
+    p = _cyclic_basis(c, companion(f))
     t = p @ t_comp @ p.inverse()
     if fixed_space(t).dim != 1:  # a genuine reflection, even in char 2
         raise AssertionError("normalizer reflection does not fix a line")

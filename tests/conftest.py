@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -12,11 +13,12 @@ import singerlab
 from singerlab import (Matrix, Poly, companion, enumerate_gl, enumerate_monic,
                        enumerate_reflections, fixed_space, generates_full, gl_order, group_closure,
                        invmod, is_primitive_poly, is_singer, make_field, normalizer_of_cyclic)
-from singerlab.groupgen import singer_class_count, singer_class_representatives
+from singerlab.groupgen import (SPOT_CHECKS, _GenerationCache, _witness_for_non_singer,
+                                classify_qc, conjugacy_classes, singer_class_count,
+                                singer_class_representatives)
 from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
 from singerlab.singer import _cyclic_basis as cyclic_basis
-from singerlab.singer import _cyclic_basis_change as cyclic_basis_change
 
 
 @pytest.fixture(scope="session")
@@ -210,7 +212,7 @@ def singer_conjugators(c) -> dict:
         if math.gcd(k, m) == 1:
             f = char_poly(power)
             if f not in conjugators:
-                conjugators[f] = cyclic_basis(power, f)
+                conjugators[f] = cyclic_basis(power, companion(f))
         power = power @ c
     if len(conjugators) != singer_class_count(c.n, c.field.q):
         raise AssertionError("the powers of c missed a primitive polynomial")
@@ -406,7 +408,8 @@ def main2_by_pair_lookup(n: int, field, full: bool = False, own_tables: bool = F
             orbit_of, orders = orbit_table(c, reflections, orders_by_key)
             p = Matrix.identity(field, n)
         else:
-            p = conjugators[char_poly(c)] @ cyclic_basis_change(c).inverse()
+            f = char_poly(c)
+            p = conjugators[f] @ cyclic_basis(c, companion(f)).inverse()
         normalizers = set(normalizing_reflections(c)) if n == 2 else set()
         exceptional_here = 0
         for t in reflections:
@@ -523,3 +526,59 @@ def unreduced_singer_equivalence_report(n: int, field) -> dict:
 def without_counters(report: dict) -> dict:
     """A report without its wall time and its generation-test count."""
     return {k: v for k, v in report.items() if k not in ("elapsed_ms", "generation_tests")}
+
+
+def main1_by_element(n: int, field, classes: bool = False, seed: int = 0) -> dict:
+    """Oracle: verify_main1's report without elapsed_ms and generation_tests,
+    with every element searched on its own and none read from its class: a
+    Singer element's first non-generating factorization is its own
+    singer_failure, and every other element runs its own witness search.
+    The spot checks draw the same elements and classify them alike."""
+    cache = _GenerationCache(n, field.q)
+    if classes:
+        todo = conjugacy_classes(n, field)
+    else:
+        todo = [(g, 1) for g in enumerate_gl(n, field)]
+    checked = singer_count = 0
+    witness_kinds = {"reducible": 0, "irreducible_proper_det": 0, "irreducible_full_det": 0}
+    violations = []
+    sample = []
+    for g, weight in todo:
+        f = char_poly(g)
+        checked += weight
+        if is_primitive_poly(f):
+            singer_count += weight
+            fl = cache.singer_failure(g, f)
+            if fl is not None:
+                violations.append({"matrix": g.to_text(), "is_singer": True,
+                                   "non_generating": fl.serialize()})
+            continue
+        kind, fl = _witness_for_non_singer(g, f, cache)
+        if fl is None:
+            violations.append({"matrix": g.to_text(), "is_singer": False,
+                               "error": "no non-generating witness found"})
+            continue
+        witness_kinds[kind] += weight
+        if len(sample) < 3:
+            sample.append({"matrix": g.to_text(), "kind": kind, "witness": fl.serialize()})
+    rng = random.Random(seed)
+    reps = [g for g, _ in todo]
+    all_elements = reps if not classes else list(enumerate_gl(n, field))
+    spot_results = []
+    for _ in range(min(SPOT_CHECKS, len(reps))):
+        g = rng.choice(reps)
+        h = rng.choice(all_elements)
+        spot_results.append(classify_qc(h @ g @ h.inverse(), cache) == classify_qc(g, cache))
+    if not all(spot_results):
+        violations.append({"spot_check": "classification not conjugation invariant"})
+    return {
+        "theorem": "strong quasi-Coxeter iff Singer",
+        "params": {"n": n, "q": field.q},
+        "mode": "classes" if classes else "full",
+        "checked": checked,
+        "singer_cycles": singer_count,
+        "witnesses": witness_kinds,
+        "witness_samples": sample,
+        "conjugation_spot_checks": len(spot_results),
+        "violations": violations,
+    }

@@ -5,14 +5,16 @@ tolerances are the per-criterion runtime ceilings, which are asserted.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import collections
 import json
 import time
 
 import pytest
 
-from singerlab import (Matrix, companion, enumerate_gl,
+from singerlab import (Matrix, char_poly, companion, enumerate_gl,
                        enumerate_minimal_factorizations, enumerate_reflections,
-                       find_primitive_poly, fixed_space, is_reflection,
+                       find_primitive_poly, fixed_space, is_irreducible,
+                       is_primitive_poly, is_reflection,
                        make_field, matrix_order, normalizer_reflection,
                        reflection_length, verify_gill, verify_main1,
                        verify_main2)
@@ -300,3 +302,29 @@ def test_criterion_18_main2_full_gl2f9_gl3f3(capsys):
         assert report["violations"] == []
     _report(18, "main2 on every Singer cycle and reflection of GL_2(F_9) and GL_3(F_3), "
                 "1199808 pairs, through the CLI", elapsed, 10.0)
+
+
+def test_criterion_19_gl2f8_main1_known_failure(capsys):
+    # main1's statement fails on GL_2(F_8): every violation is an
+    # irreducible, non-Singer element of order 21, whose determinant
+    # generates F_8^x (of order 7), so its witness search is unrestricted
+    # and finds no non-generating minimal factorization.  They fill the 6
+    # conjugacy classes of such elements, q(q - 1) = 56 each
+    start = time.monotonic()
+    code, report = _run_cli_json(capsys, "verify", "main1", "--n", "2", "--p", "2", "--k", "3")
+    elapsed = time.monotonic() - start
+    assert code == 1 and report["mode"] == "full" and report["checked"] == 3528
+    assert len(report["violations"]) == 336 == 6 * 8 * 7
+    field = make_field(2, 3)
+    classes = collections.Counter()
+    for v in report["violations"]:
+        assert v == {"matrix": v["matrix"], "is_singer": False,
+                     "error": "no non-generating witness found"}
+        g = Matrix.from_text(field, v["matrix"])
+        f = char_poly(g)
+        assert is_irreducible(f) and not is_primitive_poly(f) and matrix_order(g) == 21
+        assert len(det_subgroup(field, g.det())) == 7
+        classes[f] += 1
+    assert sorted(classes.values()) == [8 * 7] * 6
+    _report(19, "main1's known failure on GL_2(F_8): exactly 336 irreducible non-Singer "
+                "elements of order 21 with no witness, through the CLI", elapsed, 5.0)

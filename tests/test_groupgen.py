@@ -25,7 +25,7 @@ from singerlab.reflect import reflection_from_params, reflection_params
 from singerlab.singer import normalizing_reflections
 
 from conftest import (galois_key_count, gill_by_normalizer_scan, gill_by_pair_lookup,
-                      main2_by_pair_lookup, matrices_over, orbit_table, orbit_table_by_closures,
+                      main1_by_element, main2_by_pair_lookup, matrices_over, orbit_table, orbit_table_by_closures,
                       partner_keys_by_matrix, random_invertible, run_python,
                       singer_conjugators, square_shapes, trial_phi, unreduced_main2,
                       without_counters)
@@ -459,9 +459,11 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
         monkeypatch.setattr(module, "fixed_space", recorded)
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
-    assert info.misses == len(set(seen)) == 39
-    # 8 of the hits are is_reflection's, on the members of the proper orbits
-    assert info.hits == len(seen) - info.misses == 78
+    # the non-Singer elements with a cyclic basis read their class's
+    # witness, so only C_f, the fallback elements and the samples search
+    assert info.misses == len(set(seen)) == 28
+    # 8 of the misses are is_reflection's, on the members of the proper orbits
+    assert info.hits == len(seen) - info.misses == 27
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
@@ -564,7 +566,8 @@ def test_main1_singer_tables_and_witness_certificates_match_brute_force(n, p, k)
                                                               for fl in listed)
             # the row of f, read through g's cyclic basis: the pairs of g
             # that do not generate, labelled by <g>-orbit
-            read = groupgen._through_basis(singer._cyclic_basis(g, f), cache.proper_members(f))
+            p = singer._cyclic_basis(g, companion(f))
+            read = groupgen._through_basis(p, cache.proper_members(f))
             assert {x for x, _ in read} == {reflection_params(t) for t in reflections
                                             if not generates([g, t])}
             members = {}
@@ -615,20 +618,77 @@ def test_main1_reports_missing_witnesses_and_non_generating_singers(f3, monkeypa
         assert v["non_generating"] == minimal_factorization(g).serialize()
 
 
-def _identity_cyclic_bases(monkeypatch, field, n):
-    """Make every cyclic basis the identity, which is no P with
-    P^-1 g P = C_f for the Singer cycles that are not companion matrices."""
-    monkeypatch.setattr(singer, "_cyclic_basis_change", lambda g: Matrix.identity(field, n))
+def _identity_cyclic_bases(monkeypatch, field, n, which=lambda g: True):
+    """Make the cyclic basis of every g that which(g) picks the identity,
+    which is no P with P^-1 g P = C_f unless g is a companion matrix."""
+    real = singer._krylov_basis
+    monkeypatch.setattr(singer, "_krylov_basis",
+                        lambda g: Matrix.identity(field, n) if which(g) else real(g))
 
 
 def test_main1_checks_each_singer_conjugator(f3, monkeypatch):
     # a Singer element reads its class's verdict only through a checked
     # P^-1 g P = C_f; without spot checks, whose Singer cycles read their
     # class's row through their own, only the main loop's check can fail
-    _identity_cyclic_bases(monkeypatch, f3, 2)
+    _identity_cyclic_bases(monkeypatch, f3, 2, which=is_singer)
     monkeypatch.setattr(groupgen, "SPOT_CHECKS", 0)
     with pytest.raises(AssertionError, match="does not conjugate g to C_f"):
         verify_main1(2, f3)
+
+
+def test_main1_checks_each_non_singer_cyclic_basis(f3, monkeypatch):
+    # a non-Singer element reads its class's witness verdict only through a
+    # checked P^-1 g P = C_f too: identity bases for the non-Singer elements
+    # alone, with no spot checks, fail in the main loop
+    _identity_cyclic_bases(monkeypatch, f3, 2, which=lambda g: not is_singer(g))
+    monkeypatch.setattr(groupgen, "SPOT_CHECKS", 0)
+    with pytest.raises(AssertionError, match="does not conjugate g to C_f"):
+        verify_main1(2, f3)
+
+
+@pytest.mark.parametrize("n,p,searches,fallbacks", [(2, 5, 35, 16), (3, 2, 31, 28)])
+def test_main1_runs_one_witness_search_per_class(monkeypatch, n, p, searches, fallbacks):
+    # seed 0: a non-Singer element with a cyclic basis reads its class's
+    # witness verdict, searched once on C_f.  Only the elements with no
+    # standard cyclic vector and the three samples search their own; on
+    # GL_2 those elements are the diagonal ones, scalars among them.  One
+    # search per element ran 400 on GL_2(F_5) and 120 on GL_3(F_2)
+    field = make_field(p)
+    searched = []
+    real = groupgen._witness_for_non_singer
+    monkeypatch.setattr(groupgen, "_witness_for_non_singer",
+                        lambda g, f, cache: searched.append(g) or real(g, f, cache))
+    report = verify_main1(n, field)
+    assert report["violations"] == [] and len(searched) == searches
+    no_basis = {g for g in enumerate_gl(n, field) if singer._krylov_basis(g) is None}
+    assert len(no_basis) == fallbacks
+    if n == 2:
+        assert no_basis == {g for g in enumerate_gl(n, field) if g.entries[1] == g.entries[2] == 0}
+    own = {g for g in searched if g != companion(char_poly(g))}
+    samples = {Matrix.from_text(field, s["matrix"]) for s in report["witness_samples"]}
+    assert own == no_basis | (samples - {companion(char_poly(g)) for g in samples})
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
+def test_main1_class_verdicts_match_each_elements_own_search(n, p, k):
+    # oracle: every non-Singer element's own witness search has the kind
+    # and the found-flag of C_f's, and main1's reports, in both modes, equal
+    # those of a sweep where every element searches its own
+    field = make_field(p, k)
+    cache = groupgen._GenerationCache(n, field.q)
+    verdicts = {}
+    for g in enumerate_gl(n, field):
+        f = char_poly(g)
+        if is_primitive_poly(f):
+            continue
+        if f not in verdicts:
+            kind, fl = groupgen._witness_for_non_singer(companion(f), f, cache)
+            verdicts[f] = kind, fl is not None
+        kind, fl = groupgen._witness_for_non_singer(g, f, cache)
+        assert (kind, fl is not None) == verdicts[f]
+    for classes in (False, True):
+        assert (without_counters(verify_main1(n, field, classes=classes))
+                == main1_by_element(n, field, classes=classes))
 
 
 def test_main2_full_and_classify_qc_check_each_cyclic_basis(f3, monkeypatch):
@@ -657,7 +717,7 @@ def test_main1_generation_tests_pinned(f2, f3, f4, f5):
     assert verify_main1(2, f3)["generation_tests"] == keys[2, 3] + 3 == 6
     assert verify_main1(2, f3)["generation_tests"] == 6
     assert verify_main1(2, f4)["generation_tests"] == keys[2, 4] + 36 == 43
-    assert verify_main1(2, f5)["generation_tests"] == keys[2, 5] + 76 == 87
+    assert verify_main1(2, f5)["generation_tests"] == keys[2, 5] + 15 == 26
     assert verify_main1(3, f2)["generation_tests"] == keys[3, 2] == 1
 
 
@@ -740,7 +800,7 @@ def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
     # 39 key ids, not their 16 x 71 partners; the only cyclic bases built
     # are normalizer_reflection's, one per class.  A scan of GL_2(F_9)
     # would add 5760 char_poly calls, and deriving each cycle's basis 1152
-    calls = {"char_poly": 0, "_cyclic_basis_change": 0}
+    calls = {"char_poly": 0, "_krylov_basis": 0}
 
     def counter(name, real):
         def counted(a):
@@ -749,11 +809,10 @@ def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
         return counted
 
     monkeypatch.setattr(groupgen, "char_poly", counter("char_poly", groupgen.char_poly))
-    monkeypatch.setattr(singer, "_cyclic_basis_change",
-                        counter("_cyclic_basis_change", singer._cyclic_basis_change))
+    monkeypatch.setattr(singer, "_krylov_basis", counter("_krylov_basis", singer._krylov_basis))
     report = verify_main2(2, make_field(3, 2), full=True)
     assert report["violations"] == [] and report["singer_checked"] == 16 * 72
-    assert calls == {"char_poly": 16 + 39, "_cyclic_basis_change": 16}
+    assert calls == {"char_poly": 16 + 39, "_krylov_basis": 16}
     assert galois_key_count(2, 3, 2) == 39
 
 
@@ -1249,9 +1308,10 @@ def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f2, f3, f5):
     # reads them with the proper orbits through each cycle's listed cyclic
     # basis, which it never derives from the cycle; normalizer_reflection's
     # basis is C_f's own.  gill builds them once per class too, and reads no
-    # other cyclic basis.  Neither builds any for q = 2 or n >= 3, and main1
-    # builds none.
-    calls = {"normalizer_reflection": 0, "_cyclic_basis_change": 0}
+    # other cyclic basis.  Neither builds any for q = 2 or n >= 3.  main1
+    # builds no normalizer; it derives one cyclic basis per element, and one
+    # per Singer cycle its spot checks classify (4 on GL_2(F_5), seed 0).
+    calls = {"normalizer_reflection": 0, "_krylov_basis": 0}
     for name in calls:
         def counted(c, name=name, real=getattr(singer, name)):
             calls[name] += 1
@@ -1268,7 +1328,7 @@ def test_main2_builds_one_normalizer_per_singer_class(monkeypatch, f2, f3, f5):
     # GL_2(F_3): 2 Singer classes of 6 cycles each; GL_2(F_7): 8 classes
     assert count(verify_main2(2, f3, full=True)) == (2, 2)
     assert count(verify_main2(2, make_field(7))) == (8, 8)
-    assert count(verify_main1(2, f5)) == (0, 84)
+    assert count(verify_main1(2, f5)) == (0, 480 + 4)
     assert count(verify_gill(2, make_field(7))) == (8, 8)
     assert count(verify_gill(2, f3)) == (2, 2)
     assert count(verify_main2(2, f2)) == (0, 0)
