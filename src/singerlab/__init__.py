@@ -14,8 +14,8 @@ from .matrix import (Matrix, Subspace, char_poly, enumerate_gl,
                      enumerate_subspaces, fixed_space, gl_exponent, gl_order,
                      matrix_order, stabilizes)
 from .poly import (FieldExtension, Poly, companion, enumerate_monic,
-                   find_primitive_poly, gcd, invmod, is_irreducible,
-                   is_primitive_poly, powmod)
+                   field_model, find_primitive_poly, gcd, invmod,
+                   is_irreducible, is_primitive_poly, powmod)
 from .reflect import (FactorizationList, enumerate_minimal_factorizations,
                       enumerate_reflections, factorizations_in_det_subgroup,
                       is_reflection, minimal_factorization, reflection_length,

@@ -149,9 +149,16 @@ def cmd_example(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a mode flag is refused by every driver that does not read it
+    for flag, reader, given in (("--classes", "main1", args.classes),
+                                ("--full", "main2", args.full),
+                                ("--seed", "main1", args.seed is not None)):
+        if given and args.subcommand != reader:
+            raise ValueError(f"{flag} is read only by verify {reader}, not by {args.subcommand}")
     field = make_field(args.p, args.k)
     if args.subcommand == "main1":
-        report = groupgen.verify_main1(args.n, field, classes=args.classes, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        report = groupgen.verify_main1(args.n, field, classes=args.classes, seed=seed)
     elif args.subcommand == "main2":
         report = groupgen.verify_main2(args.n, field, full=args.full)
     elif args.subcommand == "gill":
@@ -272,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="main1: classify one representative per conjugacy class")
     p_ver.add_argument("--full", action="store_true",
                        help="main2: sweep every Singer cycle instead of class representatives")
-    p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed for the randomized conjugation spot checks")
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="main1: seed for the randomized conjugation spot checks "
+                            "(default 0)")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

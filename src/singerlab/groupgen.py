@@ -28,12 +28,13 @@ alpha = x mod f by Euler's dual basis.  So a closure runs once per key,
 one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n), and
 the rows of a driver call share them through its one generation cache,
 which also holds the empty factor set's verdict and counts the closures
-it runs.  The cache reads every row through one discrete-log model of
-F_(q^n) (_FieldModel): the primitive f are the characteristic
-polynomials of alpha^j for the cyclotomic coset leaders j prime to
-q^n - 1, so f has the root alpha^j and gamma one log, and a key is the
-coset of log gamma, named by its leader, with one char_poly per key id
-rather than one per partner.  A Singer cycle c with characteristic
+it runs.  The cache reads every row through the one discrete-log model
+of F_(q^n), poly.field_model, memoized per (n, F_q) and shared by every
+driver call: the primitive f are the characteristic polynomials of
+alpha^j for the cyclotomic coset leaders j prime to q^n - 1, so f has
+the root alpha^j and gamma one log, and a key is the coset of log gamma,
+named by its leader, with one char_poly per key id rather than one per
+partner.  A Singer cycle c with characteristic
 polynomial f is P C_f P^-1 for its cyclic basis P (P = I for c = C_f),
 so the pairs of c that do not generate are (c, P x P^-1) for the
 members x of the <C_f>-orbits of the t_g with a proper order, walked
@@ -82,13 +83,13 @@ import math
 import operator
 import random
 import time
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .ff import FieldSpec, factorize
 from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, fixed_space,
                      gl_order, invariant_subspace, mul_entries, stabilizes)
-from .poly import (Poly, companion, enumerate_monic, find_primitive_poly, is_irreducible,
-                   is_primitive_poly)
+from .poly import Poly, companion, field_model, is_irreducible, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
                       enumerate_minimal_factorizations, enumerate_reflections, is_reflection,
                       reflection_count, reflection_from_params, reflection_length,
@@ -411,58 +412,6 @@ def reflection_distances(n: int, field: FieldSpec) -> dict[Matrix, int]:
     return {g: d for d, layer in enumerate(layers) for g in _matrices(layer, field, n)}
 
 
-class _FieldModel:
-    """F_(q^n) as K = F_q[x]/(f_1), f_1 = find_primitive_poly(n, F_q), read
-    through the discrete logs of alpha = x mod f_1, with m = q^n - 1.
-
-    powers[i] is alpha^i, i < m, as its coordinates in the basis 1, alpha,
-    ..., alpha^(n-1), and log inverts it; the m logs are checked to be
-    distinct, so alpha generates K^x.  leader[i] is the least member of
-    the cyclotomic coset {i q^k mod m}: alpha^leader[i] stands for the
-    Frobenius orbit of alpha^i.  trace[i] = Tr(alpha^i), read off the
-    coordinates of alpha^i and the traces of the basis.  The primitive
-    polynomials of degree n are the characteristic polynomials of
-    multiplication by alpha^j for the coset leaders j prime to m, one per
-    Frobenius orbit of generators of K^x; roots maps each f to the j of its
-    root beta = alpha^j, and primitives lists them in enumerate_monic
-    order.  Each table has m entries, and a driver call builds one model.
-    """
-
-    def __init__(self, n: int, field: FieldSpec):
-        self.n, self.field = n, field
-        q = field.q
-        m = self.m = q**n - 1
-        tail = [field.neg(c) for c in find_primitive_poly(n, field).coeffs[:-1]]
-        v = (1,) + (0,) * (n - 1)
-        self.powers = []
-        for _ in range(m):
-            self.powers.append(v)
-            # alpha v, with x^n = sum_i tail[i] x^i
-            v = tuple(field.add(a, field.mul(v[-1], t)) for a, t in zip((0,) + v[:-1], tail))
-        self.log = {v: i for i, v in enumerate(self.powers)}
-        if len(self.log) != m:
-            raise AssertionError("two powers alpha^i, i < q^n - 1, coincide")
-        self.leader = [-1] * m
-        for i in range(m):
-            j = i
-            while self.leader[j] < 0:  # i is the least of its coset when first met
-                self.leader[j] = i
-                j = j * q % m
-        basis_traces = [functools.reduce(field.add, (self.powers[(i + k) % m][k]
-                                                     for k in range(n))) for i in range(n)]
-        self.trace = [functools.reduce(field.add, map(field.mul, v, basis_traces))
-                      for v in self.powers]
-        self.roots = {char_poly(self.multiplication(j)): j for j in range(m)
-                      if self.leader[j] == j and math.gcd(j, m) == 1}
-        self.primitives = sorted(self.roots, key=lambda f: f.coeffs)
-
-    def multiplication(self, i: int) -> Matrix:
-        """Multiplication by alpha^i, in the basis 1, alpha, ..., alpha^(n-1)."""
-        n, m = self.n, self.m
-        columns = [self.powers[(i + k) % m] for k in range(n)]
-        return Matrix._raw(self.field, n, tuple(col[r] for r in range(n) for col in columns))
-
-
 class _GenerationCache:
     """Memoizes generates_full verdicts in GL_n(F_q), counting the closures
     it runs: on unordered factor sets, starting with the empty set's, the
@@ -470,7 +419,7 @@ class _GenerationCache:
     (c, t) of a Singer cycle c and a reflection t, through one row per
     Singer class (row), built on first use with one closure per key
     missing from the keys of every row before it.  The rows read their
-    keys through one _FieldModel, built on first use (model), with one
+    keys through the one model of F_(q^n) (poly.field_model), with one
     char_poly per key id.  proper_members lists the reflections t with
     <C_f, t> proper, and singer_failure decides a Singer cycle from them,
     read through its cyclic basis.
@@ -480,18 +429,11 @@ class _GenerationCache:
         self._n = n
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
-        self._model: _FieldModel | None = None
         self._keys: dict[int, Poly] = {}  # key id -> its char_poly
         self._orders_by_key: dict[Poly, int] = {}
         self._rows: dict[Poly, dict[Poly, int]] = {}
         self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits, as params
         self.closures = 0
-
-    def model(self, field: FieldSpec) -> _FieldModel:
-        """The one model of F_(q^n) of this cache, built on first use."""
-        if self._model is None:
-            self._model = _FieldModel(self._n, field)
-        return self._model
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
         key = frozenset(f.entries for f in factors)
@@ -518,7 +460,7 @@ class _GenerationCache:
         that no earlier row met."""
         row = self._rows.get(f)
         if row is None:
-            model = self.model(f.field)
+            model = field_model(self._n, f.field)
             cf = companion(f)
             row = {}
             for g, key_id in _partner_keys(model, f):
@@ -806,14 +748,6 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     }
 
 
-def singer_class_representatives(n: int, field: FieldSpec) -> list[Matrix]:
-    """One Singer cycle per conjugacy class: the companion matrices of the
-    primitive degree-n polynomials, found by testing every monic one, in
-    enumerate_monic order."""
-    return [companion(f) for f in enumerate_monic(n, field, nonzero_constant=True)
-            if is_primitive_poly(f)]
-
-
 def singer_class_count(n: int, q: int) -> int:
     """Number of Singer conjugacy classes in GL_n(F_q): phi(q^n - 1) / n,
     one per primitive degree-n polynomial."""
@@ -824,7 +758,7 @@ def singer_class_count(n: int, q: int) -> int:
     return phi // n
 
 
-def _partner_keys(model: _FieldModel, f: Poly) -> Iterator[tuple[Poly, int]]:
+def _partner_keys(model: SimpleNamespace, f: Poly) -> Iterator[tuple[Poly, int]]:
     """(g, key id) for each partner g of the primitive f, in enumerate_monic
     order: the key of g is the Frobenius orbit of gamma = (f - g)(beta) /
     (beta f'(beta)) in the model K of F_(q^n), beta = alpha^j the root of f
@@ -925,8 +859,8 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
 
     Generation is conjugation invariant, so by default c runs over one
     representative per Singer conjugacy class, the companion matrices C_f
-    of the primitive f that the cache's model of F_(q^n) lists
-    (_FieldModel), checked against the closed-form count phi(q^n - 1)/n;
+    of the primitive f that the model of F_(q^n) lists (field_model),
+    checked against the closed-form count phi(q^n - 1)/n;
     full=True audits every Singer cycle (feasible only on the smaller
     instances).  Each cycle is c = P C_f P^-1 for its cyclic basis P: I,
     or with full=True every invertible P with first column e_1, listed
@@ -943,7 +877,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     (_through_basis): as many reflections as the exception has on a
     correct run, and every other pair generates.  The pairs are reported
     in enumerate_reflections order, the order of those (phi, w), with no
-    reflection enumerated.  Before the model is built, |GL_n(F_q)| is
+    reflection enumerated.  Before the model is read, |GL_n(F_q)| is
     checked against ENUMERATION_BUDGET as every closure would be, and so
     is the sweep, from the closed-form class count.
     """
@@ -957,7 +891,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     _check_budget(f"main2 sweep of {swept} Singer cycles x {reflections} reflections",
                   swept * reflections, "pairs")
     cache = _GenerationCache(n, q)
-    primitives = cache.model(field).primitives
+    primitives = field_model(n, field).primitives
     if len(primitives) != classes:
         raise AssertionError(f"{len(primitives)} primitive polynomials, expected "
                              f"phi(q^n - 1)/n = {classes}")
@@ -1035,15 +969,15 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     counted in generation_tests; a pair that fails the side condition has
     no verdict.  C_g = C_f t_g normalizes <C_f> iff t_g does, so the pair
     is expected to fail iff t_g is in _exceptional_reflections(f).
-    The primitive f come from the cache's model of F_(q^n) (_FieldModel).
+    The primitive f come from the model of F_(q^n) (field_model).
     |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before the
-    model is built.
+    model is read.
     """
     start = time.monotonic()
     q = field.q
     full = _closure_budget(n, q)
     cache = _GenerationCache(n, q)
-    primitives = cache.model(field).primitives
+    primitives = field_model(n, field).primitives
     violations = []
     exceptional = []
     pairs = 0

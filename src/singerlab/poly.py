@@ -15,13 +15,20 @@ The Rabin and primitivity verdicts are pure functions of the polynomial, so
 each is memoized by the Poly itself in a bounded LRU: a sweep over
 GL_n(F_q) runs them once per distinct characteristic polynomial, not once
 per element.
+
+field_model is the one model of F_(q^n), memoized per (n, F_q): discrete
+logs of a primitive alpha, which list the monic irreducible and primitive
+polynomials of degree n with their roots.  FieldExtension is F_q[x]/(f)
+for one given f, for the routes that must not read the model.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterator
 
 from .ff import FieldSpec, _multiplicative_order, element_order, factorize
@@ -384,12 +391,73 @@ def find_primitive_poly(n: int, field: FieldSpec) -> Poly:
     raise AssertionError("primitive polynomials always exist")  # unreachable
 
 
+@functools.lru_cache(maxsize=None)
+def field_model(n: int, field: FieldSpec) -> SimpleNamespace:
+    """F_(q^n) as K = F_q[x]/(f_1), f_1 = find_primitive_poly(n, F_q), read
+    through the discrete logs of alpha = x mod f_1, with m = q^n - 1; built
+    on first use and shared by every caller.
+
+    powers[i] is alpha^i, i < m, as its coordinates in the basis 1, alpha,
+    ..., alpha^(n-1), and log inverts it; the m logs are checked to be
+    distinct, so alpha generates K^x.  leader[i] is the least member of
+    the cyclotomic coset {i q^k mod m}: alpha^leader[i] stands for the
+    Frobenius orbit of alpha^i.  trace[i] = Tr(alpha^i), read off the
+    coordinates of alpha^i and the traces of the basis.  multiplication(i)
+    is the matrix of multiplication by alpha^i.  A coset with n members is
+    the Frobenius orbit of the n roots of one monic irreducible f of degree
+    n with f(0) != 0, the characteristic polynomial of multiplication by
+    alpha^j for its leader j: irreducibles maps each such f to that j, in
+    enumerate_monic order.  roots keeps the f with j prime to m, whose root
+    alpha^j generates K^x, and primitives lists them.
+    """
+    from .matrix import Matrix, char_poly  # deferred: matrix builds on poly
+
+    q = field.q
+    m = q**n - 1
+    tail = [field.neg(c) for c in find_primitive_poly(n, field).coeffs[:-1]]
+    v = (1,) + (0,) * (n - 1)
+    powers = []
+    for _ in range(m):
+        powers.append(v)
+        # alpha v, with x^n = sum_i tail[i] x^i
+        v = tuple(field.add(a, field.mul(v[-1], t)) for a, t in zip((0,) + v[:-1], tail))
+    log = MappingProxyType({v: i for i, v in enumerate(powers)})
+    if len(log) != m:
+        raise AssertionError("two powers alpha^i, i < q^n - 1, coincide")
+    leader = [-1] * m
+    full_cosets = []  # the leaders of cosets with n members
+    for i in range(m):
+        j, size = i, 0
+        while leader[j] < 0:  # i is the least of its coset when first met
+            leader[j] = i
+            j = j * q % m
+            size += 1
+        if size == n:
+            full_cosets.append(i)
+    basis_traces = [functools.reduce(field.add, (powers[(i + k) % m][k] for k in range(n)))
+                    for i in range(n)]
+    trace = [functools.reduce(field.add, map(field.mul, v, basis_traces)) for v in powers]
+
+    def multiplication(i: int) -> Matrix:
+        """Multiplication by alpha^i, in the basis 1, alpha, ..., alpha^(n-1)."""
+        columns = [powers[(i + k) % m] for k in range(n)]
+        return Matrix._raw(field, n, tuple(col[r] for r in range(n) for col in columns))
+
+    irreducibles = MappingProxyType(dict(sorted(
+        ((char_poly(multiplication(j)), j) for j in full_cosets), key=lambda item: item[0].coeffs)))
+    roots = MappingProxyType({f: j for f, j in irreducibles.items() if math.gcd(j, m) == 1})
+    # every caller shares the memoized tables, so none of them can be written
+    return SimpleNamespace(n=n, field=field, m=m, powers=tuple(powers), log=log,
+                           leader=tuple(leader), trace=tuple(trace), multiplication=multiplication,
+                           irreducibles=irreducibles, roots=roots, primitives=tuple(roots))
+
+
 class FieldExtension:
     """The residue field F_q[x]/(f) for a monic irreducible f of degree n.
 
-    Residues are Poly values of degree < n over the ground field; this is
-    the working model of F_{q^n} used for eigenvalue and embedding
-    computations, valid for any prime-power ground field.
+    Residues are Poly values of degree < n over the ground field, for any
+    prime-power ground field: F_{q^n} built from the one f given, with no
+    discrete logs, where field_model is built from f_1.
     """
 
     def __init__(self, modulus: Poly, check: bool = True):

@@ -6,9 +6,14 @@ cycle's cyclic subgroup when n = 2, and the checked cyclic basis P with
 P^-1 g P = C_f, the Krylov basis of a standard vector, through which the
 drivers read the class of a cyclic element g from its companion matrix.
 
-Extension-field eigenvalue computations work in the residue field
-F_q[x]/(f) for f the characteristic polynomial, so no fixed model of
-F_{q^n} is ever required.
+The embedding tests and the largest irreducible order read the one model
+of F_(q^n), poly.field_model: its irreducible and primitive polynomials,
+the minimal polynomials of the field generators and of the primitive
+elements, and their roots alpha^j, of order m / gcd(j, m).  Past the seed
+f_1, the model comes from discrete logs and coset sizes, with no Rabin or
+primitivity test of the f it lists, so these routes stay independent of
+those two tests.  The eigenvalue test works in F_q[x]/(f), the one
+FieldExtension of the package, and reads nothing of the model.
 
 The routes that depend on the characteristic polynomial f alone (the Rabin
 and primitivity tests in poly and _eigenvalues_primitive here) are memoized
@@ -33,8 +38,8 @@ from typing import Iterator
 from .ff import FieldSpec
 from .matrix import (Matrix, char_poly, enumerate_gl, fixed_space, gl_exponent,
                      invariant_subspace, matrix_order, mul_entries)
-from .poly import (_POLY_VERDICT_CACHE_SIZE, FieldExtension, Poly, companion,
-                   enumerate_monic, find_primitive_poly, is_irreducible, is_primitive_poly)
+from .poly import (_POLY_VERDICT_CACHE_SIZE, FieldExtension, Poly, companion, field_model,
+                   is_irreducible, is_primitive_poly)
 
 
 def is_irreducible_element(g: Matrix) -> bool:
@@ -54,28 +59,11 @@ def is_singer(g: Matrix) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def max_irreducible_order(n: int, field: FieldSpec) -> int:
-    """Largest root order over all monic irreducible degree-n polynomials."""
-    best = 0
-    for f in enumerate_monic(n, field, nonzero_constant=True):
-        if is_irreducible(f):
-            best = max(best, FieldExtension(f, check=False).element_order(Poly.x(field)))
-    return best
-
-
-@functools.lru_cache(maxsize=None)
-def _generator_minpolys(n: int, field: FieldSpec) -> dict[Poly, bool]:
-    """The minimal polynomial of each degree-n field generator of the
-    standard F_{q^n}, mapped to whether its roots are primitive.  Every
-    primitive element is such a generator, and its Frobenius conjugates,
-    the other roots, share its order, so one walk gives both sets."""
-    ext = FieldExtension(find_primitive_poly(n, field), check=False)
-    out = {}
-    for a in ext.elements():
-        if not a.is_zero and len(ext.frobenius_orbit(a)) == n:
-            f = ext.minimal_poly(a)
-            if f not in out:
-                out[f] = ext.is_primitive(a)
-    return out
+    """Largest root order over all monic irreducible degree-n polynomials
+    with nonzero constant term: m / gcd(j, m), m = q^n - 1, for the roots
+    alpha^j that field_model names."""
+    model = field_model(n, field)
+    return max(model.m // math.gcd(j, model.m) for j in model.irreducibles.values())
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ def _irreducible_conditions(g: Matrix, f: Poly, no_invariant_subspace: bool
     """irreducible_conditions(g) from g's characteristic polynomial f and
     the result of its subspace scan."""
     return IrreducibleConditions(
-        embeds_field_generator=f in _generator_minpolys(g.n, g.field),
+        embeds_field_generator=f in field_model(g.n, g.field).irreducibles,
         char_poly_irreducible=is_irreducible(f),
         no_invariant_subspace=no_invariant_subspace,
     )
@@ -183,7 +171,7 @@ def _singer_conditions(g: Matrix, f: Poly, order: int, transitive: bool,
     scan."""
     n, field = g.n, g.field
     return SingerConditions(
-        embeds_primitive_element=_generator_minpolys(n, field).get(f, False),
+        embeds_primitive_element=f in field_model(n, field).roots,
         irreducible_max_order=(no_invariant_subspace
                                and order == max_irreducible_order(n, field)),
         order_full=order == field.q**n - 1,
@@ -232,7 +220,8 @@ def normalizer_reflection(c: Matrix) -> Matrix:
     polynomial of c, t is [[1, 0], [w, -1]] for w = -(z^-1 + z^-q), z an
     eigenvalue of c; as z + z^q = -f_1 and z^(q+1) = f_0, w = f_1 / f_0.
     A general c is conjugated to companion form by its checked cyclic
-    basis (_cyclic_basis) and the result is conjugated back.
+    basis (_cyclic_basis) and the result is conjugated back; for c = C_f
+    the basis is I and t is the companion-basis one, with no inverse.
     """
     if c.n != 2:
         raise ValueError("normalizer reflections exist only for n = 2")
@@ -243,7 +232,7 @@ def normalizer_reflection(c: Matrix) -> Matrix:
     w = field.mul(f[1], field.inv(f[0]))
     t_comp = Matrix(field, 2, (1, 0, w, field.neg(1)))
     p = _cyclic_basis(c, companion(f))
-    t = p @ t_comp @ p.inverse()
+    t = t_comp if p.is_identity else p @ t_comp @ p.inverse()
     if fixed_space(t).dim != 1:  # a genuine reflection, even in char 2
         raise AssertionError("normalizer reflection does not fix a line")
     if t @ t != Matrix.identity(field, 2):

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import strategies as st
 
 import singerlab
-from singerlab import (Matrix, Poly, companion, enumerate_gl, enumerate_monic,
-                       enumerate_reflections, fixed_space, generates_full, gl_order, group_closure,
-                       invmod, is_primitive_poly, is_singer, make_field, normalizer_of_cyclic)
+from singerlab import (FieldExtension, Matrix, Poly, companion, enumerate_gl, enumerate_monic,
+                       enumerate_reflections, find_primitive_poly, fixed_space, generates_full,
+                       gl_order, group_closure, invmod, is_irreducible, is_primitive_poly,
+                       is_singer, make_field, normalizer_of_cyclic)
 from singerlab.groupgen import (SPOT_CHECKS, _GenerationCache, _witness_for_non_singer,
-                                classify_qc, conjugacy_classes, singer_class_count,
-                                singer_class_representatives)
+                                classify_qc, conjugacy_classes, singer_class_count)
 from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
 from singerlab.singer import _cyclic_basis as cyclic_basis
@@ -60,6 +60,47 @@ def trial_phi(m: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def gauss_irreducible_count(n: int, q: int) -> int:
+    """Gauss's count of the monic irreducible polynomials of degree n over
+    F_q with nonzero constant term: (1/n) sum_(d | n) mu(d) q^(n/d), less
+    one for x when n = 1, with the Moebius mu by bare trial division."""
+    def mu(d):
+        sign, r = 1, 2
+        while d > 1:
+            if d % r == 0:
+                d //= r
+                if d % r == 0:
+                    return 0
+                sign = -sign
+            r += 1
+        return sign
+
+    return sum(mu(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n - (n == 1)
+
+
+def generator_minpolys_by_walk(n: int, field) -> dict:
+    """Oracle: the minimal polynomial of each degree-n field generator of
+    F_q[x]/(f_1), f_1 = find_primitive_poly(n, F_q), mapped to whether its
+    roots are primitive, by FieldExtension.minimal_poly on every element
+    whose Frobenius orbit has n members.  Every primitive element is such a
+    generator, and its conjugates, the other roots, share its order."""
+    ext = FieldExtension(find_primitive_poly(n, field), check=False)
+    out = {}
+    for a in ext.elements():
+        if not a.is_zero and len(ext.frobenius_orbit(a)) == n:
+            f = ext.minimal_poly(a)
+            if f not in out:
+                out[f] = ext.is_primitive(a)
+    return out
+
+
+def max_irreducible_order_by_scan(n: int, field) -> int:
+    """Oracle: the largest order of x modulo a monic irreducible f of
+    degree n with f(0) != 0, by the Rabin test on every monic f."""
+    return max(FieldExtension(f, check=False).element_order(Poly.x(field))
+               for f in enumerate_monic(n, field, nonzero_constant=True) if is_irreducible(f))
 
 
 def random_invertible(n: int, field, rng):
@@ -294,7 +335,8 @@ def unreduced_main2(n: int, field, full: bool = False) -> dict:
     one generates_full per (Singer cycle, reflection) pair: the sweep with
     no orbit reduction."""
     q = field.q
-    reps = singer_class_representatives(n, field)
+    reps = [companion(f) for f in enumerate_monic(n, field, nonzero_constant=True)
+            if is_primitive_poly(f)]
     singers = [g for g in enumerate_gl(n, field) if is_singer(g)] if full else reps
     reflections = enumerate_reflections(n, field)
     per_cycle_expected = q + 1 if (n == 2 and q > 2) else 0

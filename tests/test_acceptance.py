@@ -7,13 +7,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import collections
 import json
+import math
 import time
 
 import pytest
 
 from singerlab import (Matrix, char_poly, companion, enumerate_gl,
                        enumerate_minimal_factorizations, enumerate_reflections,
-                       find_primitive_poly, fixed_space, is_irreducible,
+                       field_model, find_primitive_poly, fixed_space, is_irreducible,
                        is_primitive_poly, is_reflection,
                        make_field, matrix_order, normalizer_reflection,
                        reflection_length, verify_gill, verify_main1,
@@ -326,5 +327,13 @@ def test_criterion_19_gl2f8_main1_known_failure(capsys):
         assert len(det_subgroup(field, g.det())) == 7
         classes[f] += 1
     assert sorted(classes.values()) == [8 * 7] * 6
+    # the closed-form prediction, read off the model of F_64: lambda = alpha^j
+    # lies outside F_8 iff 9 does not divide j, is not primitive iff
+    # gcd(j, 63) > 1, and has a primitive norm iff gcd(j, 7) = 1; each pair
+    # {lambda, lambda^8} is one class, with char_poly that of alpha^j
+    model, q = field_model(2, field), field.q
+    predicted = {char_poly(model.multiplication(j)) for j in range(model.m)
+                 if j % (q + 1) and math.gcd(j, model.m) > 1 and math.gcd(j, q - 1) == 1}
+    assert set(classes) == predicted
     _report(19, "main1's known failure on GL_2(F_8): exactly 336 irreducible non-Singer "
                 "elements of order 21 with no witness, through the CLI", elapsed, 5.0)

@@ -70,6 +70,19 @@ def test_verify_main1_cli_classes_and_seed(capsys):
     assert report["conjugation_spot_checks"] == 3
 
 
+@pytest.mark.parametrize("subcommand,flag", [
+    ("gill", "--full"), ("gill", "--classes"), ("main2", "--classes"), ("main1", "--full"),
+    ("singer-equiv", "--seed"), ("length-oracle", "--full"), ("main2", "--seed")])
+def test_verify_refuses_mode_flags_the_driver_does_not_read(capsys, subcommand, flag):
+    # --classes and --seed are read only by main1, --full only by main2;
+    # any other driver exits 2 naming the flag, with no report, rather than
+    # running its plain sweep
+    args = [flag, "0"] if flag == "--seed" else [flag]
+    code, out, err = run(capsys, "verify", subcommand, "--n", "2", "--p", "3", *args)
+    assert code == 2 and out == ""
+    assert f"{flag} is read only by verify" in err
+
+
 def test_verify_gill_cli(capsys):
     code, report = run_json(capsys, "verify", "gill", "--n", "2", "--p", "3")
     assert code == 0

@@ -181,3 +181,17 @@ def test_budget_errors_come_from_the_one_guard():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "BudgetExceededError"}
     assert found == {"matrix.py:_check_budget", "reflect.py:_search"}, found
+
+
+def test_one_model_of_the_extension_field():
+    # F_(q^n) has one owner, poly.field_model: only the choice of an
+    # extension field's modulus scans the monic polynomials, and only the
+    # eigenvalue test, which must not read the model, builds its own
+    # residue field F_q[x]/(f)
+    def callers(name):
+        return {where for where, node in _outermost_definitions()
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name}
+
+    assert callers("enumerate_monic") == {"ff.py:FieldSpec.__init__"}
+    assert callers("FieldExtension") == {"singer.py:_eigenvalues_primitive"}

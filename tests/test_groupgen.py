@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +12,20 @@ from hypothesis import strategies as st
 from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        companion, enumerate_gl, enumerate_minimal_factorizations,
                        enumerate_monic, enumerate_reflections, enumerate_subspaces,
-                       factorizations_in_det_subgroup, find_primitive_poly,
-                       generates_full, gl_order, group_closure, is_primitive_poly,
-                       is_singer, make_field,
+                       factorizations_in_det_subgroup, field_model, find_primitive_poly,
+                       generates_full, gl_order, group_closure, is_irreducible,
+                       is_primitive_poly, is_singer, make_field,
                        minimal_factorization, normalizer_of_cyclic, normalizer_reflection,
                        reflection_length, verify_gill, verify_main1, verify_main2)
 from singerlab import fixed_space, groupgen, matrix, poly, reflect, singer
 from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
-                                reflection_distances, singer_class_count,
-                                singer_class_representatives)
+                                reflection_distances, singer_class_count)
 from singerlab.matrix import char_poly, mul_entries
 from singerlab.reflect import reflection_from_params, reflection_params
-from singerlab.singer import normalizing_reflections
+from singerlab.singer import max_irreducible_order, normalizing_reflections
 
-from conftest import (galois_key_count, gill_by_normalizer_scan, gill_by_pair_lookup,
+from conftest import (galois_key_count, gauss_irreducible_count, generator_minpolys_by_walk,
+                      gill_by_normalizer_scan, gill_by_pair_lookup, max_irreducible_order_by_scan,
                       main1_by_element, main2_by_pair_lookup, matrices_over, orbit_table, orbit_table_by_closures,
                       partner_keys_by_matrix, random_invertible, run_python,
                       singer_conjugators, square_shapes, trial_phi, unreduced_main2,
@@ -86,9 +87,9 @@ def test_driver_budget_guards_come_first(monkeypatch, driver, n, p, k):
     # primitive polynomials is built, and before any polynomial is tested
     # for primitivity.
     calls = []
-    primitive, model = poly.is_primitive_poly, groupgen._FieldModel
+    primitive, model = poly.is_primitive_poly, groupgen.field_model
     monkeypatch.setattr(poly, "is_primitive_poly", lambda f: calls.append(f) or primitive(f))
-    monkeypatch.setattr(groupgen, "_FieldModel", lambda *args: calls.append(args) or model(*args))
+    monkeypatch.setattr(groupgen, "field_model", lambda *args: calls.append(args) or model(*args))
     with pytest.raises(BudgetExceededError):
         driver(n, make_field(p, k))
     assert calls == []
@@ -110,7 +111,7 @@ def _refuse_work(*args, **kwargs):
     pytest.param(lambda: reflection_distances(5, make_field(2)), 4649702400,
                  (groupgen, "enumerate_reflections"), id="length-oracle-GL5F2"),
     pytest.param(lambda: verify_main2(2, make_field(97)), 1344 * 912478,
-                 (groupgen, "_FieldModel"), id="main2-sweep-GL2F97"),
+                 (groupgen, "field_model"), id="main2-sweep-GL2F97"),
 ])
 def test_closed_form_guards_name_their_size_before_work(monkeypatch, guard, size, work):
     # each of the six closed-form guards raises before the first step of its
@@ -228,8 +229,13 @@ def test_closure_matches_matrix_product_bfs(n, p, k):
         assert closure.order == size and {m.entries for m in closure.elements} == expected
 
 
+def _singer_companions(n, field):
+    """One Singer cycle per class: C_f for each primitive f the model lists."""
+    return [companion(f) for f in field_model(n, field).primitives]
+
+
 def _main2_pairs(n, field, sample=None):
-    pairs = [[c, t] for c in singer_class_representatives(n, field)
+    pairs = [[c, t] for c in _singer_companions(n, field)
              for t in enumerate_reflections(n, field)]
     return pairs if sample is None else random.Random(2407).sample(pairs, sample)
 
@@ -420,16 +426,14 @@ def test_conjugacy_classes_partition(f3):
     assert len(classes) == 8  # q^2 - 1 classes for GL_2
 
 
-def test_singer_class_representatives(f3, f5):
-    reps = singer_class_representatives(2, f3)
-    assert len(reps) == 2
-    reps5 = singer_class_representatives(2, f5)
-    assert len(reps5) == 4
+def test_model_primitives_count_the_singer_classes(f3, f5):
+    assert len(field_model(2, f3).primitives) == 2
+    assert len(field_model(2, f5).primitives) == 4
     for n, p, k in ((1, 7, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1), (3, 3, 1), (4, 2, 1)):
         q = p**k
         count = singer_class_count(n, q)
         assert count == trial_phi(q**n - 1) // n
-        assert count == len(singer_class_representatives(n, make_field(p, k)))
+        assert count == len(field_model(n, make_field(p, k)).primitives)
 
 
 def test_verify_main1_small_instances(f2, f3):
@@ -470,8 +474,8 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
 def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     # the main loop decides Singer and the witness kind from one
     # characteristic polynomial per element; each classify_qc of the spot
-    # checks decides is_singer from one of its own; the model of F_(q^n)
-    # lists the primitive f with one each; and the rows of the Singer
+    # checks decides is_singer from one of its own; the model of F_(q^n),
+    # built afresh, lists the irreducible f with one each; and the rows of the Singer
     # classes run one per key id, a Frobenius orbit of orbit sums gamma,
     # not one per partner; all counted apart, and no other char_poly runs
     calls = {"main": 0, "spot": 0, "classify_qc": 0, "model": 0, "key": 0, "partners": 0}
@@ -499,11 +503,12 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
         calls["classify_qc"] += 1
         return _fn(g, cache)
 
+    field_model.cache_clear()
     for module in (matrix, groupgen, singer):
         monkeypatch.setattr(module, "char_poly", counted_char_poly)
     monkeypatch.setattr(groupgen, "classify_qc", counted_classify_qc)
     monkeypatch.setattr(groupgen, "_partner_keys", counted_partner_keys)
-    monkeypatch.setattr(groupgen, "_FieldModel", within("model", groupgen._FieldModel))
+    monkeypatch.setattr(groupgen, "field_model", within("model", field_model))
     monkeypatch.setattr(groupgen._GenerationCache, "row",
                         within("key", groupgen._GenerationCache.row))
     report = verify_main1(n, make_field(p, k))
@@ -512,7 +517,7 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     assert calls["main"] == report["checked"] == gl_order(n, q)
     assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
     assert calls["spot"] == calls["classify_qc"]
-    assert calls["model"] == singer_class_count(n, q)
+    assert calls["model"] == gauss_irreducible_count(n, q)
     assert calls["key"] == galois_key_count(n, p, k)
     assert calls["partners"] == singer_class_count(n, q) * (q ** (n - 1) * (q - 1) - 1)
 
@@ -796,10 +801,11 @@ def test_main2_full_checks_its_singer_census(f3, monkeypatch, tamper):
 
 def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
     # GL_2(F_9): 16 Singer classes x 72 cyclic bases.  The only char_poly
-    # calls list the 16 primitive f in the model of F_81 and name the rows'
-    # 39 key ids, not their 16 x 71 partners; the only cyclic bases built
-    # are normalizer_reflection's, one per class.  A scan of GL_2(F_9)
-    # would add 5760 char_poly calls, and deriving each cycle's basis 1152
+    # calls list the 36 irreducible f in the model of F_81, built afresh,
+    # 16 of them primitive, and name the rows' 39 key ids, not their
+    # 16 x 71 partners; the only cyclic bases built are
+    # normalizer_reflection's, one per class.  A scan of GL_2(F_9) would add
+    # 5760 char_poly calls, and deriving each cycle's basis 1152
     calls = {"char_poly": 0, "_krylov_basis": 0}
 
     def counter(name, real):
@@ -808,12 +814,14 @@ def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
             return real(a)
         return counted
 
-    monkeypatch.setattr(groupgen, "char_poly", counter("char_poly", groupgen.char_poly))
+    field_model.cache_clear()
+    for module in (matrix, groupgen):  # the model reads matrix's, the rows groupgen's
+        monkeypatch.setattr(module, "char_poly", counter("char_poly", groupgen.char_poly))
     monkeypatch.setattr(singer, "_krylov_basis", counter("_krylov_basis", singer._krylov_basis))
     report = verify_main2(2, make_field(3, 2), full=True)
     assert report["violations"] == [] and report["singer_checked"] == 16 * 72
-    assert calls == {"char_poly": 16 + 39, "_krylov_basis": 16}
-    assert galois_key_count(2, 3, 2) == 39
+    assert calls == {"char_poly": 36 + 39, "_krylov_basis": 16}
+    assert galois_key_count(2, 3, 2) == 39 and gauss_irreducible_count(2, 9) == 36
 
 
 @pytest.mark.parametrize("n,p", [(3, 2), (4, 2), (2, 3)])
@@ -836,7 +844,7 @@ def test_each_driver_call_walks_one_orbit_table(monkeypatch, n, p):
     # spot checks, main2's full mode and gill read every Singer cycle
     # through its class's row
     field = make_field(p)
-    primitives = [char_poly(c) for c in singer_class_representatives(n, field)]
+    primitives = list(field_model(n, field).primitives)
     walked = []
     build = groupgen._partner_keys
 
@@ -904,7 +912,7 @@ def test_keyed_orbit_orders_match_one_closure_per_orbit(n, p, k, every_cycle):
     field = make_field(p, k)
     reflections = enumerate_reflections(n, field)
     singers = ([g for g in enumerate_gl(n, field) if is_singer(g)] if every_cycle
-               else singer_class_representatives(n, field))
+               else _singer_companions(n, field))
     orders_by_key = {}
     for c in singers:
         assert orbit_table(c, reflections, orders_by_key) == orbit_table_by_closures(c, reflections)
@@ -937,15 +945,15 @@ def test_orbit_table_keys_count_the_frobenius_orbits(n, p, k, keys):
     field = make_field(p, k)
     q = field.q
     cache = groupgen._GenerationCache(n, q)
-    row = cache.row(char_poly(singer_class_representatives(n, field)[0]))
+    row = cache.row(field_model(n, field).primitives[0])
     assert len(row) == q ** (n - 1) * (q - 1) - 1
     assert cache.closures == galois_key_count(n, p, k) == keys
 
 
-def test_orbit_table_checks_the_orbit_sum(f3, monkeypatch):
+def test_orbit_table_checks_the_orbit_sum(f3):
     # the <c>-orbit of a non-reflection m with N = 4 members sums to a
     # gamma whose trace, N (tr m - 2), is not det m - 1
-    c = singer_class_representatives(2, f3)[0]
+    c = _singer_companions(2, f3)[0]
     c_inverse = c.inverse()
     for m in enumerate_gl(2, f3):
         orbit = [m]
@@ -957,10 +965,14 @@ def test_orbit_table_checks_the_orbit_sum(f3, monkeypatch):
     with pytest.raises(AssertionError, match="trace"):
         orbit_table(c, orbit, {})
     # the row's gamma read at a wrong root, alpha^j for the other primitive
-    # polynomial's j, fails its trace check
+    # polynomial's j, fails its trace check; the tampered model is a copy,
+    # not the memoized one the drivers share, whose tables are read only
     f = char_poly(c)
-    model = groupgen._FieldModel(2, f3)
-    monkeypatch.setitem(model.roots, f, next(j for g, j in model.roots.items() if g != f))
+    model = field_model(2, f3)
+    with pytest.raises(TypeError):
+        model.roots[f] = 0
+    wrong_root = next(j for g, j in model.roots.items() if g != f)
+    model = SimpleNamespace(**{**vars(model), "roots": {f: wrong_root}})
     with pytest.raises(AssertionError, match="trace"):
         list(groupgen._partner_keys(model, f))
 
@@ -974,10 +986,10 @@ def test_row_keys_and_orders_match_the_orbit_walk(n, p, k):
     # and the order orbit_table gives that orbit
     field = make_field(p, k)
     cache = groupgen._GenerationCache(n, field.q)
-    model = cache.model(field)
+    model = field_model(n, field)
     reflections = enumerate_reflections(n, field)
     orders_by_key = {}
-    for c in singer_class_representatives(n, field):
+    for c in _singer_companions(n, field):
         f = char_poly(c)
         keys = dict(groupgen._partner_keys(model, f))
         row = cache.row(f)
@@ -1009,9 +1021,9 @@ def test_model_primitives_match_the_primitivity_scan(n, p, k):
     # oracle: is_primitive_poly on every monic polynomial; each f vanishes
     # at the root alpha^j the model names
     field = make_field(p, k)
-    model = groupgen._FieldModel(n, field)
-    assert model.primitives == [f for f in enumerate_monic(n, field, nonzero_constant=True)
-                                if is_primitive_poly(f)]
+    model = field_model(n, field)
+    assert list(model.primitives) == [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                                      if is_primitive_poly(f)]
     assert len(model.primitives) == singer_class_count(n, field.q)
     zero = (0,) * n
     for f, j in model.roots.items():
@@ -1023,12 +1035,40 @@ def test_model_primitives_match_the_primitivity_scan(n, p, k):
 
 
 @pytest.mark.parametrize("n,p,k", _MODEL_INSTANCES)
+def test_model_irreducibles_match_the_rabin_scan(n, p, k):
+    # oracle: is_irreducible on every monic polynomial with f(0) != 0, in
+    # enumerate_monic order, and Gauss's count; the primitive f are those
+    # whose root alpha^j has j prime to q^n - 1
+    field = make_field(p, k)
+    model = field_model(n, field)
+    assert list(model.irreducibles) == [f for f in enumerate_monic(n, field, nonzero_constant=True)
+                                        if is_irreducible(f)]
+    assert len(model.irreducibles) == gauss_irreducible_count(n, field.q)
+    assert model.roots == {f: j for f, j in model.irreducibles.items()
+                           if math.gcd(j, model.m) == 1}
+
+
+@pytest.mark.parametrize("n,p,k", _MODEL_INSTANCES)
+def test_model_reads_match_the_extension_field_walk(n, p, k):
+    # oracle: FieldExtension.minimal_poly on every element of F_(q^n), for
+    # the minimal polynomials of the field generators and of the primitive
+    # elements that singer's embedding tests look up, and the Rabin scan's
+    # largest root order for max_irreducible_order
+    field = make_field(p, k)
+    assert field.q**n <= 256
+    model = field_model(n, field)
+    assert generator_minpolys_by_walk(n, field) == {f: f in model.roots
+                                                    for f in model.irreducibles}
+    assert max_irreducible_order(n, field) == max_irreducible_order_by_scan(n, field)
+
+
+@pytest.mark.parametrize("n,p,k", _MODEL_INSTANCES)
 def test_model_keys_match_the_matrix_route(n, p, k):
     # oracle: gamma's multiplication matrix in F_q[x]/(f), built with no
     # discrete log, for every partner of every primitive f; the key ids
     # name distinct char_polys, one per Frobenius orbit of the gamma
     field = make_field(p, k)
-    model = groupgen._FieldModel(n, field)
+    model = field_model(n, field)
     polys = {}
     for f in model.primitives:
         by_model = list(groupgen._partner_keys(model, f))
@@ -1042,17 +1082,21 @@ def test_model_keys_match_the_matrix_route(n, p, k):
 def test_model_checks_its_logs(f3, monkeypatch):
     # x^2 + 1 is irreducible over F_3 but x has order 4, not 8: its powers
     # repeat before alpha^8 and the model refuses it
-    monkeypatch.setattr(groupgen, "find_primitive_poly", lambda n, field: Poly(f3, (1, 0, 1)))
+    field_model.cache_clear()
+    monkeypatch.setattr(poly, "find_primitive_poly", lambda n, field: Poly(f3, (1, 0, 1)))
     with pytest.raises(AssertionError, match="coincide"):
-        groupgen._FieldModel(2, f3)
+        field_model(2, f3)
 
 
 def test_main2_and_gill_read_each_class_through_the_model(monkeypatch):
     # GL_2(F_7): neither driver enumerates the reflections or scans the 42
     # monic polynomials for the 8 primitive ones.  The only primitivity
-    # tests are find_primitive_poly's, on x^2 + 3 and x^2 + x + 3; the model
-    # runs one char_poly per primitive f, and the rows one per key id
+    # tests are find_primitive_poly's, on x^2 + 3 and x^2 + x + 3, and the
+    # model, built afresh by main2, runs one char_poly per irreducible f, 21
+    # of them; gill reads the memoized model with neither.  The rows run
+    # one char_poly per key id
     f7 = make_field(7)
+    field_model.cache_clear()
     calls = dict.fromkeys(["is_primitive_poly", "enumerate_reflections", "model", "row"], 0)
     context = []
 
@@ -1078,17 +1122,20 @@ def test_main2_and_gill_read_each_class_through_the_model(monkeypatch):
         monkeypatch.setattr(module, "enumerate_reflections",
                             counted("enumerate_reflections", reflect.enumerate_reflections))
     real_char_poly = groupgen.char_poly
-    monkeypatch.setattr(groupgen, "char_poly", lambda a: counted(context[-1], real_char_poly)(a))
-    monkeypatch.setattr(groupgen, "_FieldModel", within("model", groupgen._FieldModel))
+    for module in (matrix, groupgen):  # the model reads matrix's, the rows groupgen's
+        monkeypatch.setattr(module, "char_poly",
+                            lambda a: counted(context[-1], real_char_poly)(a))
+    monkeypatch.setattr(groupgen, "field_model", within("model", field_model))
     monkeypatch.setattr(groupgen._GenerationCache, "row",
                         within("row", groupgen._GenerationCache.row))
-    for driver in (verify_main2, verify_gill):
+    for driver, primitivity_tests, model in ((verify_main2, 2, 21), (verify_gill, 0, 0)):
         report = driver(2, f7)
         assert report["violations"] == [] and report["generation_tests"] == 23
-        assert calls == {"is_primitive_poly": 2, "enumerate_reflections": 0, "model": 8,
-                         "row": 23}
+        assert calls == {"is_primitive_poly": primitivity_tests, "enumerate_reflections": 0,
+                         "model": model, "row": 23}
         calls.update(dict.fromkeys(calls, 0))
     assert galois_key_count(2, 7) == 23 and singer_class_count(2, 7) == 8
+    assert gauss_irreducible_count(2, 7) == 21
 
 
 @pytest.mark.parametrize("n,p", [(2, 5), (3, 2)])
@@ -1110,9 +1157,10 @@ def test_through_basis_matches_the_matrix_products(n, p):
 def test_gill_inverts_each_partner_once(monkeypatch):
     # no partner is inverted: t_g = C_f^-1 C_g, so gill inverts C_f once per
     # class, and each of the 8 classes of GL_2(F_7) builds its normalizing
-    # reflections with two more calls (P^-1 and C_f^-1); the rows need no
+    # reflections with one more call (C_f^-1): C_f's cyclic basis is P = I,
+    # which normalizer_reflection does not invert, and the rows need no
     # inverse.  The second C_f^-1 finds gill's memoized on the same C_f, so
-    # 8 x 2 inverses are computed: C_f^-1 and P^-1 with P = I
+    # 8 inverses are computed, one C_f^-1 per class
     calls = []
     computed = []
     inverse = Matrix.inverse
@@ -1125,8 +1173,8 @@ def test_gill_inverts_each_partner_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", counted)
     assert verify_gill(2, make_field(7))["violations"] == []
-    assert len(calls) == 8 * 3 == 24
-    assert len(computed) == 8 * 2 == 16
+    assert len(calls) == 8 * 2 == 16
+    assert len(computed) == 8
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 7, 1), (3, 2, 1), (3, 3, 1),
@@ -1147,7 +1195,7 @@ def test_singer_conjugators_reach_every_class(n, p, k):
 
 
 def test_singer_conjugators_need_a_singer_cycle(f3):
-    c = singer_class_representatives(2, f3)[0]
+    c = _singer_companions(2, f3)[0]
     for not_singer in (c @ c, Matrix.identity(f3, 2), Matrix.from_text(f3, "1,1;0,1")):
         with pytest.raises(ValueError, match="not a Singer cycle"):
             singer_conjugators(not_singer)
@@ -1191,7 +1239,7 @@ def _tamper_orbit_orders(monkeypatch, n, field, retag):
     coefficients, and return the same seed for the oracles, whose orbit
     tables then read the tampered orders as the drivers' rows do."""
     orders_by_key = {}
-    orbit_table(singer_class_representatives(n, field)[0], enumerate_reflections(n, field),
+    orbit_table(_singer_companions(n, field)[0], enumerate_reflections(n, field),
                 orders_by_key)
     keys = sorted(orders_by_key, key=lambda key: key.coeffs)
     tampered = dict(zip(keys, retag([orders_by_key[key] for key in keys],

@@ -154,7 +154,7 @@ def test_equivalence_report_shares_per_element_work(monkeypatch, f4):
     # <g> has phi(ord g) generators, so it is counted once over its elements
     subgroups = sum(Fraction(1, trial_phi(matrix_order(g))) for g in elements)
     assert subgroups == 74
-    singer_equivalence_report(2, f4)  # fills the cached minimal-polynomial sets
+    singer_equivalence_report(2, f4)  # builds the memoized model of F_16
     for memo in _POLY_MEMOS:
         memo.cache_clear()
     calls = Counter()
