@@ -22,7 +22,7 @@ monic g != f of degree n with g(0) != 0.  <C_f, C_g> = <C_f, t_g> for the
 reflection t_g = C_f^-1 C_g, and the t_g meet each orbit of the
 reflections under conjugation by <C_f> exactly once, so the row decides
 every pair (C_f, t).  The order is constant on an orbit and depends only
-on its key, char_poly(gamma) for the orbit sum gamma = sum_x (x - I) in
+on its key, the Frobenius orbit of its orbit sum gamma = sum_x (x - I) in
 F_q[C_f] = F_q[x]/(f), which is (f - g)(alpha) / (alpha f'(alpha)) for
 alpha = x mod f by Euler's dual basis.  So a closure runs once per key,
 one per Frobenius orbit of {gamma != 0 : Tr gamma != -1} in F_(q^n), and
@@ -32,45 +32,26 @@ it runs.  The cache reads every row through the one discrete-log model
 of F_(q^n), poly.field_model, memoized per (n, F_q) and shared by every
 driver call: the primitive f are the characteristic polynomials of
 alpha^j for the cyclotomic coset leaders j prime to q^n - 1, so f has
-the root alpha^j and gamma one log, and a key is the coset of log gamma,
-named by its leader, with one char_poly per key id rather than one per
-partner.  A Singer cycle c with characteristic
+the root alpha^j and gamma one log, and a key is the cyclotomic coset of
+log gamma, named by its leader.  A Singer cycle c with characteristic
 polynomial f is P C_f P^-1 for its cyclic basis P (P = I for c = C_f),
 so the pairs of c that do not generate are (c, P x P^-1) for the
 members x of the <C_f>-orbits of the t_g with a proper order, walked
-once per class: q + 1 reflections for n = 2 and q > 2, none otherwise.
-Every other pair generates.
+once per class as their reflection_params (phi, w): q + 1 reflections
+for n = 2 and q > 2, none otherwise.  Every other pair generates.
 
 verify_main1, verify_main2, verify_gill and verify_length_oracle sweep a
 full desk-scale instance and report violations; they are pure per
-element or pair, so reports are deterministic.  verify_main1 decides
-Singer first, from the one characteristic polynomial per element that
-also tells a reducible witness from an irreducible one, and proves only
-what the theorem asks.  An element g with characteristic polynomial f
-and a cyclic basis P, the Krylov basis of a standard vector, checked to
-give P^-1 g P = C_f, has the verdict of its class: conjugation by P maps
-the minimal factorizations of C_f onto those of g, and C_f is decided
-once per f.  Almost every element has one; the scalars and the other
-elements with no standard cyclic vector, such as the diagonal ones,
-decide their own.  A minimal factorization of a Singer C_f generates a
-group containing <C_f, t_1>, so only the factorizations whose first
-factor t_1 has a proper <C_f, t_1> are walked, and one member decides
-whether its orbit holds first factors.  Only when the class has a
-non-generating factorization does g walk its own, to report the first.
-A non-Singer C_f gets only its non-generating witness, searched lazily;
-the proper subgroup it stays in, a subspace stabilizer or det^-1(X) for
-a proper X < F_q^x, certifies it without a closure.  The witness's kind
-and whether one was found are conjugation invariants, which g reads;
-the first three witnessed elements search their own, to be sampled.
-classify_qc's full classification is left to the conjugation spot
-checks, which share the cache.  verify_main2 and verify_gill take their
-primitive f from the model.  verify_main2 lists each Singer cycle as
-P C_f P^-1 with P = I, or with full=True every invertible P with first
-column e_1, so no element is tested for primitivity, and reads its
-class's row through P, a rank-one update per reflection, ordered by its
-reflection_params, so it enumerates no reflections; verify_gill reads
-each pair (C_f, C_g) off the row through t_g.  Both read the one
-exception, _exceptional_reflections, built once per class: the
+element or pair, so reports are deterministic, and each driver's
+docstring says how it reads its instance.  verify_main1 walks GL_n(F_q)
+lazily and decides Singer from one characteristic polynomial f per
+element; an element with a checked cyclic basis P, P^-1 g P = C_f, has
+the verdict of C_f, decided once per f.  verify_main2 lists each Singer
+cycle as P C_f P^-1 and reads its class's row through P, a rank-one
+update per (phi, w), so it enumerates no reflections; verify_gill reads
+each pair (C_f, C_g) off the row through t_g, whose (phi, w) is read off
+its last column.  Both take their primitive f from the model and read
+the one exception, _exceptional_reflections, built once per class: the
 reflections normalizing <C_f> when n = 2 and q > 2 (for q = 2 the
 normalizer is all of GL_2(F_2) = S_3).
 """
@@ -88,12 +69,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .ff import FieldSpec, factorize
 from .matrix import (Matrix, Subspace, _check_budget, char_poly, enumerate_gl, fixed_space,
-                     gl_order, invariant_subspace, mul_entries, stabilizes)
+                     gl_order, invariant_subspace, stabilizes)
 from .poly import Poly, companion, field_model, is_irreducible, is_primitive_poly
 from .reflect import (FactorizationList, _det_subgroup_search, det_subgroup,
-                      enumerate_minimal_factorizations, enumerate_reflections, is_reflection,
-                      reflection_count, reflection_from_params, reflection_length,
-                      reflection_params, stabilizing_factorization)
+                      enumerate_minimal_factorizations, enumerate_reflections, reflection_count,
+                      reflection_from_params, reflection_length, reflection_params,
+                      stabilizing_factorization)
 from .singer import _cyclic_basis, _cyclic_powers, normalizing_reflections
 
 SPOT_CHECKS = 3  # randomized conjugation-invariance checks per verify_main1 run
@@ -171,8 +152,8 @@ class _Level:
     A coset representative u_y (u_y(point) = y) is composed along the
     Schreier vector on demand, and u_y^-1 is applied by walking it back
     with the generator inverses, so no transversal table is built.  Both
-    act on any tuple of points: the base images of an element (its
-    columns), which is all a sift needs, or a whole permutation.
+    act on the base images of an element, its columns, which is all a sift
+    needs.
     """
 
     __slots__ = ("point", "gens", "inverses", "orbit", "tree", "reps", "checked")
@@ -208,21 +189,18 @@ class _Level:
                     tree[y] = (x, label)
                     orbit.append(y)
 
-    def compose(self, y: int, h: tuple) -> tuple:
-        """u_y h."""
-        labels = []
-        while y != self.point:
-            y, label = self.tree[y]
-            labels.append(label)
-        for label in reversed(labels):
-            h = tuple(map(self.gens[label].__getitem__, h))
-        return h
-
     def rep(self, y: int) -> tuple:
-        """The base images of u_y, memoized."""
-        u = self.reps.get(y)
-        if u is None:
-            u = self.reps[y] = self.compose(y, self.reps[self.point])
+        """The base images of u_y, composed from its nearest memoized
+        ancestor on the Schreier vector, and memoized."""
+        labels = []
+        x = y
+        while x not in self.reps:
+            x, label = self.tree[x]
+            labels.append(label)
+        u = self.reps[x]
+        for label in reversed(labels):
+            u = tuple(map(self.gens[label].__getitem__, u))
+        self.reps[y] = u
         return u
 
     def strip(self, y: int, h: tuple) -> tuple:
@@ -234,15 +212,13 @@ class _Level:
         return h
 
 
-def _sift(levels: list[_Level], h: tuple, start: int,
-          positions: Sequence[int]) -> tuple[tuple, int]:
-    """Strip h through the levels from start on: the residue and the level
-    whose basic orbit misses its base-point image, or len(levels) when h
-    sifts through.  positions[i] is where h holds the image of the i-th
-    base point: range(n) for base images, the base for a permutation."""
+def _sift(levels: list[_Level], h: tuple, start: int) -> tuple[tuple, int]:
+    """Strip the base images h through the levels from start on: the
+    residue's base images and the level whose basic orbit misses its
+    base-point image, or len(levels) when h sifts through."""
     for depth in range(start, len(levels)):
         level = levels[depth]
-        y = h[positions[depth]]
+        y = h[depth]
         if y not in level.tree:
             return h, depth
         h = level.strip(y, h)
@@ -250,13 +226,13 @@ def _sift(levels: list[_Level], h: tuple, start: int,
 
 
 def _unsifted_schreier_generator(levels: list[_Level], depth: int,
-                                 base: tuple) -> tuple[int, int, int] | None:
+                                 base: tuple) -> tuple[tuple, int] | None:
     """The first unchecked Schreier generator u_{g x}^-1 g u_x of
-    levels[depth] whose sift stops, as (x, g's label, the level where it
-    stopped); None once every one of them sifts through."""
+    levels[depth] whose sift stops, as the base images of its residue and
+    the level where it stopped; None once every one of them sifts
+    through."""
     level = levels[depth]
     gens, tree, checked = level.gens, level.tree, level.checked
-    positions = range(len(levels))
     for x in level.orbit:
         for label in range(checked.get(x, 0), len(gens)):
             checked[x] = label + 1
@@ -265,27 +241,29 @@ def _unsifted_schreier_generator(levels: list[_Level], depth: int,
             if tree[y] == (x, label):
                 continue  # a Schreier-vector edge: u_y = g u_x
             h, stop = _sift(levels, level.strip(y, tuple(map(g.__getitem__, level.rep(x)))),
-                            depth + 1, positions)
+                            depth + 1)
             if stop < len(levels):
-                return x, label, stop
+                return h, stop
             if h != base:
                 raise AssertionError("a Schreier generator sifted to a non-identity residue")
     return None
 
 
-def _schreier_sims_order(perms: list[tuple], base: tuple, full: int) -> int:
+def _schreier_sims_order(perms: list[tuple], base: tuple, full: int, field: FieldSpec) -> int:
     """|<perms>| by deterministic Schreier-Sims over base, the indices of
     e_1, ..., e_n.  Its pointwise stabilizer is trivial, so an element is
-    known by its base images, which is all a Schreier generator is sifted
-    as; base extension is never needed, and the last level, whose Schreier
-    generators fix every base point, is never searched.
+    known by its base images, its columns, which is all a Schreier
+    generator is sifted as; a residue that does not sift through becomes a
+    strong generator, its permutation built from those columns
+    (_linear_permutation).  Base extension is never needed, and the last
+    level, whose Schreier generators fix every base point, is never
+    searched.
 
     The product of the basic orbit lengths never exceeds |<perms>|, which
     divides full = |GL_n(F_q)|; once it passes full/2 the group is the
     whole one and the search stops there.
     """
-    n = len(base)
-    identity = tuple(range(len(perms[0])))
+    n, q = len(base), field.q
     levels = [_Level(b, base) for b in base]
     levels[0].add_generators([(g, _inverse(g)) for g in perms])
     depth = 0
@@ -296,13 +274,9 @@ def _schreier_sims_order(perms: list[tuple], base: tuple, full: int) -> int:
         if found is None:
             depth -= 1
             continue
-        # the same Schreier generator as a whole permutation, sifted as far:
         # a new strong generator for every level down to the one it stopped at
-        x, label, stop = found
-        level = levels[depth]
-        g = level.gens[label]
-        h = level.strip(g[x], tuple(map(g.__getitem__, level.compose(x, identity))))
-        h = _sift(levels, h, depth + 1, base)[0]
+        residue, stop = found
+        h = _linear_permutation([[y // b % q for b in base] for y in residue], field)
         new = [(h, _inverse(h))]
         for deeper in levels[depth + 1:stop + 1]:
             deeper.add_generators(new)
@@ -374,7 +348,7 @@ def group_closure(gens: Sequence[Matrix]) -> ClosureResult:
     full = _closure_budget(n, field.q)
     perms = [_permutation(g) for g in gens]
     base = _basis_indices(n, field.q)
-    order = _schreier_sims_order(perms, base, full)
+    order = _schreier_sims_order(perms, base, full, field)
     if full % order:
         raise AssertionError("closure order does not divide |GL_n(F_q)|")
     return ClosureResult(order, functools.partial(_closure_elements, perms, base, field, order))
@@ -418,21 +392,20 @@ class _GenerationCache:
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
     (c, t) of a Singer cycle c and a reflection t, through one row per
     Singer class (row), built on first use with one closure per key
-    missing from the keys of every row before it.  The rows read their
-    keys through the one model of F_(q^n) (poly.field_model), with one
-    char_poly per key id.  proper_members lists the reflections t with
-    <C_f, t> proper, and singer_failure decides a Singer cycle from them,
-    read through its cyclic basis.
+    missing from the keys of every row before it.  A key is the
+    coset-leader id that the one model of F_(q^n) (poly.field_model) gives
+    each partner.  proper_members lists the reflections t with <C_f, t>
+    proper, as their (phi, w), and singer_failure decides a Singer cycle
+    from them, read through its cyclic basis.
     """
 
     def __init__(self, n: int, q: int):
         self._n = n
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
-        self._keys: dict[int, Poly] = {}  # key id -> its char_poly
-        self._orders_by_key: dict[Poly, int] = {}
+        self._orders_by_key: dict[int, int] = {}  # key id -> |<C_f, C_g>|
         self._rows: dict[Poly, dict[Poly, int]] = {}
-        self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits, as params
+        self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits
         self.closures = 0
 
     def generates(self, factors: Sequence[Matrix]) -> bool:
@@ -455,18 +428,14 @@ class _GenerationCache:
                      or not self.generates(fl.factors)), None)
 
     def row(self, f: Poly) -> dict[Poly, int]:
-        """|<C_f, C_g>| for each partner g of the primitive f, keyed by g
-        (_partner_keys): one char_poly per key id and one closure per key
-        that no earlier row met."""
+        """|<C_f, C_g>| for each partner g of the primitive f, keyed by g:
+        one closure per key id (_partner_keys) that no earlier row met."""
         row = self._rows.get(f)
         if row is None:
             model = field_model(self._n, f.field)
             cf = companion(f)
             row = {}
-            for g, key_id in _partner_keys(model, f):
-                key = self._keys.get(key_id)
-                if key is None:
-                    key = self._keys[key_id] = char_poly(model.multiplication(key_id))
+            for g, key in _partner_keys(model, f):
                 order = self._orders_by_key.get(key)
                 if order is None:
                     order = self._orders_by_key[key] = group_closure([cf, companion(g)]).order
@@ -482,10 +451,7 @@ class _GenerationCache:
         generates."""
         members = self._proper.get(f)
         if members is None:
-            n, field = f.degree, f.field
-            members = self._proper[f] = [
-                (reflection_params(Matrix._raw(field, n, x)), g)
-                for x, g in _proper_orbits(f, self.row(f), self._full)]
+            members = self._proper[f] = _proper_orbits(f, self.row(f), self._full)
         return members
 
     def singer_failure(self, g: Matrix, f: Poly) -> FactorizationList | None:
@@ -509,42 +475,48 @@ class _GenerationCache:
             return self.first_non_generating(enumerate_minimal_factorizations(g))
         length = reflection_length(g) - 1
         holds_first: dict[Poly, bool] = {}  # the partner labelling an orbit -> it holds one
-        first = set()
+        first = []
         p = _cyclic_basis(g, companion(f))
-        for (phi, w), partner in _through_basis(p, self.proper_members(f)):
-            t = reflection_from_params(g.field, phi, w)
+        for x, partner in _through_basis(p, self.proper_members(f)):
+            t = reflection_from_params(g.field, *x)
             if partner not in holds_first:
                 holds_first[partner] = reflection_length(t.inverse() @ g) == length
             if holds_first[partner]:
-                first.add(t.entries)
+                first.append((x, t))
+        first.sort(key=operator.itemgetter(0))  # enumerate_reflections order
         return self.first_non_generating(
             FactorizationList._unchecked((t,) + rest.factors, g)
-            for t in enumerate_reflections(g.n, g.field) if t.entries in first
-            for rest in enumerate_minimal_factorizations(t.inverse() @ g))
+            for _, t in first for rest in enumerate_minimal_factorizations(t.inverse() @ g))
+
+
+def _conjugation(p: Matrix) -> Callable[[tuple], tuple]:
+    """x -> P x P^-1 on reflections given by their reflection_params.
+    x = I + w phi, so P x P^-1 = I + (P w)(phi P^-1): a rank-one update, two
+    matrix-vector products, rescaled so that phi P^-1 leads with 1.  P^-1
+    is memoized on P, so every class read through one P shares it."""
+    n, field = p.n, p.field
+    fadd, fmul = field.add, field.mul
+    pe, p_inverse = p.entries, p.inverse().entries
+    p_rows = [pe[i:i + n] for i in range(0, n * n, n)]
+    inverse_columns = [p_inverse[j::n] for j in range(n)]
+
+    def conjugate(x: tuple) -> tuple:
+        phi, w = x
+        phi_p = [functools.reduce(fadd, map(fmul, phi, column)) for column in inverse_columns]
+        lead = next(v for v in phi_p if v)
+        scale = field.inv(lead)
+        return (tuple(fmul(scale, v) for v in phi_p),
+                tuple(fmul(lead, functools.reduce(fadd, map(fmul, row, w))) for row in p_rows))
+    return conjugate
 
 
 def _through_basis(p: Matrix, members: Iterable[tuple[tuple, object]]
                    ) -> list[tuple[tuple, object]]:
     """(P x P^-1, label) for each (x, label) of members, x a reflection as
     C_f reads it and P x P^-1 the same reflection as c = P C_f P^-1 reads
-    it, both given by their reflection_params.  x = I + w phi, so
-    P x P^-1 = I + (P w)(phi P^-1): a rank-one update, two matrix-vector
-    products per member, rescaled so that phi P^-1 leads with 1.  P^-1 is
-    memoized on P, so every class read through one P shares it."""
-    n, field = p.n, p.field
-    fadd, fmul = field.add, field.mul
-    pe, p_inverse = p.entries, p.inverse().entries
-    p_rows = [pe[i:i + n] for i in range(0, n * n, n)]
-    inverse_columns = [p_inverse[j::n] for j in range(n)]
-    out = []
-    for (phi, w), label in members:
-        phi_p = [functools.reduce(fadd, map(fmul, phi, column)) for column in inverse_columns]
-        lead = next(v for v in phi_p if v)
-        scale = field.inv(lead)
-        out.append(((tuple(fmul(scale, v) for v in phi_p),
-                     tuple(fmul(lead, functools.reduce(fadd, map(fmul, row, w)))
-                           for row in p_rows)), label))
-    return out
+    it, both given by their reflection_params (_conjugation)."""
+    conjugate = _conjugation(p)
+    return [(conjugate(x), label) for x, label in members]
 
 
 def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
@@ -667,15 +639,25 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     conjugation invariant); the default audits every element, each
     through its own checked cyclic basis.  The randomized conjugation
     spot checks compare full classify_qc classifications, through the
-    same cache.
+    same cache, of g and h g h^-1: both are drawn by index before the lazy
+    sweep, g among the elements swept and h in GL_n(F_q), and kept as a
+    walk reaches them, so no list of the group is held.
     """
     start = time.monotonic()
     q = field.q
     cache = _GenerationCache(n, q)
+    group_order = gl_order(n, q)
     if classes:
-        todo = [(rep, size) for rep, size in conjugacy_classes(n, field)]
+        todo = conjugacy_classes(n, field)
+        swept = len(todo)
     else:
-        todo = [(g, 1) for g in enumerate_gl(n, field)]
+        todo = ((g, 1) for g in enumerate_gl(n, field))
+        swept = group_order
+    rng = random.Random(seed)
+    spots = [(rng.choice(range(swept)), rng.choice(range(group_order)))
+             for _ in range(min(SPOT_CHECKS, swept))]
+    kept = {i for i, _ in spots} | (set() if classes else {j for _, j in spots})
+    elements = {}  # index -> the swept element, for the indices kept
     checked = 0
     singer_count = 0
     witness_kinds = {"reducible": 0, "irreducible_proper_det": 0,
@@ -686,7 +668,9 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     # f -> C_f's verdict: for Singer f, every factorization generates; for
     # any other f, the kind of its witness and whether one was found
     verdicts: dict[Poly, bool | tuple[str, bool]] = {}
-    for g, weight in todo:
+    for index, (g, weight) in enumerate(todo):
+        if index in kept:
+            elements[index] = g
         f = char_poly(g)  # one per element: it decides both Singer and reducible
         singer = is_primitive_poly(f)
         checked += weight
@@ -722,15 +706,15 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
         if len(sample) < 3:
             sample.append({"matrix": g.to_text(), "kind": kind,
                            "witness": fl.serialize()})
-    rng = random.Random(seed)
-    reps = [g for g, _ in todo]
-    all_elements = reps if not classes else list(enumerate_gl(n, field))
+    conjugators = elements
+    if classes:
+        wanted = {j for _, j in spots}
+        conjugators = {j: h for j, h in zip(range(max(wanted, default=-1) + 1),
+                                            enumerate_gl(n, field)) if j in wanted}
     spot_results = []
-    for _ in range(min(SPOT_CHECKS, len(reps))):
-        g = rng.choice(reps)
-        h = rng.choice(all_elements)
-        conj = h @ g @ h.inverse()
-        spot_results.append(classify_qc(conj, cache) == classify_qc(g, cache))
+    for i, j in spots:
+        g, h = elements[i], conjugators[j]
+        spot_results.append(classify_qc(h @ g @ h.inverse(), cache) == classify_qc(g, cache))
     if not all(spot_results):
         violations.append({"spot_check": "classification not conjugation invariant"})
     return {
@@ -815,24 +799,30 @@ def _partner_keys(model: SimpleNamespace, f: Poly) -> Iterator[tuple[Poly, int]]
 
 def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple, Poly]]:
     """The members of the <C_f>-orbit of t_g = C_f^-1 C_g under
-    conjugation, as entries labelled g, for each partner g in the row with
-    |<C_f, C_g>| < full.  Each orbit is checked to have one member per
-    hyperplane, N = (q^n - 1)/(q - 1), each a reflection (is_reflection)
-    that no other orbit meets."""
+    conjugation, as their reflection_params labelled g, for each partner g
+    in the row with |<C_f, C_g>| < full.  C_g = C_f + h e_n^T for h = f - g,
+    so t_g = I + (C_f^-1 h) e_n^T is (e_n, C_f^-1 h), and the walk
+    conjugates it by C_f (_conjugation).  Each orbit is checked to have one
+    member per hyperplane, N = (q^n - 1)/(q - 1), that no other orbit
+    meets."""
     cf = companion(f)
     n, field = cf.n, cf.field
     orbit_size = (field.q**n - 1) // (field.q - 1)
-    ce, c_inverse = cf.entries, cf.inverse().entries
+    conjugate = _conjugation(cf)
+    c_inverse = cf.inverse().entries
+    e_n = (0,) * (n - 1) + (1,)
     members: dict[tuple, Poly] = {}
     for g in (g for g, order in row.items() if order != full):
-        x = start = mul_entries(c_inverse, companion(g).entries, n, field)
+        h = list(map(field.sub, f.coeffs, g.coeffs))
+        x = start = e_n, tuple(functools.reduce(field.add, map(field.mul, c_inverse[i:i + n], h))
+                               for i in range(0, n * n, n))
         size = 0
         while True:
-            if x in members or not is_reflection(Matrix._raw(field, n, x)):
-                raise AssertionError("a <C_f>-orbit left the reflections or met another orbit")
+            if x in members:
+                raise AssertionError("a <C_f>-orbit met another orbit")
             members[x] = g
             size += 1
-            x = mul_entries(mul_entries(ce, x, n, field), c_inverse, n, field)
+            x = conjugate(x)
             if x == start:
                 break
         if size != orbit_size:
@@ -842,14 +832,15 @@ def _proper_orbits(f: Poly, row: dict[Poly, int], full: int) -> list[tuple[tuple
 
 
 def _exceptional_reflections(cf: Matrix) -> frozenset[tuple]:
-    """The one exception to main2 and gill, as entries: the reflections
-    normalizing the caller's C_f (normalizing_reflections, which reuses its
-    memoized inverse) when n = 2 and q > 2, and none otherwise.  For q = 2
-    the normalizer is all of GL_2(F_2), the symmetric group S_3, and every
-    reflection generates it with C_f."""
+    """The one exception to main2 and gill, as reflection_params, built
+    once per class: the reflections normalizing the caller's C_f
+    (normalizing_reflections, which reuses its memoized inverse) when n = 2
+    and q > 2, and none otherwise.  For q = 2 the normalizer is all of
+    GL_2(F_2), the symmetric group S_3, and every reflection generates it
+    with C_f."""
     if cf.n != 2 or cf.field.q == 2:
         return frozenset()
-    return frozenset(t.entries for t in normalizing_reflections(cf))
+    return frozenset(map(reflection_params, normalizing_reflections(cf)))
 
 
 def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
@@ -871,13 +862,13 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     of c's class (_GenerationCache.row), with one closure per key, counted
     in generation_tests.  Each class lists, once, the reflections x of its
     proper orbits (_GenerationCache.proper_members) and its exceptional
-    ones (_exceptional_reflections), by their reflection_params, which
-    checks each to be a reflection, each flagged with both facts, which
-    conjugation keeps.  Each cycle reads that list through its P
-    (_through_basis): as many reflections as the exception has on a
-    correct run, and every other pair generates.  The pairs are reported
-    in enumerate_reflections order, the order of those (phi, w), with no
-    reflection enumerated.  Before the model is read, |GL_n(F_q)| is
+    ones (_exceptional_reflections), by their reflection_params, each
+    flagged with both facts, which conjugation keeps.  Each cycle reads
+    that list through its P (_through_basis): as many reflections as the
+    exception has on a correct run, and every other pair generates.  The
+    pairs are reported in enumerate_reflections order, the order of those
+    (phi, w), with no reflection enumerated; reflection_from_params checks
+    each to be a reflection as it renders it.  Before the model is read, |GL_n(F_q)| is
     checked against ENUMERATION_BUDGET as every closure would be, and so
     is the sweep, from the closed-form class count.
     """
@@ -911,8 +902,7 @@ def verify_main2(n: int, field: FieldSpec, full: bool = False) -> dict:
     flagged = {}  # f -> ((phi, w) of x, (<C_f, x> generates, x is exceptional)) for the x read
     for f, cf in companions.items():
         proper = {x for x, _ in cache.proper_members(f)}
-        exceptions = {reflection_params(Matrix._raw(field, n, x))
-                      for x in _exceptional_reflections(cf)}
+        exceptions = _exceptional_reflections(cf)
         flagged[f] = [(x, (x not in proper, x in exceptions)) for x in proper | exceptions]
     # q + 1 or 0, the same for every class
     per_cycle_expected = sum(normalizing for _, (_, normalizing) in flagged[primitives[0]])
@@ -968,7 +958,9 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     the row of f (_GenerationCache.row), whose closures, one per key, are
     counted in generation_tests; a pair that fails the side condition has
     no verdict.  C_g = C_f t_g normalizes <C_f> iff t_g does, so the pair
-    is expected to fail iff t_g is in _exceptional_reflections(f).
+    is expected to fail iff t_g is in _exceptional_reflections(f), read by
+    its (phi, w) = (e_n, w): t_g differs from I only in its last column,
+    e_n + w.
     The primitive f come from the model of F_(q^n) (field_model).
     |GL_n(F_q)| > ENUMERATION_BUDGET raises BudgetExceededError before the
     model is read.
@@ -978,6 +970,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
     full = _closure_budget(n, q)
     cache = _GenerationCache(n, q)
     primitives = field_model(n, field).primitives
+    e_n = (0,) * (n - 1) + (1,)
     violations = []
     exceptional = []
     pairs = 0
@@ -997,7 +990,7 @@ def verify_gill(n: int, field: FieldSpec) -> dict:
                                             "C_f^-1 C_g is a reflection"})
                 continue
             generated = order == full
-            expected_fail = t.entries in exceptions
+            expected_fail = (e_n, tuple(map(field.sub, t.entries[n - 1::n], e_n))) in exceptions
             if not generated:
                 exceptional.append({"f": f.to_text(), "g": g.to_text(), "order": order})
             if generated == expected_fail:

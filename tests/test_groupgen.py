@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -330,6 +331,27 @@ def test_random_closure_orders_match_sympy(n):
         assert group_closure(gens).order == _sympy_order(combinatorics, gens)
 
 
+@pytest.mark.parametrize("n,p,sample", [(6, 2, None), (5, 3, 4)])
+def test_key_orders_match_sympy_over_the_budget(monkeypatch, n, p, sample):
+    # an order oracle independent of the engine, on main2's keys where
+    # |GL_n(F_q)| is over the budget: for one partner g per key, |<C_f, C_g>|
+    # against sympy's order of the same two permutations of F_q^n
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    monkeypatch.setattr(matrix, "ENUMERATION_BUDGET", gl_order(n, p))
+    field = make_field(p)
+    model = field_model(n, field)
+    partner = {}
+    for f in model.primitives:
+        for g, key_id in groupgen._partner_keys(model, f):
+            partner.setdefault(key_id, (f, g))
+    assert len(partner) == galois_key_count(n, p)
+    pairs = [partner[key_id] for key_id in sorted(partner)]
+    for f, g in pairs if sample is None else random.Random(2407).sample(pairs, sample):
+        gens = [companion(f), companion(g)]
+        perms = [combinatorics.Permutation(list(groupgen._permutation(m))) for m in gens]
+        assert group_closure(gens).order == combinatorics.PermutationGroup(perms).order()
+
+
 def test_closures_need_no_numpy():
     result = run_python("""
 import sys
@@ -464,10 +486,26 @@ def test_verify_main1_fixed_space_memo_counters(f3, monkeypatch):
     assert verify_main1(2, f3)["violations"] == []
     info = memo.cache_info()
     # the non-Singer elements with a cyclic basis read their class's
-    # witness, so only C_f, the fallback elements and the samples search
-    assert info.misses == len(set(seen)) == 28
-    # 8 of the misses are is_reflection's, on the members of the proper orbits
-    assert info.hits == len(seen) - info.misses == 27
+    # witness, so only C_f, the fallback elements and the samples search;
+    # the walk of the proper orbits eliminates nothing, as it carries each
+    # member as its (phi, w)
+    assert info.misses == len(set(seen)) == 23
+    assert info.hits == len(seen) - info.misses == 24
+
+
+def test_verify_main1_keeps_no_list_of_the_group():
+    # full mode walks enumerate_gl lazily and keeps only the elements its
+    # spot checks draw; a list of GL_2(F_7)'s 2016 elements took the warm
+    # peak to 0.54 MB
+    f7 = make_field(7)
+    verify_main1(2, f7)  # the memos are warm for the measured call
+    tracemalloc.start()
+    try:
+        assert verify_main1(2, f7)["checked"] == 2016
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000
 
 
 @pytest.mark.parametrize("n,p,k", [(2, 2, 2), (3, 2, 1)])
@@ -476,9 +514,11 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     # characteristic polynomial per element; each classify_qc of the spot
     # checks decides is_singer from one of its own; the model of F_(q^n),
     # built afresh, lists the irreducible f with one each; and the rows of the Singer
-    # classes run one per key id, a Frobenius orbit of orbit sums gamma,
-    # not one per partner; all counted apart, and no other char_poly runs
+    # classes run none: they key each partner by the coset-leader id of its
+    # Frobenius orbit of orbit sums gamma; all counted apart, and no other
+    # char_poly runs
     calls = {"main": 0, "spot": 0, "classify_qc": 0, "model": 0, "key": 0, "partners": 0}
+    key_ids = set()
     context = []  # the innermost of the spot check, the row and the model being run
 
     def counted_char_poly(a, _fn=char_poly):
@@ -497,6 +537,7 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     def counted_partner_keys(model, f, _fn=groupgen._partner_keys):
         keys = list(_fn(model, f))
         calls["partners"] += len(keys)
+        key_ids.update(key_id for _, key_id in keys)
         return keys
 
     def counted_classify_qc(g, cache=None, _fn=within("spot", classify_qc)):
@@ -518,7 +559,7 @@ def test_verify_main1_one_char_poly_per_element(monkeypatch, n, p, k):
     assert calls["classify_qc"] == 2 * report["conjugation_spot_checks"] > 0
     assert calls["spot"] == calls["classify_qc"]
     assert calls["model"] == gauss_irreducible_count(n, q)
-    assert calls["key"] == galois_key_count(n, p, k)
+    assert calls["key"] == 0 and len(key_ids) == galois_key_count(n, p, k)
     assert calls["partners"] == singer_class_count(n, q) * (q ** (n - 1) * (q - 1) - 1)
 
 
@@ -802,8 +843,8 @@ def test_main2_full_checks_its_singer_census(f3, monkeypatch, tamper):
 def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
     # GL_2(F_9): 16 Singer classes x 72 cyclic bases.  The only char_poly
     # calls list the 36 irreducible f in the model of F_81, built afresh,
-    # 16 of them primitive, and name the rows' 39 key ids, not their
-    # 16 x 71 partners; the only cyclic bases built are
+    # 16 of them primitive; the rows key their 16 x 71 partners by the
+    # coset-leader ids, 39 of them, with none; the only cyclic bases built are
     # normalizer_reflection's, one per class.  A scan of GL_2(F_9) would add
     # 5760 char_poly calls, and deriving each cycle's basis 1152
     calls = {"char_poly": 0, "_krylov_basis": 0}
@@ -820,7 +861,8 @@ def test_main2_full_lists_its_cycles_without_a_scan(monkeypatch):
     monkeypatch.setattr(singer, "_krylov_basis", counter("_krylov_basis", singer._krylov_basis))
     report = verify_main2(2, make_field(3, 2), full=True)
     assert report["violations"] == [] and report["singer_checked"] == 16 * 72
-    assert calls == {"char_poly": 36 + 39, "_krylov_basis": 16}
+    assert report["generation_tests"] == 39
+    assert calls == {"char_poly": 36, "_krylov_basis": 16}
     assert galois_key_count(2, 3, 2) == 39 and gauss_irreducible_count(2, 9) == 36
 
 
@@ -870,24 +912,32 @@ def test_main2_generation_tests_pinned(f3):
 
 
 def test_main2_orbit_walk_checks_its_orbits(f3, monkeypatch):
-    # the members of a row's proper orbits: the q + 1 normalizing
-    # reflections of C_f, and with every entry proper, every reflection once
+    # the members of a row's proper orbits, as their (phi, w): the q + 1
+    # normalizing reflections of C_f, and with every entry proper, every
+    # reflection once, each orbit walked from its t_g = C_f^-1 C_g
     f = Poly.from_text(f3, "2,1,1")
+    cf = companion(f)
     full = gl_order(2, 3)
     row = groupgen._GenerationCache(2, 3).row(f)
     members = groupgen._proper_orbits(f, row, full)
-    assert {x for x, _ in members} == {t.entries for t in normalizing_reflections(companion(f))}
+    assert {x for x, _ in members} == set(map(reflection_params, normalizing_reflections(cf)))
     reflections = enumerate_reflections(2, f3)
     every = groupgen._proper_orbits(f, dict.fromkeys(row, 1), full)
-    assert sorted(x for x, _ in every) == sorted(t.entries for t in reflections)
+    assert sorted(x for x, _ in every) == sorted(map(reflection_params, reflections))
     assert {g for _, g in every} == row.keys()
-    rejected = reflections[0]
-    is_reflection = groupgen.is_reflection
-    monkeypatch.setattr(groupgen, "is_reflection", lambda m: m != rejected and is_reflection(m))
-    with pytest.raises(AssertionError, match="left the reflections"):
-        groupgen._proper_orbits(f, dict.fromkeys(row, 1), full)
-    monkeypatch.undo()
-    # C_f^2 splits each orbit in two; C_f^-2 C_g is a reflection for g = x^2 + x + 1
+    firsts = {}
+    for x, g in every:
+        firsts.setdefault(g, x)
+    assert firsts == {g: reflection_params(cf.inverse() @ companion(g)) for g in row}
+
+    class Alias:  # a second row entry for one partner: the same orbit, walked twice
+        def __init__(self, g):
+            self.coeffs = g.coeffs
+
+    g = next(iter(row))
+    with pytest.raises(AssertionError, match="met another orbit"):
+        groupgen._proper_orbits(f, {Alias(g): 1, Alias(g): 1}, full)
+    # C_f^2 splits each orbit in two
     build = groupgen.companion
     monkeypatch.setattr(groupgen, "companion",
                         lambda h: build(h) @ build(h) if h == f else build(h))
@@ -1093,8 +1143,8 @@ def test_main2_and_gill_read_each_class_through_the_model(monkeypatch):
     # monic polynomials for the 8 primitive ones.  The only primitivity
     # tests are find_primitive_poly's, on x^2 + 3 and x^2 + x + 3, and the
     # model, built afresh by main2, runs one char_poly per irreducible f, 21
-    # of them; gill reads the memoized model with neither.  The rows run
-    # one char_poly per key id
+    # of them; gill reads the memoized model with neither.  The rows key
+    # their partners by coset-leader id and run no char_poly
     f7 = make_field(7)
     field_model.cache_clear()
     calls = dict.fromkeys(["is_primitive_poly", "enumerate_reflections", "model", "row"], 0)
@@ -1132,7 +1182,7 @@ def test_main2_and_gill_read_each_class_through_the_model(monkeypatch):
         report = driver(2, f7)
         assert report["violations"] == [] and report["generation_tests"] == 23
         assert calls == {"is_primitive_poly": primitivity_tests, "enumerate_reflections": 0,
-                         "model": model, "row": 23}
+                         "model": model, "row": 0}
         calls.update(dict.fromkeys(calls, 0))
     assert galois_key_count(2, 7) == 23 and singer_class_count(2, 7) == 8
     assert gauss_irreducible_count(2, 7) == 21
@@ -1152,6 +1202,74 @@ def test_through_basis_matches_the_matrix_products(n, p):
         assert [label for _, label in read] == [t for _, t in members]
         assert [x for x, _ in read] == [reflection_params(pm @ t @ pm.inverse())
                                         for _, t in members]
+
+
+# beyond Tier-1's enumerations: 2^16, 3^10 and 8^6 matrices, |GL| over the budget
+_SAMPLED_INSTANCES = [pytest.param(8, 2, 1, id="GL8F2"), pytest.param(5, 3, 1, id="GL5F3"),
+                      pytest.param(3, 2, 3, id="GL3F8")]
+
+
+def _sampled_reflection(field, n, rng):
+    """A random reflection I + w phi, phi leading with 1, as (phi, w)."""
+    while True:
+        phi = [rng.randrange(field.q) for _ in range(n)]
+        w = tuple(rng.randrange(field.q) for _ in range(n))
+        lead = next((v for v in phi if v), None)
+        if lead is None or not any(w):
+            continue
+        phi = tuple(field.mul(field.inv(lead), v) for v in phi)
+        if field.add(1, functools.reduce(field.add, map(field.mul, phi, w))):
+            return phi, w
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("n,p,k", _SAMPLED_INSTANCES)
+def test_through_basis_matches_the_matrix_products_when_sampled(n, p, k, seed):
+    # the rank-one update against the reflection_params of P x P^-1, by
+    # products, for a random invertible P and random reflections x
+    field = make_field(p, k)
+    rng = random.Random(seed)
+    pm = random_invertible(n, field, rng)
+    members = [(_sampled_reflection(field, n, rng), i) for i in range(4)]
+    read = groupgen._through_basis(pm, members)
+    assert [label for _, label in read] == list(range(4))
+    assert [x for x, _ in read] == [
+        reflection_params(pm @ reflection_from_params(field, *x) @ pm.inverse())
+        for x, _ in members]
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("n,p,k", _SAMPLED_INSTANCES)
+def test_orbit_walk_matches_the_matrix_products_when_sampled(n, p, k, data):
+    # the walk from a sampled partner's t_g, taken as proper, against
+    # C_f^i t_g C_f^-i for i < (q^n - 1)/(q - 1), by products, in order
+    field = make_field(p, k)
+    model = field_model(n, field)
+    f = data.draw(st.sampled_from(model.primitives))
+    g, _ = data.draw(st.sampled_from(list(groupgen._partner_keys(model, f))))
+    cf = companion(f)
+    x = cf.inverse() @ companion(g)
+    expected = []
+    for _ in range((field.q**n - 1) // (field.q - 1)):
+        expected.append((reflection_params(x), g))
+        x = cf @ x @ cf.inverse()
+    assert groupgen._proper_orbits(f, {g: 1}, gl_order(n, field.q)) == expected
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("n,p,k", _SAMPLED_INSTANCES)
+def test_partner_keys_match_the_matrix_route_when_sampled(n, p, k, data):
+    # every partner of a sampled primitive f: the key id's char_poly against
+    # the char_poly of gamma's multiplication matrix, built with no log
+    field = make_field(p, k)
+    model = field_model(n, field)
+    f = data.draw(st.sampled_from(model.primitives))
+    by_model = [(g, char_poly(model.multiplication(key_id)))
+                for g, key_id in groupgen._partner_keys(model, f)]
+    assert by_model == partner_keys_by_matrix(f)
 
 
 def test_gill_inverts_each_partner_once(monkeypatch):
@@ -1237,18 +1355,24 @@ def _tamper_orbit_orders(monkeypatch, n, field, retag):
     """Seed every generation cache with the order of each key, passed
     through retag(orders, |GL_n(F_q)|) in the order of the keys'
     coefficients, and return the same seed for the oracles, whose orbit
-    tables then read the tampered orders as the drivers' rows do."""
+    tables then read the tampered orders as the drivers' rows do.  The
+    oracles key by char_poly(gamma), the cache by the coset-leader id of
+    log gamma, whose multiplication matrix has that char_poly."""
     orders_by_key = {}
     orbit_table(_singer_companions(n, field)[0], enumerate_reflections(n, field),
                 orders_by_key)
     keys = sorted(orders_by_key, key=lambda key: key.coeffs)
     tampered = dict(zip(keys, retag([orders_by_key[key] for key in keys],
                                     gl_order(n, field.q))))
+    model = field_model(n, field)
+    key_ids = {key_id for f in model.primitives for _, key_id in groupgen._partner_keys(model, f)}
+    by_id = {key_id: tampered[char_poly(model.multiplication(key_id))] for key_id in key_ids}
+    assert len(by_id) == len(tampered)
     init = groupgen._GenerationCache.__init__
 
     def seeded(self, n, q):
         init(self, n, q)
-        self._orders_by_key.update(tampered)
+        self._orders_by_key.update(by_id)
 
     monkeypatch.setattr(groupgen._GenerationCache, "__init__", seeded)
     return tampered
