@@ -150,15 +150,14 @@ def cmd_example(args) -> int:
 
 def cmd_verify(args) -> int:
     # a mode flag is refused by every driver that does not read it
-    for flag, reader, given in (("--classes", "main1", args.classes),
-                                ("--full", "main2", args.full),
+    for flag, reader, given in (("--full", "main2", args.full),
                                 ("--seed", "main1", args.seed is not None)):
         if given and args.subcommand != reader:
             raise ValueError(f"{flag} is read only by verify {reader}, not by {args.subcommand}")
     field = make_field(args.p, args.k)
     if args.subcommand == "main1":
         seed = 0 if args.seed is None else args.seed
-        report = groupgen.verify_main1(args.n, field, classes=args.classes, seed=seed)
+        report = groupgen.verify_main1(args.n, field, seed=seed)
     elif args.subcommand == "main2":
         report = groupgen.verify_main2(args.n, field, full=args.full)
     elif args.subcommand == "gill":
@@ -275,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("subcommand",
                        choices=("main1", "main2", "gill", "singer-equiv", "length-oracle"))
     common(p_ver, need_n=True)
-    p_ver.add_argument("--classes", action="store_true",
-                       help="main1: classify one representative per conjugacy class")
     p_ver.add_argument("--full", action="store_true",
                        help="main2: sweep every Singer cycle instead of class representatives")
     p_ver.add_argument("--seed", type=int, default=None,

@@ -551,21 +551,6 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
     return WEAK_ONLY if any_gen else NOT_WEAK
 
 
-def conjugacy_classes(n: int, field: FieldSpec) -> list[tuple[Matrix, int]]:
-    """Brute-force conjugacy classes of GL_n(F_q) as (representative, size)."""
-    elements = list(enumerate_gl(n, field))
-    pairs = [(h, h.inverse()) for h in elements]
-    remaining = set(elements)
-    classes = []
-    for g in elements:
-        if g not in remaining:
-            continue
-        orbit = {h @ g @ hinv for h, hinv in pairs}
-        remaining -= orbit
-        classes.append((g, len(orbit)))
-    return classes
-
-
 # --- theorem-level drivers ------------------------------------------------------
 
 
@@ -610,7 +595,7 @@ def _witness_for_non_singer(g: Matrix, f: Poly, cache: _GenerationCache
     return "irreducible_full_det", cache.first_non_generating(search)
 
 
-def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0) -> dict:
+def verify_main1(n: int, field: FieldSpec, seed: int = 0) -> dict:
     """Check strongly-quasi-Coxeter == Singer over GL_n(F_q).
 
     Each element gets the work its verdict needs, and most read it from
@@ -634,30 +619,21 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     the non-Singer elements until three are witnessed, whose witnesses are
     sampled in the report.  All closures go through one generation cache,
     whose rows share one closure per key, and generation_tests counts
-    those it ran, the rows' among them.  With classes=True only one
-    representative per conjugacy class is checked (the classification is
-    conjugation invariant); the default audits every element, each
-    through its own checked cyclic basis.  The randomized conjugation
-    spot checks compare full classify_qc classifications, through the
-    same cache, of g and h g h^-1: both are drawn by index before the lazy
-    sweep, g among the elements swept and h in GL_n(F_q), and kept as a
-    walk reaches them, so no list of the group is held.
+    those it ran, the rows' among them.  The randomized conjugation spot
+    checks compare full classify_qc classifications, through the same
+    cache, of g and h g h^-1: both are drawn by index in GL_n(F_q) before
+    the one lazy sweep and kept as it reaches them, so no list of the
+    group is held.
     """
     start = time.monotonic()
     q = field.q
     cache = _GenerationCache(n, q)
     group_order = gl_order(n, q)
-    if classes:
-        todo = conjugacy_classes(n, field)
-        swept = len(todo)
-    else:
-        todo = ((g, 1) for g in enumerate_gl(n, field))
-        swept = group_order
     rng = random.Random(seed)
-    spots = [(rng.choice(range(swept)), rng.choice(range(group_order)))
-             for _ in range(min(SPOT_CHECKS, swept))]
-    kept = {i for i, _ in spots} | (set() if classes else {j for _, j in spots})
-    elements = {}  # index -> the swept element, for the indices kept
+    spots = [(rng.choice(range(group_order)), rng.choice(range(group_order)))
+             for _ in range(min(SPOT_CHECKS, group_order))]
+    kept = {index for spot in spots for index in spot}
+    elements = {}  # index -> the element, for the indices kept
     checked = 0
     singer_count = 0
     witness_kinds = {"reducible": 0, "irreducible_proper_det": 0,
@@ -668,13 +644,13 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
     # f -> C_f's verdict: for Singer f, every factorization generates; for
     # any other f, the kind of its witness and whether one was found
     verdicts: dict[Poly, bool | tuple[str, bool]] = {}
-    for index, (g, weight) in enumerate(todo):
+    for index, g in enumerate(enumerate_gl(n, field)):
         if index in kept:
             elements[index] = g
         f = char_poly(g)  # one per element: it decides both Singer and reducible
         singer = is_primitive_poly(f)
-        checked += weight
-        singer_count += weight * singer
+        checked += 1
+        singer_count += singer
         cf = companions.get(f)
         if cf is None:
             cf = companions[f] = companion(f)
@@ -702,25 +678,20 @@ def verify_main1(n: int, field: FieldSpec, classes: bool = False, seed: int = 0)
             violations.append({"matrix": g.to_text(), "is_singer": False,
                                "error": "no non-generating witness found"})
             continue
-        witness_kinds[kind] += weight
+        witness_kinds[kind] += 1
         if len(sample) < 3:
             sample.append({"matrix": g.to_text(), "kind": kind,
                            "witness": fl.serialize()})
-    conjugators = elements
-    if classes:
-        wanted = {j for _, j in spots}
-        conjugators = {j: h for j, h in zip(range(max(wanted, default=-1) + 1),
-                                            enumerate_gl(n, field)) if j in wanted}
     spot_results = []
     for i, j in spots:
-        g, h = elements[i], conjugators[j]
+        g, h = elements[i], elements[j]
         spot_results.append(classify_qc(h @ g @ h.inverse(), cache) == classify_qc(g, cache))
     if not all(spot_results):
         violations.append({"spot_check": "classification not conjugation invariant"})
     return {
         "theorem": "strong quasi-Coxeter iff Singer",
         "params": {"n": n, "q": q},
-        "mode": "classes" if classes else "full",
+        "mode": "full",
         "checked": checked,
         "singer_cycles": singer_count,
         "witnesses": witness_kinds,

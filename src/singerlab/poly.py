@@ -410,10 +410,11 @@ def field_model(n: int, field: FieldSpec) -> SimpleNamespace:
     enumerate_monic order.  roots keeps the f with j prime to m, whose root
     alpha^j generates K^x, and primitives lists them.
     """
-    from .matrix import Matrix, char_poly  # deferred: matrix builds on poly
+    from .matrix import Matrix, _check_budget, char_poly  # deferred: matrix builds on poly
 
     q = field.q
     m = q**n - 1
+    _check_budget(f"the model of F_({q}^{n})", m, "discrete logs")
     tail = [field.neg(c) for c in find_primitive_poly(n, field).coeffs[:-1]]
     v = (1,) + (0,) * (n - 1)
     powers = []

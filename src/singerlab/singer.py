@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .ff import FieldSpec
-from .matrix import (Matrix, char_poly, enumerate_gl, fixed_space, gl_exponent,
+from .matrix import (Matrix, _check_budget, char_poly, enumerate_gl, fixed_space, gl_exponent,
                      invariant_subspace, matrix_order, mul_entries)
 from .poly import (_POLY_VERDICT_CACHE_SIZE, FieldExtension, Poly, companion, field_model,
                    is_irreducible, is_primitive_poly)
@@ -121,10 +121,11 @@ class SingerConditions:
 
 def _orbit_transitive(g: Matrix) -> bool:
     n, q = g.n, g.field.q
+    target = q**n - 1
+    _check_budget(f"the orbit of e_1 in F_{q}^{n}", target, "vectors")
     start = (1,) + (0,) * (n - 1)
     v = start
     size = 0
-    target = q**n - 1
     while True:
         v = g.apply(v)
         size += 1

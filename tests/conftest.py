@@ -15,7 +15,7 @@ from singerlab import (FieldExtension, Matrix, Poly, companion, enumerate_gl, en
                        gl_order, group_closure, invmod, is_irreducible, is_primitive_poly,
                        is_singer, make_field, normalizer_of_cyclic)
 from singerlab.groupgen import (SPOT_CHECKS, _GenerationCache, _witness_for_non_singer,
-                                classify_qc, conjugacy_classes, singer_class_count)
+                                classify_qc, singer_class_count)
 from singerlab.matrix import char_poly, kernel_of_rows, mul_entries
 from singerlab.singer import irreducible_conditions, normalizing_reflections, singer_oracles
 from singerlab.singer import _cyclic_basis as cyclic_basis
@@ -570,26 +570,22 @@ def without_counters(report: dict) -> dict:
     return {k: v for k, v in report.items() if k not in ("elapsed_ms", "generation_tests")}
 
 
-def main1_by_element(n: int, field, classes: bool = False, seed: int = 0) -> dict:
+def main1_by_element(n: int, field, seed: int = 0) -> dict:
     """Oracle: verify_main1's report without elapsed_ms and generation_tests,
     with every element searched on its own and none read from its class: a
     Singer element's first non-generating factorization is its own
     singer_failure, and every other element runs its own witness search.
     The spot checks draw the same elements and classify them alike."""
     cache = _GenerationCache(n, field.q)
-    if classes:
-        todo = conjugacy_classes(n, field)
-    else:
-        todo = [(g, 1) for g in enumerate_gl(n, field)]
-    checked = singer_count = 0
+    elements = list(enumerate_gl(n, field))
+    singer_count = 0
     witness_kinds = {"reducible": 0, "irreducible_proper_det": 0, "irreducible_full_det": 0}
     violations = []
     sample = []
-    for g, weight in todo:
+    for g in elements:
         f = char_poly(g)
-        checked += weight
         if is_primitive_poly(f):
-            singer_count += weight
+            singer_count += 1
             fl = cache.singer_failure(g, f)
             if fl is not None:
                 violations.append({"matrix": g.to_text(), "is_singer": True,
@@ -600,24 +596,22 @@ def main1_by_element(n: int, field, classes: bool = False, seed: int = 0) -> dic
             violations.append({"matrix": g.to_text(), "is_singer": False,
                                "error": "no non-generating witness found"})
             continue
-        witness_kinds[kind] += weight
+        witness_kinds[kind] += 1
         if len(sample) < 3:
             sample.append({"matrix": g.to_text(), "kind": kind, "witness": fl.serialize()})
     rng = random.Random(seed)
-    reps = [g for g, _ in todo]
-    all_elements = reps if not classes else list(enumerate_gl(n, field))
     spot_results = []
-    for _ in range(min(SPOT_CHECKS, len(reps))):
-        g = rng.choice(reps)
-        h = rng.choice(all_elements)
+    for _ in range(min(SPOT_CHECKS, len(elements))):
+        g = rng.choice(elements)
+        h = rng.choice(elements)
         spot_results.append(classify_qc(h @ g @ h.inverse(), cache) == classify_qc(g, cache))
     if not all(spot_results):
         violations.append({"spot_check": "classification not conjugation invariant"})
     return {
         "theorem": "strong quasi-Coxeter iff Singer",
         "params": {"n": n, "q": field.q},
-        "mode": "classes" if classes else "full",
-        "checked": checked,
+        "mode": "full",
+        "checked": len(elements),
         "singer_cycles": singer_count,
         "witnesses": witness_kinds,
         "witness_samples": sample,

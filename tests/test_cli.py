@@ -62,19 +62,27 @@ def test_verify_main1_cli(capsys):
     assert code == 0 and report["violations"] == []
 
 
-def test_verify_main1_cli_classes_and_seed(capsys):
-    code, report = run_json(capsys, "verify", "main1", "--n", "2", "--p", "3",
-                            "--classes", "--seed", "7")
+def test_verify_main1_cli_seed(capsys):
+    code, report = run_json(capsys, "verify", "main1", "--n", "2", "--p", "3", "--seed", "7")
     assert code == 0 and report["violations"] == []
-    assert report["mode"] == "classes"
+    assert report["mode"] == "full" and report["checked"] == 48
     assert report["conjugation_spot_checks"] == 3
 
 
+def test_verify_main1_has_no_classes_mode(capsys):
+    # main1 has one sweep, over every element: --classes is not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main1", "--n", "2", "--p", "3", "--classes"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --classes" in out.err
+
+
 @pytest.mark.parametrize("subcommand,flag", [
-    ("gill", "--full"), ("gill", "--classes"), ("main2", "--classes"), ("main1", "--full"),
+    ("gill", "--full"), ("main1", "--full"),
     ("singer-equiv", "--seed"), ("length-oracle", "--full"), ("main2", "--seed")])
 def test_verify_refuses_mode_flags_the_driver_does_not_read(capsys, subcommand, flag):
-    # --classes and --seed are read only by main1, --full only by main2;
+    # --seed is read only by main1, --full only by main2;
     # any other driver exits 2 naming the flag, with no report, rather than
     # running its plain sweep
     args = [flag, "0"] if flag == "--seed" else [flag]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import importlib.util
@@ -5,6 +6,7 @@ import inspect
 from pathlib import Path
 
 import singerlab
+from singerlab import cli
 
 
 def _package_nodes():
@@ -195,3 +197,26 @@ def test_one_model_of_the_extension_field():
 
     assert callers("enumerate_monic") == {"ff.py:FieldSpec.__init__"}
     assert callers("FieldExtension") == {"singer.py:_eigenvalues_primitive"}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # each option a subcommand accepts is read as args.<dest> by the
+    # function it dispatches to; a flag left behind by a deleted mode fails
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = 0
+    found = []
+    for name, parser in subparsers.choices.items():
+        func = parser.get_default("func")
+        tree = ast.parse(inspect.getsource(func))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            options += 1
+            if action.dest not in read:
+                found.append(f"{name} {action.dest} unread by {func.__name__}")
+    assert options > 20  # the walk reached every subcommand
+    assert not found, found

@@ -19,11 +19,11 @@ from singerlab import (BudgetExceededError, Matrix, Poly, classify_qc,
                        minimal_factorization, normalizer_of_cyclic, normalizer_reflection,
                        reflection_length, verify_gill, verify_main1, verify_main2)
 from singerlab import fixed_space, groupgen, matrix, poly, reflect, singer
-from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY, conjugacy_classes,
+from singerlab.groupgen import (NOT_WEAK, STRONG, WEAK_ONLY,
                                 reflection_distances, singer_class_count)
 from singerlab.matrix import char_poly, mul_entries
 from singerlab.reflect import reflection_from_params, reflection_params
-from singerlab.singer import max_irreducible_order, normalizing_reflections
+from singerlab.singer import max_irreducible_order, normalizing_reflections, singer_oracles
 
 from conftest import (galois_key_count, gauss_irreducible_count, generator_minpolys_by_walk,
                       gill_by_normalizer_scan, gill_by_pair_lookup, max_irreducible_order_by_scan,
@@ -113,10 +113,14 @@ def _refuse_work(*args, **kwargs):
                  (groupgen, "enumerate_reflections"), id="length-oracle-GL5F2"),
     pytest.param(lambda: verify_main2(2, make_field(97)), 1344 * 912478,
                  (groupgen, "field_model"), id="main2-sweep-GL2F97"),
+    pytest.param(lambda: field_model(4, make_field(101)), 101**4 - 1,
+                 (poly, "find_primitive_poly"), id="field-model-F101^4"),
+    pytest.param(lambda: singer_oracles(companion(find_primitive_poly(4, make_field(101)))),
+                 101**4 - 1, (Matrix, "apply"), id="singer-oracles-GL4F101"),
 ])
 def test_closed_form_guards_name_their_size_before_work(monkeypatch, guard, size, work):
-    # each of the six closed-form guards raises before the first step of its
-    # work, and its message names the size it refused
+    # each of the eight closed-form guards raises before the first step of
+    # its work, and its message names the size it refused
     monkeypatch.setattr(*work, _refuse_work)
     with pytest.raises(BudgetExceededError, match=f"needs {size} .*over the budget of 100000000"):
         guard()
@@ -442,12 +446,6 @@ def test_classify_constant_on_conjugacy_classes(f3):
         assert classify_qc(h @ g @ h.inverse()) == classify_qc(g)
 
 
-def test_conjugacy_classes_partition(f3):
-    classes = conjugacy_classes(2, f3)
-    assert sum(size for _, size in classes) == 48
-    assert len(classes) == 8  # q^2 - 1 classes for GL_2
-
-
 def test_model_primitives_count_the_singer_classes(f3, f5):
     assert len(field_model(2, f3).primitives) == 2
     assert len(field_model(2, f5).primitives) == 4
@@ -718,8 +716,8 @@ def test_main1_runs_one_witness_search_per_class(monkeypatch, n, p, searches, fa
 @pytest.mark.parametrize("n,p,k", [(2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)])
 def test_main1_class_verdicts_match_each_elements_own_search(n, p, k):
     # oracle: every non-Singer element's own witness search has the kind
-    # and the found-flag of C_f's, and main1's reports, in both modes, equal
-    # those of a sweep where every element searches its own
+    # and the found-flag of C_f's, and main1's report equals that of a
+    # sweep where every element searches its own
     field = make_field(p, k)
     cache = groupgen._GenerationCache(n, field.q)
     verdicts = {}
@@ -732,9 +730,7 @@ def test_main1_class_verdicts_match_each_elements_own_search(n, p, k):
             verdicts[f] = kind, fl is not None
         kind, fl = groupgen._witness_for_non_singer(g, f, cache)
         assert (kind, fl is not None) == verdicts[f]
-    for classes in (False, True):
-        assert (without_counters(verify_main1(n, field, classes=classes))
-                == main1_by_element(n, field, classes=classes))
+    assert without_counters(verify_main1(n, field)) == main1_by_element(n, field)
 
 
 def test_main2_full_and_classify_qc_check_each_cyclic_basis(f3, monkeypatch):
@@ -765,14 +761,6 @@ def test_main1_generation_tests_pinned(f2, f3, f4, f5):
     assert verify_main1(2, f4)["generation_tests"] == keys[2, 4] + 36 == 43
     assert verify_main1(2, f5)["generation_tests"] == keys[2, 5] + 15 == 26
     assert verify_main1(3, f2)["generation_tests"] == keys[3, 2] == 1
-
-
-def test_verify_main1_classes_mode_agrees(f3):
-    full = verify_main1(2, f3)
-    reduced = verify_main1(2, f3, classes=True)
-    assert reduced["violations"] == []
-    assert reduced["checked"] == full["checked"] == 48
-    assert reduced["singer_cycles"] == full["singer_cycles"] == 12
 
 
 def test_verify_main2_small_instances(f2, f3):
@@ -882,7 +870,7 @@ def test_main2_enumerates_no_reflections(monkeypatch, n, p):
 
 @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
 def test_each_driver_call_walks_one_orbit_table(monkeypatch, n, p):
-    # one row per Singer class, built once per call: main1's classes and
+    # one row per Singer class, built once per call: main1's sweep and
     # spot checks, main2's full mode and gill read every Singer cycle
     # through its class's row
     field = make_field(p)
@@ -895,9 +883,8 @@ def test_each_driver_call_walks_one_orbit_table(monkeypatch, n, p):
         return build(model, f)
 
     monkeypatch.setattr(groupgen, "_partner_keys", counted)
-    for run in (lambda: verify_main1(n, field), lambda: verify_main1(n, field, classes=True),
-                lambda: verify_main2(n, field), lambda: verify_main2(n, field, full=True),
-                lambda: verify_gill(n, field)):
+    for run in (lambda: verify_main1(n, field), lambda: verify_main2(n, field),
+                lambda: verify_main2(n, field, full=True), lambda: verify_gill(n, field)):
         assert run()["violations"] == []
         assert sorted(walked, key=primitives.index) == primitives
         walked.clear()
