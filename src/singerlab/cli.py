@@ -61,31 +61,29 @@ def _check_table(checks: list[tuple[str, bool, str]], output: str) -> dict:
 # --- example command -------------------------------------------------------------
 
 
+def _check(checks: list[tuple[str, bool, str]], name: str, got, expected) -> None:
+    checks.append((name, got == expected, f"expected {expected}, got {got}"))
+
+
 def _example_gl2f3() -> list[tuple[str, bool, str]]:
     field = make_field(3)
     f = Poly.from_text(field, "2,1,1")  # x^2 + x - 1
     c = companion(f)
     checks = []
-
-    def check(name, got, expected):
-        ok = got == expected
-        checks.append((name, ok, f"expected {expected}, got {got}"))
-        return ok
-
-    check("singer companion matrix c", c.to_text(), "0,1;1,2")
+    _check(checks, "singer companion matrix c", c.to_text(), "0,1;1,2")
     t = singer.normalizer_reflection(c)
-    check("normalizing reflection t", t.to_text(), "1,0;2,2")
-    check("conjugation twist t^-1 c t = c^3", (t.inverse() @ c @ t).to_text(),
-          (c**3).to_text())
+    _check(checks, "normalizing reflection t", t.to_text(), "1,0;2,2")
+    _check(checks, "conjugation twist t^-1 c t = c^3", (t.inverse() @ c @ t).to_text(),
+           (c**3).to_text())
     tp = c**5 @ t @ c**-5
-    check("conjugate reflection t' = c^5 t c^-5", tp.to_text(), "1,2;0,2")
-    check("second companion matrix c t'", (c @ tp).to_text(), "0,2;1,0")
+    _check(checks, "conjugate reflection t' = c^5 t c^-5", tp.to_text(), "1,2;0,2")
+    _check(checks, "second companion matrix c t'", (c @ tp).to_text(), "0,2;1,0")
     closure = groupgen.group_closure([c, c @ tp])
-    check("order of <c, c t'>", closure.order, 16)
+    _check(checks, "order of <c, c t'>", closure.order, 16)
     normalizer = groupgen.normalizer_of_cyclic(c)
-    check("<c, c t'> is the normalizer of <c>",
-          closure.elements == normalizer.elements and normalizer.order == 16, True)
-    check("order of GL_2(F_3)", groupgen.gl_order(2, 3), 48)
+    _check(checks, "<c, c t'> is the normalizer of <c>",
+           closure.elements == normalizer.elements and normalizer.order == 16, True)
+    _check(checks, "order of GL_2(F_3)", groupgen.gl_order(2, 3), 48)
     return checks
 
 
@@ -95,24 +93,20 @@ def _example_gl2f5() -> list[tuple[str, bool, str]]:
     t1 = Matrix.from_text(field, "2,2;2,0")
     t2 = Matrix.from_text(field, "0,2;4,3")
     checks = []
-
-    def check(name, got, expected):
-        checks.append((name, got == expected, f"expected {expected}, got {got}"))
-
-    check("displayed factorization multiplies out", (t1 @ t2).to_text(), g.to_text())
-    check("both factors are reflections",
-          (reflect.is_reflection(t1), reflect.is_reflection(t2)), (True, True))
-    check("fixed spans are (1,2) and (1,3)",
-          (fixed_space(t1).basis, fixed_space(t2).basis), (((1, 2),), ((1, 3),)))
-    check("the two factors generate GL_2(F_5)",
-          groupgen.group_closure([t1, t2]).order, 480)
+    _check(checks, "displayed factorization multiplies out", (t1 @ t2).to_text(), g.to_text())
+    _check(checks, "both factors are reflections",
+           (reflect.is_reflection(t1), reflect.is_reflection(t2)), (True, True))
+    _check(checks, "fixed spans are (1,2) and (1,3)",
+           (fixed_space(t1).basis, fixed_space(t2).basis), (((1, 2),), ((1, 3),)))
+    _check(checks, "the two factors generate GL_2(F_5)",
+           groupgen.group_closure([t1, t2]).order, 480)
     d1 = Matrix.from_text(field, "3,0;0,1")
     d2 = Matrix.from_text(field, "1,0;0,4")
     diag_ok = (reflect.is_reflection(d1) and reflect.is_reflection(d2)
                and (d1 @ d2) == g and (d1 @ d2) == (d2 @ d1))
     order8 = groupgen.group_closure([d1, d2]).order
-    check("diagonal reflections give an abelian group of order 8",
-          (diag_ok, order8), (True, 8))
+    _check(checks, "diagonal reflections give an abelian group of order 8",
+           (diag_ok, order8), (True, 8))
     return checks
 
 
@@ -149,24 +143,15 @@ def cmd_example(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # a mode flag is refused by every driver that does not read it
-    for flag, reader, given in (("--full", "main2", args.full),
-                                ("--seed", "main1", args.seed is not None)):
-        if given and args.subcommand != reader:
-            raise ValueError(f"{flag} is read only by verify {reader}, not by {args.subcommand}")
     field = make_field(args.p, args.k)
-    if args.subcommand == "main1":
-        seed = 0 if args.seed is None else args.seed
-        report = groupgen.verify_main1(args.n, field, seed=seed)
-    elif args.subcommand == "main2":
-        report = groupgen.verify_main2(args.n, field, full=args.full)
-    elif args.subcommand == "gill":
-        report = groupgen.verify_gill(args.n, field)
-    elif args.subcommand == "singer-equiv":
-        report = singer.singer_equivalence_report(args.n, field)
-    else:
-        report = groupgen.verify_length_oracle(args.n, field)
-    report = {"schema": SCHEMA_VERSION, **report}
+    drivers = {
+        "main1": lambda: groupgen.verify_main1(args.n, field, seed=args.seed),
+        "main2": lambda: groupgen.verify_main2(args.n, field, full=args.full),
+        "gill": lambda: groupgen.verify_gill(args.n, field),
+        "singer-equiv": lambda: singer.singer_equivalence_report(args.n, field),
+        "length-oracle": lambda: groupgen.verify_length_oracle(args.n, field),
+    }
+    report = {"schema": SCHEMA_VERSION, **drivers[args.subcommand]()}
     _emit(report, args.output)
     return 0 if not report["violations"] else 1
 
@@ -271,15 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(func=cmd_example)
 
     p_ver = sub.add_parser("verify", help="run a theorem verification driver")
-    p_ver.add_argument("subcommand",
-                       choices=("main1", "main2", "gill", "singer-equiv", "length-oracle"))
-    common(p_ver, need_n=True)
-    p_ver.add_argument("--full", action="store_true",
-                       help="main2: sweep every Singer cycle instead of class representatives")
-    p_ver.add_argument("--seed", type=int, default=None,
-                       help="main1: seed for the randomized conjugation spot checks "
-                            "(default 0)")
-    p_ver.set_defaults(func=cmd_verify)
+    drivers = p_ver.add_subparsers(dest="subcommand", required=True)
+    for name in ("main1", "main2", "gill", "singer-equiv", "length-oracle"):
+        p_drv = drivers.add_parser(name)
+        common(p_drv, need_n=True)
+        p_drv.set_defaults(func=cmd_verify)
+    drivers.choices["main1"].add_argument(
+        "--seed", type=int, default=0,
+        help="seed for the randomized conjugation spot checks (default 0)")
+    drivers.choices["main2"].add_argument(
+        "--full", action="store_true",
+        help="sweep every Singer cycle instead of class representatives")
 
     return parser
 

@@ -391,12 +391,12 @@ class _GenerationCache:
     it runs: on unordered factor sets, starting with the empty set's, the
     trivial group (all of GL_1(F_2), proper elsewhere), and on the pairs
     (c, t) of a Singer cycle c and a reflection t, through one row per
-    Singer class (row), built on first use with one closure per key
-    missing from the keys of every row before it.  A key is the
-    coset-leader id that the one model of F_(q^n) (poly.field_model) gives
-    each partner.  proper_members lists the reflections t with <C_f, t>
-    proper, as their (phi, w), and singer_failure decides a Singer cycle
-    from them, read through its cyclic basis.
+    Singer class (row).  A row is rebuilt on each call; its closures are
+    shared per key, one closure for each key no earlier row met.  A key is
+    the coset-leader id that the one model of F_(q^n) (poly.field_model)
+    gives each partner.  proper_members lists the reflections t with
+    <C_f, t> proper, as their (phi, w), memoized per f, and singer_failure
+    decides a Singer cycle from them, read through its cyclic basis.
     """
 
     def __init__(self, n: int, q: int):
@@ -404,7 +404,6 @@ class _GenerationCache:
         self._full = gl_order(n, q)
         self._verdicts: dict[frozenset, bool] = {frozenset(): self._full == 1}
         self._orders_by_key: dict[int, int] = {}  # key id -> |<C_f, C_g>|
-        self._rows: dict[Poly, dict[Poly, int]] = {}
         self._proper: dict[Poly, list[tuple[tuple, Poly]]] = {}  # f -> _proper_orbits
         self.closures = 0
 
@@ -430,18 +429,14 @@ class _GenerationCache:
     def row(self, f: Poly) -> dict[Poly, int]:
         """|<C_f, C_g>| for each partner g of the primitive f, keyed by g:
         one closure per key id (_partner_keys) that no earlier row met."""
-        row = self._rows.get(f)
-        if row is None:
-            model = field_model(self._n, f.field)
-            cf = companion(f)
-            row = {}
-            for g, key in _partner_keys(model, f):
-                order = self._orders_by_key.get(key)
-                if order is None:
-                    order = self._orders_by_key[key] = group_closure([cf, companion(g)]).order
-                    self.closures += 1
-                row[g] = order
-            self._rows[f] = row
+        cf = companion(f)
+        row = {}
+        for g, key in _partner_keys(field_model(self._n, f.field), f):
+            order = self._orders_by_key.get(key)
+            if order is None:
+                order = self._orders_by_key[key] = group_closure([cf, companion(g)]).order
+                self.closures += 1
+            row[g] = order
         return row
 
     def proper_members(self, f: Poly) -> list[tuple[tuple, Poly]]:
@@ -534,21 +529,14 @@ def classify_qc(g: Matrix, cache: _GenerationCache | None = None) -> str:
     f = char_poly(g)
     if is_primitive_poly(f) and cache.singer_failure(g, f) is None:
         return STRONG
-    any_gen = False
-    all_gen = True
-    seen_any = False
+    verdicts = set()
     for fl in enumerate_minimal_factorizations(g):
-        seen_any = True
-        verdict = cache.generates(fl.factors)
-        any_gen = any_gen or verdict
-        all_gen = all_gen and verdict
-        if any_gen and not all_gen:
+        verdicts.add(cache.generates(fl.factors))
+        if len(verdicts) == 2:
             return WEAK_ONLY
-    if not seen_any:
+    if not verdicts:
         raise AssertionError("every invertible element admits a minimal factorization")
-    if all_gen:
-        return STRONG
-    return WEAK_ONLY if any_gen else NOT_WEAK
+    return STRONG if True in verdicts else NOT_WEAK
 
 
 # --- theorem-level drivers ------------------------------------------------------

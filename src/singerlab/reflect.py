@@ -224,7 +224,6 @@ def minimal_factorization(g: Matrix) -> FactorizationList:
     return next(enumerate_minimal_factorizations(g))
 
 
-@functools.lru_cache(maxsize=256)
 def _stabilizing_reflections(w: Subspace) -> tuple[Matrix, ...]:
     """The reflections that stabilize W, in enumerate_reflections order."""
     return tuple(t for t in enumerate_reflections(w.ambient_dim, w.field)
@@ -259,7 +258,6 @@ def det_subgroup(field: FieldSpec, generator: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@functools.lru_cache(maxsize=None)
 def _reflections_with_dets_in(n: int, field: FieldSpec, x: frozenset[int]
                               ) -> tuple[Matrix, ...]:
     """The reflections of GL_n(F_q) with determinant in X, in

@@ -82,13 +82,25 @@ def test_verify_main1_has_no_classes_mode(capsys):
     ("gill", "--full"), ("main1", "--full"),
     ("singer-equiv", "--seed"), ("length-oracle", "--full"), ("main2", "--seed")])
 def test_verify_refuses_mode_flags_the_driver_does_not_read(capsys, subcommand, flag):
-    # --seed is read only by main1, --full only by main2;
+    # --seed is declared only on main1's parser, --full only on main2's;
     # any other driver exits 2 naming the flag, with no report, rather than
     # running its plain sweep
     args = [flag, "0"] if flag == "--seed" else [flag]
-    code, out, err = run(capsys, "verify", subcommand, "--n", "2", "--p", "3", *args)
-    assert code == 2 and out == ""
-    assert f"{flag} is read only by verify" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", subcommand, "--n", "2", "--p", "3", *args])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"unrecognized arguments: {' '.join(args)}" in out.err
+
+
+@pytest.mark.parametrize("subcommand,own,foreign", [("main1", "--seed", "--full"),
+                                                    ("main2", "--full", "--seed")])
+def test_verify_help_lists_only_the_drivers_own_flags(capsys, subcommand, own, foreign):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", subcommand, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert own in out and foreign not in out
 
 
 def test_verify_gill_cli(capsys):

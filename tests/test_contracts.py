@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import singerlab
-from singerlab import cli
+from singerlab import cli, groupgen, make_field, singer
 
 
 def _package_nodes():
@@ -100,8 +100,23 @@ def test_unbounded_memos_take_only_group_parameters():
              if param.annotation not in _GROUP_PARAMETERS]
     assert not found, found
     bounded = {name.rsplit(".", 1)[1] for name in memos.keys() - unbounded.keys()}
-    assert {"_fixed_space_of_entries", "_stabilizing_reflections", "_permutation",
+    assert {"_fixed_space_of_entries", "_with_inverses", "_permutation",
             "is_irreducible", "is_primitive_poly", "_eigenvalues_primitive"} <= bounded
+
+
+def test_every_memo_hits_on_the_drivers():
+    # a memo that never hits repeats a cache its caller already keeps: from
+    # cold memos, one small run of each verify driver reads every memo again
+    memos = _package_memos()
+    for memo in memos.values():
+        memo.cache_clear()
+    groupgen.verify_main1(2, make_field(5))
+    groupgen.verify_main2(2, make_field(7))
+    groupgen.verify_gill(2, make_field(7))
+    singer.singer_equivalence_report(2, make_field(2, 2))
+    groupgen.verify_length_oracle(2, make_field(3))
+    found = sorted(name for name, memo in memos.items() if memo.cache_info().hits == 0)
+    assert not found, found
 
 
 def _relative_imports(node):
@@ -199,14 +214,23 @@ def test_one_model_of_the_extension_field():
     assert callers("FieldExtension") == {"singer.py:_eigenvalues_primitive"}
 
 
+def _leaf_parsers(parser, prefix=""):
+    """(command line, parser) for each parser under parser's subcommands
+    that has no subcommands of its own, such as "verify main1"."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
 def test_every_cli_option_is_read_by_its_command():
     # each option a subcommand accepts is read as args.<dest> by the
     # function it dispatches to; a flag left behind by a deleted mode fails
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     options = 0
     found = []
-    for name, parser in subparsers.choices.items():
+    for name, parser in _leaf_parsers(cli.build_parser()):
         func = parser.get_default("func")
         tree = ast.parse(inspect.getsource(func))
         read = {node.attr for node in ast.walk(tree)
